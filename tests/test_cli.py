@@ -1,12 +1,16 @@
 """CLI round trips, exit codes, and determinism."""
 
+import dataclasses
+import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from polylin.cli import main
-from polylin import serialize
-from polylin.bases import Bernstein, Lagrange, MatrixPolynomial, Monomial
+from polylin import equivalence, serialize
+from polylin.bases import Bernstein, Lagrange, MatrixPolynomial, Monomial, Recurrence
+from polylin.exact import ConstMatrix
 
 
 def write_json(path, obj):
@@ -237,3 +241,105 @@ class TestJsonRoundTrips:
         obj = serialize.pencil_obj(pen)
         back = serialize.parse_pencil(json.loads(json.dumps(obj)))
         assert back.c1 == pen.c1 and back.c0 == pen.c0
+
+
+# -- golden bytes -------------------------------------------------------------
+# sha256 of "<exit code>\n<stdout><stderr>" for fixed inputs.  They pin the
+# CLI's output contract: change a digest only when the output is meant to
+# change.
+
+def _poly2(basis, blocks):
+    return MatrixPolynomial(2, basis, tuple(ConstMatrix.from_rows(b) for b in blocks))
+
+
+def _golden_instances():
+    return {
+        "monomial": _poly2(Monomial(2), [[[1, 2], [0, 1]], [[0, -1], [3, 2]],
+                                         [[2, 1], [1, 1]]]),
+        "recurrence": _poly2(Recurrence.chebyshev(3),
+                             [[[1, 0], [2, 1]], [[1, -1], [0, 2]],
+                              [[0, 3], [1, 1]], [[2, 1], [-1, 1]]]),
+        "bernstein": _poly2(Bernstein(3), [[[1, 2], [0, 1]], [[0, -1], [3, 2]],
+                                           [[1, 0], [1, 2]], [[2, 1], [1, 1]]]),
+        "lagrange": _poly2(Lagrange(2, (F(0), F(1), F(-1, 2))),
+                           [[[1, 2], [0, 1]], [[0, -1], [3, 2]], [[2, 1], [1, 1]]]),
+        "bernstein-singular-at-one": MatrixPolynomial.scalar(Bernstein(3), [5, -1, 7, 0]),
+    }
+
+
+GOLDEN = [
+    (["equiv", "monomial", "cofactors"],
+     "3711e6bcf19bb5d115ea3c7096b5572137258ee161c3fbff723414501baed993"),
+    (["equiv", "monomial", "strict"],
+     "b91457bf8039c43ddbfedf9229ff278320612743ac4f00860afe87ff8c771a4a"),
+    (["equiv", "monomial", "reversal"],
+     "592ed0dd95c98db1a7d671988e9cd21b491dc519d5dda82cf26a0d48bf09ed94"),
+    (["equiv", "recurrence", "cofactors"],
+     "44b8f3ca6f108797f90a7970e67fa34f0cf02139b0b56b3776ccd30616a32738"),
+    (["equiv", "bernstein", "cofactors"],
+     "fde0e3ff4470d3caaa28d31fcc3a3efc670ea23f6451b91624bde0ccf09a4c7f"),
+    (["equiv", "bernstein", "strict"],
+     "2778453d22dbf99ddd0a5be867fe6292f4f81a00b626c4c476f4caf0c5dfa0a1"),
+    (["equiv", "bernstein", "reversal"],
+     "edb9faf8d645f2637ee37bc37fa5ef7fb16282a61e565a07e9e6c439d78acdac"),
+    (["equiv", "lagrange", "cofactors"],
+     "61aa8e394c94b4d6f40771fa35754ea1cb3e86302b4380ce016de539c254d837"),
+    (["equiv", "lagrange", "strict"],
+     "59ecb61d4c6052cb58f7f70f13a4bbd93da27a717e6ab771c7b186c4fc214363"),
+    (["equiv", "lagrange", "reversal"],
+     "592ed0dd95c98db1a7d671988e9cd21b491dc519d5dda82cf26a0d48bf09ed94"),
+    (["equiv", "bernstein-singular-at-one", "cofactors"],
+     "4737540132bbdeab255c7ec997da3da5c9a84ad796f0375ce4478eb13b65639a"),
+    (["sweep", "--count", "3", "--seed", "0"],
+     "aaaf65a022cf3b638b7f34f524987975401c1b37913ae555642184a6776bab08"),
+    (["sweep", "--count", "3", "--seed", "0", "--inject-fault"],
+     "5f5c0871a8c9818606ae7c96abbe481fa58c71c21172d689c905bf6009820264"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output_bytes(argv, digest, tmp_path, capsys):
+    if argv[0] == "equiv":
+        _, name, mode = argv
+        infile = tmp_path / "p.json"
+        write_json(infile, serialize.matrix_polynomial_obj(_golden_instances()[name]))
+        argv = ["equiv", "--in", str(infile), "--mode", mode]
+    assert _digest(main(argv), capsys) == digest
+
+
+def _digest(code, capsys) -> str:
+    captured = capsys.readouterr()
+    text = f"{code}\n{captured.out}{captured.err}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+GOLDEN_FALSIFIED = [
+    ("monomial", "cofactors", "monomial_cofactors",
+     "aa1885393f3eb2db0358a364eb25930b3427926ff8d20605e3fa01239cfedb29"),
+    ("bernstein", "strict", "bernstein_strict_equivalence",
+     "14ad9cdda938b36be0b5571cfcf3e4ee1765cd201c59818d9d569f533ce51653"),
+    ("lagrange", "strict", "lagrange_strict_equivalence",
+     "14ad9cdda938b36be0b5571cfcf3e4ee1765cd201c59818d9d569f533ce51653"),
+    ("bernstein", "reversal", "bernstein_reversal_equivalence",
+     "9460fc82d801b2f4d89b53cdd38cbf8b00a1f9272d24600a569cd93f3444d979"),
+]
+
+
+@pytest.mark.parametrize("name, mode, constructor, digest", GOLDEN_FALSIFIED,
+                         ids=[f"{n} {m}" for n, m, _, _ in GOLDEN_FALSIFIED])
+def test_golden_falsified_bytes(name, mode, constructor, digest, tmp_path,
+                                capsys, monkeypatch):
+    """A constructor that swaps its two factors must be caught, exit 1."""
+    original = getattr(equivalence, constructor)
+
+    def swapped(*args):
+        cert = original(*args)
+        first, second = (getattr(cert, f.name) for f in dataclasses.fields(cert))
+        return type(cert)(second, first)
+
+    monkeypatch.setattr(equivalence, constructor, swapped)
+    infile = tmp_path / "p.json"
+    write_json(infile, serialize.matrix_polynomial_obj(_golden_instances()[name]))
+    code = main(["equiv", "--in", str(infile), "--mode", mode])
+    assert code == 1
+    assert _digest(code, capsys) == digest
