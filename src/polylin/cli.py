@@ -12,9 +12,10 @@ import argparse
 import json
 import random
 import sys
+from typing import Callable, NamedTuple
 
 from .errors import InputError, PolylinError, PreconditionError
-from .exact import ConstMatrix, is_unimodular
+from .exact import ConstMatrix
 from . import bases, equivalence, normalforms, pencils, randgen, serialize, verify
 
 EXIT_OK = 0
@@ -38,7 +39,7 @@ def _load(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
         raise InputError(f"bad JSON in {path}: {exc}") from None
 
 
@@ -47,9 +48,10 @@ def _load_basis_arg(arg: str):
     text = arg.strip()
     if text.startswith("{"):
         try:
-            return serialize.parse_basis(json.loads(text))
-        except json.JSONDecodeError as exc:
+            obj = json.loads(text)
+        except ValueError as exc:
             raise InputError(f"bad inline basis JSON: {exc}") from None
+        return serialize.parse_basis(obj)
     return serialize.parse_basis(_load(arg))
 
 
@@ -68,96 +70,99 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _unit_str(unit) -> str:
-    return serialize.frac_str(unit) if unit is not None else "0"
+class Route(NamedTuple):
+    """How equiv and sweep certify one basis kind.
+
+    Each field is named after the equiv mode it serves; a falsy field means
+    the mode does not apply to the kind.  The callables look constructors up
+    on their modules at call time, so a wrapper installed on a module
+    attribute sees every call.
+    """
+
+    cofactors: Callable  # (p, pencil) -> CofactorPair
+    strict: Callable | None  # p -> (StrictEquivalence, monomial target pencil)
+    reversal: bool  # the Bernstein reversal map applies
+    min_grade: int  # smallest grade sweep draws
+
+
+ROUTES = {
+    "monomial": Route(
+        lambda p, pen: equivalence.monomial_cofactors(p), None, False, 1),
+    "recurrence": Route(
+        lambda p, pen: equivalence.assemble_cofactors(
+            equivalence.recurrence_hermite_analogue(p, pen), pen, p),
+        None, False, 2),
+    "bernstein": Route(
+        lambda p, pen: equivalence.assemble_cofactors(
+            equivalence.bernstein_hermite_analogue(p, pen), pen, p),
+        lambda p: (equivalence.bernstein_strict_equivalence(p.grade, p),
+                   pencils.build_monomial_pencil(bases.to_monomial(p))),
+        True, 2),
+    "lagrange": Route(
+        lambda p, pen: equivalence.assemble_cofactors(
+            equivalence.lagrange_hermite_factors(p, pen), pen, p),
+        lambda p: (equivalence.lagrange_strict_equivalence(p),
+                   pencils.build_monomial_pencil(equivalence.lagrange_monomial_target(p))),
+        False, 1),
+}
+
+
+def _check_cofactors(route: Route, p, pen=None):
+    if pen is None:
+        pen = pencils.build_pencil(p)
+    cof = route.cofactors(p, pen)
+    return verify.verify_linearization(pen, p, cof), {"E": cof.e, "F": cof.f}
+
+
+def _check_strict(route: Route, p, pen=None):
+    se, target = route.strict(p)
+    if pen is None:  # built after the constructor, whose precondition errors come first
+        pen = pencils.build_pencil(p)
+    return verify.verify_strict(se, pen, target), {"U": se.u, "W": se.w}
+
+
+def _check_reversal(route: Route, p, pen=None):
+    re = equivalence.bernstein_reversal_equivalence(list(p.coeffs), p.grade)
+    return verify.verify_reversal_equivalence(re, p), {"U": re.u, "Winv": re.winv}
+
+
+# Each check builds one certificate for p (with pencil pen, built when not
+# given) and returns (verdict, factors by name in certificate order); sweep
+# runs them in this order.
+CHECKS = {
+    "cofactors": _check_cofactors,
+    "strict": _check_strict,
+    "reversal": _check_reversal,
+}
+
+
+def _factor_obj(m):
+    if isinstance(m, ConstMatrix):
+        return serialize.const_matrix_obj(m)
+    return serialize.polymatrix_obj(m)
 
 
 def cmd_equiv(args) -> int:
     p = serialize.parse_matrix_polynomial(_load(args.infile))
-    kind = p.basis.kind
-    if args.mode == "cofactors":
-        pen = pencils.build_pencil(p)
-        if kind == "monomial":
-            cof = equivalence.monomial_cofactors(p)
-        elif kind == "recurrence":
-            cof = equivalence.assemble_cofactors(
-                equivalence.recurrence_hermite_analogue(p, pen), pen, p)
-        elif kind == "bernstein":
-            cof = equivalence.assemble_cofactors(
-                equivalence.bernstein_hermite_analogue(p, pen), pen, p)
-        else:
-            cof = equivalence.assemble_cofactors(
-                equivalence.lagrange_hermite_factors(p, pen), pen, p)
-        verdict = verify.verify_linearization(pen, p, cof)
-        if not verdict.ok:
-            _dump({"check": verdict.check, "ok": False,
-                   "counterexample": verdict.counterexample}, args.out)
-            return EXIT_FALSIFIED
-        _, unit_e = is_unimodular(cof.e)
-        _, unit_f = is_unimodular(cof.f)
-        cert = {
-            "kind": "cofactors",
-            "basis": serialize.basis_obj(p.basis),
-            "E": serialize.polymatrix_obj(cof.e),
-            "F": serialize.polymatrix_obj(cof.f),
-            "verified": True,
-            "unit": {"E": _unit_str(unit_e), "F": _unit_str(unit_f)},
-        }
-        _dump(cert, args.out)
-        return EXIT_OK
-
-    if args.mode == "strict":
-        if kind == "bernstein":
-            se = equivalence.bernstein_strict_equivalence(p.grade, p)
-            source = pencils.build_bernstein_pencil(p)
-            target = pencils.build_monomial_pencil(bases.to_monomial(p))
-        elif kind == "lagrange":
-            se = equivalence.lagrange_strict_equivalence(p)
-            source = pencils.build_lagrange_pencil(p)
-            target = pencils.build_monomial_pencil(
-                equivalence.lagrange_monomial_target(p))
-        else:
-            raise PreconditionError(
-                "strict mode needs a bernstein or lagrange input")
-        verdict = verify.verify_strict(se, source, target)
-        if not verdict.ok:
-            _dump({"check": verdict.check, "ok": False,
-                   "counterexample": verdict.counterexample}, args.out)
-            return EXIT_FALSIFIED
-        cert = {
-            "kind": "strict",
-            "basis": serialize.basis_obj(p.basis),
-            "U": serialize.const_matrix_obj(se.u),
-            "W": serialize.const_matrix_obj(se.w),
-            "verified": True,
-            "unit": {"U": serialize.frac_str(se.u.det()),
-                     "W": serialize.frac_str(se.w.det())},
-        }
-        _dump(cert, args.out)
-        return EXIT_OK
-
-    if args.mode == "reversal":
-        if kind != "bernstein":
-            raise PreconditionError("reversal mode needs a bernstein input")
-        re = equivalence.bernstein_reversal_equivalence(list(p.coeffs), p.grade)
-        verdict = verify.verify_reversal_equivalence(re, p)
-        if not verdict.ok:
-            _dump({"check": verdict.check, "ok": False,
-                   "counterexample": verdict.counterexample}, args.out)
-            return EXIT_FALSIFIED
-        cert = {
-            "kind": "reversal",
-            "basis": serialize.basis_obj(p.basis),
-            "U": serialize.const_matrix_obj(re.u),
-            "Winv": serialize.const_matrix_obj(re.winv),
-            "verified": True,
-            "unit": {"U": serialize.frac_str(re.u.det()),
-                     "Winv": serialize.frac_str(re.winv.det())},
-        }
-        _dump(cert, args.out)
-        return EXIT_OK
-
-    raise InputError(f"unknown mode {args.mode!r}")
+    route = ROUTES[p.basis.kind]
+    if not getattr(route, args.mode):
+        kinds = " or ".join(k for k, r in ROUTES.items() if getattr(r, args.mode))
+        raise PreconditionError(f"{args.mode} mode needs a {kinds} input")
+    verdict, factors = CHECKS[args.mode](route, p)
+    if not verdict.ok:
+        _dump({"check": verdict.check, "ok": False,
+               "counterexample": verdict.counterexample}, args.out)
+        return EXIT_FALSIFIED
+    cert = {name: _factor_obj(m) for name, m in factors.items()}
+    cert.update({
+        "kind": args.mode,
+        "basis": serialize.basis_obj(p.basis),
+        "verified": True,
+        "unit": {name: serialize.frac_str(d)
+                 for name, d in zip(factors, verdict.factor_dets)},
+    })
+    _dump(cert, args.out)
+    return EXIT_OK
 
 
 def cmd_nf(args) -> int:
@@ -196,8 +201,8 @@ def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int,
 
     Returns None on success or a counterexample description.
     """
-    lo = 2 if kind in ("recurrence", "bernstein") else 1
-    grade = rng.randint(lo, max(lo, lmax))
+    route = ROUTES[kind]
+    grade = rng.randint(route.min_grade, max(route.min_grade, lmax))
     n = rng.randint(1, nmax)
     basis = randgen.rand_basis(rng, kind, grade)
     p = randgen.rand_matrix_polynomial(rng, basis, n)
@@ -216,48 +221,30 @@ def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int,
             "instance": serialize.matrix_polynomial_obj(p),
         }
 
-    v = verify.verify_companion(pen, p)
-    if not v.ok:
+    if not verify.verify_companion(pen, p).ok:
         return fail("companion")
-
-    try:
-        if kind == "monomial":
-            cof = equivalence.monomial_cofactors(p)
-        elif kind == "recurrence":
-            cof = equivalence.assemble_cofactors(
-                equivalence.recurrence_hermite_analogue(p, pen), pen, p)
-        elif kind == "bernstein":
-            cof = equivalence.assemble_cofactors(
-                equivalence.bernstein_hermite_analogue(p, pen), pen, p)
-        else:
-            cof = equivalence.assemble_cofactors(
-                equivalence.lagrange_hermite_factors(p, pen), pen, p)
-    except PreconditionError:
-        cof = None  # singular leading block / value: documented restriction
-    if cof is not None and not verify.verify_linearization(pen, p, cof).ok:
-        return fail("linearization")
-
-    if kind == "bernstein":
-        se = equivalence.bernstein_strict_equivalence(grade, p)
-        target = pencils.build_monomial_pencil(bases.to_monomial(p))
-        if not verify.verify_strict(se, pen, target).ok:
-            return fail("strict")
-        re = equivalence.bernstein_reversal_equivalence(list(p.coeffs), grade)
-        if not verify.verify_reversal_equivalence(re, p).ok:
-            return fail("reversal")
-    if kind == "lagrange":
-        se = equivalence.lagrange_strict_equivalence(p)
-        target = pencils.build_monomial_pencil(equivalence.lagrange_monomial_target(p))
-        if not verify.verify_strict(se, pen, target).ok:
-            return fail("strict")
+    for mode, check in CHECKS.items():
+        if not getattr(route, mode):
+            continue
+        try:
+            verdict, _ = check(route, p, pen)
+        except PreconditionError:
+            if mode != "cofactors":
+                raise
+            continue  # singular leading block / value: documented restriction
+        if not verdict.ok:
+            return fail(verdict.check)
     return None
 
 
 def cmd_sweep(args) -> int:
     kinds = [k.strip() for k in args.bases.split(",") if k.strip()]
     for k in kinds:
-        if k not in ("monomial", "recurrence", "bernstein", "lagrange"):
+        if k not in ROUTES:
             raise InputError(f"unknown basis kind {k!r}")
+    for name in ("nmax", "lmax", "count"):
+        if getattr(args, name) < 1:
+            raise InputError(f"--{name} must be at least 1")
     rng = random.Random(args.seed)
     report = {"seed": args.seed, "count": args.count, "nmax": args.nmax,
               "lmax": args.lmax, "bases": {}, "ok": True}

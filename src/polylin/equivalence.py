@@ -99,10 +99,6 @@ def _poly_identity_block(n: int, poly: PolyQ) -> PolyMatrix:
                              for i in range(n) for j in range(n)])
 
 
-def _const_to_poly_block(c: ConstMatrix) -> PolyMatrix:
-    return PolyMatrix.from_const(c)
-
-
 def _const_times_polymatrix(c: ConstMatrix, m: PolyMatrix) -> PolyMatrix:
     """c @ m with c constant."""
     out = []
@@ -203,10 +199,10 @@ def monomial_cofactors(p: MatrixPolynomial) -> CofactorPair:
     eye = POLY_ONE
 
     # partial Horner evaluations: horner[L] = A_L, horner[k] = A_k + z*horner[k+1]
-    horner: dict[int, PolyMatrix] = {L: _const_to_poly_block(A[L])}
+    horner: dict[int, PolyMatrix] = {L: PolyMatrix.from_const(A[L])}
     for k in range(L - 1, 0, -1):
         shifted = horner[k + 1].scale_poly(POLY_Z)
-        horner[k] = _const_to_poly_block(A[k]) + shifted
+        horner[k] = PolyMatrix.from_const(A[k]) + shifted
 
     e_rows = []
     for r in range(n):
@@ -291,7 +287,7 @@ def recurrence_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteA
     h = _identity_with_block_column(m, n, m - 1, h_col)
 
     lz = pencil.as_polymatrix()
-    last = [_const_to_poly_block(u0)] + [PolyMatrix.zeros(n, n)] * (m - 1)
+    last = [PolyMatrix.from_const(u0)] + [PolyMatrix.zeros(n, n)] * (m - 1)
     uinv = _replace_block_column(lz, n, m - 1, last)
 
     ha = HermiteAnalogue(uinv, h, m - 1, u0)
@@ -342,7 +338,7 @@ def bernstein_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteAn
     h_col = [hs[m - j] for j in range(1, m)] + [pz]
     h = _identity_with_block_column(m, n, m - 1, h_col)
     lz = pencil.as_polymatrix()
-    last = [_const_to_poly_block(vs[i + 1]) for i in range(m)]
+    last = [PolyMatrix.from_const(vs[i + 1]) for i in range(m)]
     uinv = _replace_block_column(lz, n, m - 1, last)
 
     ha = HermiteAnalogue(uinv, h, m - 1, ConstMatrix.identity(n))
@@ -403,7 +399,7 @@ def lagrange_hermite_factors(p: MatrixPolynomial, pencil: Pencil) -> HermiteAnal
 
     lz = pencil.as_polymatrix()
     last = [PolyMatrix.zeros(n, n)] + \
-        [_const_to_poly_block(u_blocks[L + 1 - r]) for r in range(1, L + 1)] + \
+        [PolyMatrix.from_const(u_blocks[L + 1 - r]) for r in range(1, L + 1)] + \
         [PolyMatrix.zeros(n, n)]
     uinv = _replace_block_column(lz, n, m - 1, last)
 

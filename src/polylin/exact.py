@@ -363,20 +363,7 @@ class ConstMatrix:
         """Exact inverse, or None when singular."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        aug = [self.row(i) + ConstMatrix.identity(n).row(i) for i in range(n)]
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-            if pivot is None:
-                return None
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            pv = aug[c][c]
-            aug[c] = [x / pv for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        return ConstMatrix.from_rows([r[n:] for r in aug])
+        return solve_exact(self, ConstMatrix.identity(self.rows))
 
     def kron_identity(self, n: int) -> "ConstMatrix":
         """Tensor product self (x) I_n: each scalar entry becomes a scalar

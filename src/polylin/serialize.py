@@ -1,11 +1,13 @@
 """JSON encoding of every on-disk object.
 
 Rationals serialize as strings "p/q" (or "p" when the denominator is 1) so
-exactness survives the trip; all readers reject anything else.
+exactness survives the trip; readers accept those strings, optionally
+signed, and JSON integers, and reject anything else.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -25,9 +27,14 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_frac(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise InputError(f"expected a rational string, got {s!r}")
+    if isinstance(s, str) and not _RATIONAL.fullmatch(s):
+        raise InputError(f"bad rational {s!r}: expected \"p\" or \"p/q\"")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -74,8 +81,8 @@ def parse_polymatrix(obj) -> PolyMatrix:
         raise InputError("'entries' must be a non-empty list of rows")
     rows = []
     for row in entries:
-        if not isinstance(row, list):
-            raise InputError("each entry row must be a list")
+        if not isinstance(row, list) or not row or len(row) != len(entries[0]):
+            raise InputError("entry rows must be non-empty lists of equal length")
         rows.append([parse_polyq(e) for e in row])
     m = PolyMatrix.from_rows(rows)
     if "rows" in obj and obj["rows"] != m.rows:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
+    ConstMatrix,
     PolyMatrix,
     PolyQ,
     is_unimodular,
@@ -37,10 +38,15 @@ from .pencils import Pencil, build_bernstein_pencil
 
 @dataclass
 class Verdict:
+    """Outcome of one check.  `factor_dets` holds the determinants of the
+    certificate's two factors, in certificate order, when the check
+    computed them (linearization, strict and reversal checks that pass)."""
+
     check: str
     ok: bool
     constant: Fraction | None = None
     counterexample: dict | None = field(default=None)
+    factor_dets: tuple[Fraction, Fraction] | None = None
 
     def __bool__(self):  # convenient in tests
         return self.ok
@@ -96,7 +102,8 @@ def verify_linearization(pencil: Pencil, p: MatrixPolynomial,
     ok_f, unit_f = is_unimodular(cof.f)
     if not ok_f:
         return _falsified("linearization", reason="F not unimodular")
-    return Verdict("linearization", True, unit_e * unit_f)
+    return Verdict("linearization", True, unit_e * unit_f,
+                   factor_dets=(unit_e, unit_f))
 
 
 def verify_strict(se: StrictEquivalence, source: Pencil, target: Pencil) -> Verdict:
@@ -109,7 +116,7 @@ def verify_strict(se: StrictEquivalence, source: Pencil, target: Pencil) -> Verd
         return _falsified("strict", reason="z-coefficient identity failed")
     if se.u @ source.c0 @ se.w != target.c0:
         return _falsified("strict", reason="constant-coefficient identity failed")
-    return Verdict("strict", True, du * dw)
+    return Verdict("strict", True, du * dw, factor_dets=(du, dw))
 
 
 def verify_hermite_analogue(ha: HermiteAnalogue, pencil: Pencil) -> Verdict:
@@ -135,8 +142,6 @@ def verify_hermite_analogue(ha: HermiteAnalogue, pencil: Pencil) -> Verdict:
 def _padded_monomial_reversal(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
     """z^grade * P(1/z) in monomial coefficients (reversal at the stated grade)."""
     mono = to_monomial(p)
-    from .exact import ConstMatrix
-
     blocks = list(mono.coeffs) + [ConstMatrix.zeros(p.n, p.n)] * (grade - p.grade)
     return MatrixPolynomial(p.n, Monomial(grade), tuple(reversed(blocks)))
 
@@ -195,7 +200,7 @@ def verify_reversal_equivalence(re: ReversalEquivalence, p: MatrixPolynomial) ->
     du, dw = re.u.det(), re.winv.det()
     if du not in (1, -1) or dw not in (1, -1):
         return _falsified("reversal", reason="determinant not a unit")
-    return Verdict("reversal", True, du * dw)
+    return Verdict("reversal", True, du * dw, factor_dets=(du, dw))
 
 
 def verify_bernstein_reversal_pencil(p: MatrixPolynomial) -> Verdict:

@@ -217,6 +217,41 @@ class TestSweepCommand:
         assert report["counterexample"]["check"] == "companion"
 
 
+def _mono_text(entry: str) -> str:
+    """A 1x1 grade-1 monomial polynomial whose first coefficient is `entry`,
+    spliced into the JSON text as written."""
+    return ('{"n": 1, "basis": {"kind": "monomial", "grade": 1}, '
+            '"coeffs": [[[%s]], [["1"]]]}' % entry)
+
+
+EXIT2_CASES = [
+    ("decimal", _mono_text('"0.5"'), ["pencil"]),
+    ("exponent", _mono_text('"1e3"'), ["pencil"]),
+    ("spaces", _mono_text('" 1"'), ["pencil"]),
+    ("oversized json integer", _mono_text("1" * 4301), ["pencil"]),
+    ("oversized rational string", _mono_text('"%s"' % ("1" * 4301)), ["pencil"]),
+    ("ragged nf rows", '{"entries": [[["1"], ["0"]], [["1"]]]}',
+     ["nf", "--kind", "hermite"]),
+    ("empty nf row", '{"entries": [[]]}', ["nf", "--kind", "hermite"]),
+    ("sweep nmax 0", None, ["sweep", "--nmax", "0"]),
+    ("sweep lmax 0", None, ["sweep", "--lmax", "0"]),
+    ("sweep count -1", None, ["sweep", "--count", "-1"]),
+    ("sweep unknown basis", None, ["sweep", "--bases", "monomial,chebyshev"]),
+]
+
+
+@pytest.mark.parametrize("text, argv", [c[1:] for c in EXIT2_CASES],
+                         ids=[c[0] for c in EXIT2_CASES])
+def test_malformed_input_exit2(text, argv, tmp_path, capsys):
+    if text is not None:
+        infile = tmp_path / "in.json"
+        infile.write_text(text)
+        argv = argv + ["--in", str(infile)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")
+
+
 class TestJsonRoundTrips:
     def test_fraction_strings(self):
         from fractions import Fraction
