@@ -73,10 +73,10 @@ def cmd_convert(args) -> int:
 class Route(NamedTuple):
     """How equiv and sweep certify one basis kind.
 
-    Each field is named after the equiv mode it serves; a falsy field means
-    the mode does not apply to the kind.  The callables look constructors up
-    on their modules at call time, so a wrapper installed on a module
-    attribute sees every call.
+    The first three fields are named after the equiv modes they serve; a
+    falsy one means the mode does not apply to the kind.  The callables look
+    constructors up on their modules at call time, so a wrapper installed
+    on a module attribute sees every call.
     """
 
     cofactors: Callable  # (p, pencil) -> CofactorPair
@@ -153,14 +153,14 @@ def cmd_equiv(args) -> int:
         _dump({"check": verdict.check, "ok": False,
                "counterexample": verdict.counterexample}, args.out)
         return EXIT_FALSIFIED
-    cert = {name: _factor_obj(m) for name, m in factors.items()}
-    cert.update({
+    cert = {
         "kind": args.mode,
         "basis": serialize.basis_obj(p.basis),
+        **{name: _factor_obj(m) for name, m in factors.items()},
         "verified": True,
         "unit": {name: serialize.frac_str(d)
                  for name, d in zip(factors, verdict.factor_dets)},
-    })
+    }
     _dump(cert, args.out)
     return EXIT_OK
 

@@ -242,7 +242,7 @@ EXIT2_CASES = [
 
 @pytest.mark.parametrize("text, argv", [c[1:] for c in EXIT2_CASES],
                          ids=[c[0] for c in EXIT2_CASES])
-def test_malformed_input_exit2(text, argv, tmp_path, capsys):
+def test_input_contract_exit2(text, argv, tmp_path, capsys):
     if text is not None:
         infile = tmp_path / "in.json"
         infile.write_text(text)
@@ -299,6 +299,7 @@ def _golden_instances():
         "lagrange": _poly2(Lagrange(2, (F(0), F(1), F(-1, 2))),
                            [[[1, 2], [0, 1]], [[0, -1], [3, 2]], [[2, 1], [1, 1]]]),
         "bernstein-singular-at-one": MatrixPolynomial.scalar(Bernstein(3), [5, -1, 7, 0]),
+        "bernstein-grade-1": MatrixPolynomial.scalar(Bernstein(1), [0, 1]),
     }
 
 
@@ -325,10 +326,19 @@ GOLDEN = [
      "592ed0dd95c98db1a7d671988e9cd21b491dc519d5dda82cf26a0d48bf09ed94"),
     (["equiv", "bernstein-singular-at-one", "cofactors"],
      "4737540132bbdeab255c7ec997da3da5c9a84ad796f0375ce4478eb13b65639a"),
+    (["equiv", "bernstein-grade-1", "strict"],
+     "450a165988fa53c865da9079c9af2f0f9cd1df33482f5776cf0be6679db84aac"),
     (["sweep", "--count", "3", "--seed", "0"],
      "aaaf65a022cf3b638b7f34f524987975401c1b37913ae555642184a6776bab08"),
     (["sweep", "--count", "3", "--seed", "0", "--inject-fault"],
      "5f5c0871a8c9818606ae7c96abbe481fa58c71c21172d689c905bf6009820264"),
+    # a falsified sweep prints the instance it drew, which pins the draws
+    (["sweep", "--count", "3", "--seed", "0", "--inject-fault", "--bases", "recurrence"],
+     "3e4694228c8b0e48a24b56d5e1e4269cef962c22f2bb589490a37abf32c2fabb"),
+    (["sweep", "--count", "3", "--seed", "0", "--inject-fault", "--bases", "bernstein"],
+     "ed7c0c10cb0c3b352b54db0ca602dd17b74cd1e970c40eb492491f71e7d8fa5f"),
+    (["sweep", "--count", "3", "--seed", "0", "--inject-fault", "--bases", "lagrange"],
+     "b5e505d0e9b32ac5f84906acb9817f57b395ecf775216180c408560703f81dc2"),
 ]
 
 
