@@ -653,31 +653,30 @@ def is_unimodular(m: PolyMatrix) -> tuple[bool, Fraction | None]:
     return False, None
 
 
-def polymatrix_inverse_unimodular(m: PolyMatrix, check: bool = True) -> PolyMatrix:
-    """Exact inverse of a unimodular polynomial matrix.
+def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
+    """Exact inverse of a unimodular polynomial matrix, by z-adic lifting.
 
-    Unimodularity makes every evaluation m(x) invertible and the inverse a
-    polynomial matrix, so the inverse is recovered by pointwise rational
-    inversion at enough integer points followed by interpolation.  The
-    product m @ inverse is re-checked before returning.
+    With m = sum_j M_j z^j and X0 = m(0)^-1, the coefficients of the inverse
+    are X_k = -X0 sum_{j>=1} M_j X_{k-j}, lifted up to the degree bound of
+    det(m), which also bounds the adjugate.  A singular m(0) refutes
+    unimodularity; otherwise the product m @ inverse == I is the proof.
     """
-    ok, _unit = is_unimodular(m)
-    if not ok:
-        raise NotUnimodular("matrix is not unimodular")
+    if not m.is_square:
+        raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    # entries of the inverse are cofactors divided by the constant det
-    bound = max(_det_degree_bound(m), 0)
-    points = []
-    for x in range(bound + 1):
-        inv = m.evaluate(x).try_inverse()
-        if inv is None:  # impossible for unimodular m
-            raise NotUnimodular("evaluation unexpectedly singular")
-        points.append(inv)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            entries.append(_interp_at_integers([p.get(i, j) for p in points]))
-    result = PolyMatrix(n, n, entries)
-    if check and polymatrix_mul(m, result) != PolyMatrix.identity(n):
-        raise NotUnimodular("inverse verification failed")
+    x0 = m.evaluate(0).try_inverse()
+    if x0 is None:
+        raise NotUnimodular("matrix is not unimodular: m(0) is singular")
+    coeffs = [ConstMatrix(n, n, [e.coeff(k) for e in m.entries])
+              for k in range(m.max_degree() + 1)]
+    lifted = [x0]
+    for k in range(1, _det_degree_bound(m) + 1):
+        acc = ConstMatrix.zeros(n, n)
+        for j in range(1, min(k, len(coeffs) - 1) + 1):
+            acc = acc + coeffs[j] @ lifted[k - j]
+        lifted.append(-(x0 @ acc))
+    result = PolyMatrix(n, n, [PolyQ([x.entries[i] for x in lifted])
+                               for i in range(n * n)])
+    if polymatrix_mul(m, result) != PolyMatrix.identity(n):
+        raise NotUnimodular("matrix is not unimodular: m @ inverse != I")
     return result

@@ -103,6 +103,14 @@ def basis_obj(b: BasisSpec) -> dict:
     return out
 
 
+def _frac_list(obj: dict, key: str, kind: str) -> tuple[Fraction, ...]:
+    if key not in obj:
+        raise InputError(f"{kind} basis missing {key!r}")
+    if not isinstance(obj[key], list):
+        raise InputError(f"{kind} basis field {key!r} must be a list of rationals")
+    return tuple(parse_frac(x) for x in obj[key])
+
+
 def parse_basis(obj) -> BasisSpec:
     if not isinstance(obj, dict):
         raise InputError("basis must be an object")
@@ -114,18 +122,14 @@ def parse_basis(obj) -> BasisSpec:
         return Monomial(grade)
     if kind == "bernstein":
         return Bernstein(grade)
-    if kind == "recurrence":
-        try:
-            alpha = [parse_frac(x) for x in obj["alpha"]]
-            beta = [parse_frac(x) for x in obj["beta"]]
-            gamma = [parse_frac(x) for x in obj["gamma"]]
-        except KeyError as exc:
-            raise InputError(f"recurrence basis missing {exc}") from None
-        return Recurrence(grade, tuple(alpha), tuple(beta), tuple(gamma))
-    if kind == "lagrange":
-        if "nodes" not in obj:
-            raise InputError("lagrange basis missing 'nodes'")
-        return Lagrange(grade, tuple(parse_frac(x) for x in obj["nodes"]))
+    try:  # the constructors raise ValueError on fields of the wrong length
+        if kind == "recurrence":
+            return Recurrence(grade, *(_frac_list(obj, key, kind)
+                                       for key in ("alpha", "beta", "gamma")))
+        if kind == "lagrange":
+            return Lagrange(grade, _frac_list(obj, "nodes", kind))
+    except ValueError as exc:
+        raise InputError(f"{kind} basis: {exc}") from None
     raise InputError(f"unknown basis kind {kind!r}")
 
 

@@ -224,6 +224,21 @@ def _mono_text(entry: str) -> str:
             '"coeffs": [[[%s]], [["1"]]]}' % entry)
 
 
+def _basis_text(basis: str, grade: int) -> str:
+    """A 1x1 polynomial of `grade` over `basis`, spliced in as written."""
+    coeffs = ", ".join(['[["1"]]'] * (grade + 1))
+    return '{"n": 1, "basis": %s, "coeffs": [%s]}' % (basis, coeffs)
+
+
+def _lagrange_text(nodes: str) -> str:
+    return _basis_text('{"kind": "lagrange", "grade": 1, "nodes": %s}' % nodes, 1)
+
+
+def _recurrence_text(alpha: str) -> str:
+    return _basis_text('{"kind": "recurrence", "grade": 2, "alpha": %s, '
+                       '"beta": ["0", "0"], "gamma": ["0", "1"]}' % alpha, 2)
+
+
 EXIT2_CASES = [
     ("decimal", _mono_text('"0.5"'), ["pencil"]),
     ("exponent", _mono_text('"1e3"'), ["pencil"]),
@@ -237,6 +252,11 @@ EXIT2_CASES = [
     ("sweep lmax 0", None, ["sweep", "--lmax", "0"]),
     ("sweep count -1", None, ["sweep", "--count", "-1"]),
     ("sweep unknown basis", None, ["sweep", "--bases", "monomial,chebyshev"]),
+    ("lagrange one node", _lagrange_text('["0"]'), ["pencil"]),
+    ("recurrence alpha short", _recurrence_text('["1"]'), ["pencil"]),
+    ("lagrange nodes number", _lagrange_text("5"), ["pencil"]),
+    ("lagrange nodes string", _lagrange_text('"01"'), ["pencil"]),
+    ("recurrence alpha string", _recurrence_text('"12"'), ["pencil"]),
 ]
 
 

@@ -6,19 +6,34 @@ from fractions import Fraction as F
 import pytest
 
 from polylin import (
+    Bernstein,
     ConstMatrix,
+    DimensionMismatch,
+    Lagrange,
     MatrixPolynomial,
     Monomial,
     NotUnimodular,
     PolyMatrix,
     PolyQ,
+    bernstein_hermite_analogue,
+    build_bernstein_pencil,
+    build_lagrange_pencil,
     build_monomial_pencil,
+    build_recurrence_pencil,
+    hermite_form,
     is_unimodular,
+    lagrange_hermite_factors,
     polymatrix_det,
     polymatrix_inverse_unimodular,
     polymatrix_mul,
+    recurrence_hermite_analogue,
 )
-from polylin.randgen import rand_fraction
+from polylin.randgen import (
+    rand_fraction,
+    rand_matrix_polynomial,
+    rand_nodes,
+    rand_recurrence_spec,
+)
 
 from conftest import cofactor_det
 
@@ -163,10 +178,43 @@ class TestUnimodular:
             assert ok_inv and unit_inv == 1 / unit
 
     def test_not_unimodular_raises(self):
-        m = PolyMatrix.from_rows([[PolyQ([0, 1]), PolyQ.zero()],
-                                  [PolyQ.zero(), PolyQ([1])]])
-        with pytest.raises(NotUnimodular):
-            polymatrix_inverse_unimodular(m)
+        singular_at_zero = PolyMatrix.from_rows([[PolyQ([0, 1]), PolyQ.zero()],
+                                                 [PolyQ.zero(), PolyQ([1])]])
+        # m(0) = [[1]] is invertible; only the product check refuses it
+        invertible_at_zero = PolyMatrix.from_rows([[PolyQ([1, 1])]])
+        for m in (singular_at_zero, invertible_at_zero):
+            with pytest.raises(NotUnimodular):
+                polymatrix_inverse_unimodular(m)
+
+    def test_non_square_raises(self):
+        with pytest.raises(DimensionMismatch):
+            polymatrix_inverse_unimodular(PolyMatrix.zeros(2, 3))
+
+    def test_lifting_matches_pointwise_inverse(self):
+        # the Uinv of one drawn instance per triangular basis, and a Hermite
+        # transform: the lifted inverse agrees with the rational inverse of
+        # every evaluation up to one point past its degree, and each entry's
+        # grade is its degree (the serialized certificate pads to the grade)
+        rng = random.Random(11)
+        draws = [
+            (rand_recurrence_spec(rng, 3), build_recurrence_pencil,
+             recurrence_hermite_analogue),
+            (Bernstein(3), build_bernstein_pencil, bernstein_hermite_analogue),
+            (Lagrange(3, rand_nodes(rng, 4)), build_lagrange_pencil,
+             lagrange_hermite_factors),
+        ]
+        matrices = []
+        for basis, build, factor in draws:
+            p = rand_matrix_polynomial(rng, basis, 2)
+            matrices.append(factor(p, build(p)).uinv)
+        mono = rand_matrix_polynomial(rng, Monomial(2), 2)
+        matrices.append(hermite_form(build_monomial_pencil(mono).as_polymatrix()).u)
+        for m in matrices:
+            inv = polymatrix_inverse_unimodular(m)
+            assert inv.max_degree() >= 1
+            for x in range(inv.max_degree() + 2):
+                assert inv.evaluate(x) == m.evaluate(x).try_inverse()
+            assert all(e.grade == max(e.degree, 0) for e in inv.entries)
 
     def test_inverse_of_strict_equivalence_transform(self):
         # the 5x5 constant transform from the Bernstein strict equivalence,
