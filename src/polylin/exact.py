@@ -220,30 +220,23 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     return a.monic()
 
 
-def _det_fraction_rows(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a rational matrix via integer Bareiss elimination.
+def _bareiss_int(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination (Math. Comp. 22, 1968); m is overwritten.
 
-    Each row is scaled to integers first so the inner loop runs on plain
-    Python ints (no per-operation gcd).
+    Every division is exact, so the inner loop runs on plain Python ints
+    with no per-operation gcd.
     """
-    n = len(rows)
+    n = len(m)
     if n == 0:
-        return ONE
-    scale = ONE
-    m = []
-    for r in rows:
-        den = 1
-        for x in r:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        scale /= den
-        m.append([int(x * den) for x in r])
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
-                return ZERO
+                return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         pk = m[k][k]
@@ -255,7 +248,19 @@ def _det_fraction_rows(rows: list[list[Fraction]]) -> Fraction:
                 mi[j] = (mi[j] * pk - mik * mk[j]) // prev
             mi[k] = 0
         prev = pk
-    return sign * m[n - 1][n - 1] * scale
+    return sign * m[n - 1][n - 1]
+
+
+def _det_fraction_rows(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant of a rational matrix: each row is scaled to integers
+    once and the integer matrix goes through `_bareiss_int`."""
+    scale = 1
+    m = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        scale *= den
+        m.append([x.numerator * (den // x.denominator) for x in r])
+    return Fraction(_bareiss_int(m), scale)
 
 
 class ConstMatrix:
@@ -573,41 +578,73 @@ def polymatrix_from_blocks(grid, n: int) -> PolyMatrix:
     return PolyMatrix(R, C, out)
 
 
+def _integer_coeffs(polys) -> tuple[list[list[int]], int]:
+    """The coefficient lists of polys times their common denominator d, as
+    ints, and d."""
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
+
+
 def polymatrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Exact product of polynomial matrices."""
+    """Exact product of polynomial matrices.
+
+    Each row of a and each column of b is scaled to integers once; the
+    products accumulate on ints and each entry is divided once.  An entry's
+    grade is the largest x.grade + y.grade over its nonzero terms (0 when
+    there are none), as summing the PolyQ products would give.
+    """
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    arows = [_integer_coeffs(a.row(i)) for i in range(a.rows)]
+    bcols = [_integer_coeffs([b.get(k, j) for k in range(b.rows)]) for j in range(b.cols)]
     out = []
     for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            acc = PolyQ.zero()
-            for k in range(a.cols):
-                x = arow[k]
-                y = b.get(k, j)
-                if not (x.is_zero or y.is_zero):
-                    acc = acc + x * y
-            out.append(acc)
+        xs, da = arows[i]
+        for j, (ys, db) in enumerate(bcols):
+            acc = []
+            grade = 0
+            for k, x in enumerate(xs):
+                y = ys[k]
+                if not (x and y):
+                    continue
+                grade = max(grade, a.entries[i * a.cols + k].grade
+                            + b.entries[k * b.cols + j].grade)
+                if len(acc) < len(x) + len(y) - 1:
+                    acc.extend([0] * (len(x) + len(y) - 1 - len(acc)))
+                for s, cx in enumerate(x):
+                    if cx:
+                        for t, cy in enumerate(y):
+                            acc[s + t] += cx * cy
+            den = da * db
+            out.append(PolyQ([Fraction(c, den) for c in acc], grade))
     return PolyMatrix(a.rows, b.cols, out)
 
 
-def _interp_at_integers(values: list[Fraction]) -> PolyQ:
-    """Interpolate exact values taken at z = 0, 1, ..., len(values)-1."""
+def _interp_at_integers(values: list[int], den: int) -> PolyQ:
+    """The polynomial p of degree < len(values) with p(z) = values[z] / den
+    at z = 0, 1, ..., len(values)-1.
+
+    With D = len(values)-1, the Newton forward differences d_k of the values
+    give D! p(z) = sum_k d_k (D!/k!) z(z-1)...(z-k+1), which is expanded on
+    ints by nested multiplication and divided by D! den once.
+    """
     d = len(values) - 1
-    # Newton forward differences: coefficient of the k-th falling factorial
     diffs = list(values)
     newton = [diffs[0]]
     for k in range(1, d + 1):
         diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        newton.append(diffs[0] / math.factorial(k))
-    acc = PolyQ.zero(0)
-    basis = POLY_ONE
-    for k, c in enumerate(newton):
-        if c:
-            acc = acc + basis.scale(c)
-        if k < d:
-            basis = basis * PolyQ((-k, 1))
-    return acc
+        newton.append(diffs[0])
+    # acc = newton[d], then acc = acc * (z - k) + newton[k] * D!/k! for k < d
+    acc = [newton[d]]
+    weight = 1
+    for k in range(d - 1, -1, -1):
+        weight *= k + 1
+        acc = [0] + acc
+        for i in range(len(acc) - 1):
+            acc[i] -= k * acc[i + 1]
+        acc[0] += newton[k] * weight
+    den *= weight
+    return PolyQ([Fraction(c, den) for c in acc])
 
 
 def _det_degree_bound(m: PolyMatrix) -> int:
@@ -627,22 +664,91 @@ def _det_degree_bound(m: PolyMatrix) -> int:
     return min(row_bound, col_bound)
 
 
+def _assignment_bound(m: PolyMatrix) -> int:
+    """max over permutations s of sum_i deg m[i, s(i)], the largest degree of
+    a nonzero term of the Leibniz sum; -1 when every term is zero.
+
+    This bounds deg det(m) and is never looser than `_det_degree_bound`.
+    It is found as a minimum-cost assignment by the Hungarian method (Kuhn,
+    Naval Res. Logist. Q. 2, 1955) in O(N^3), with cost -deg on a nonzero
+    entry and a cost on a zero entry that no assignment avoiding zeros can
+    reach.  It does not bound the degree of the adjugate.
+    """
+    n = m.rows
+    top = max(m.max_degree(), 0)
+    forbidden = n * top + 1
+    cost = [[0] * (n + 1)] + [
+        [0] + [-e.degree if e.coeffs else forbidden for e in m.row(i)] for i in range(n)]
+    # 1-indexed potentials u (rows), v (columns); p[j] is the row given column j
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while p[j0]:
+            used[j0] = True
+            i0 = p[j0]
+            row = cost[i0]
+            delta = math.inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    picked = [cost[p[j]][j] for j in range(1, n + 1)]
+    return -1 if forbidden in picked else -sum(picked)
+
+
 def polymatrix_det(m: PolyMatrix) -> PolyQ:
     """Exact determinant via evaluation at integer points and interpolation.
 
-    The matrix is evaluated at 0..D with D a degree bound for the result,
-    each rational determinant is computed exactly, and the values are
-    interpolated back.
+    Each row is scaled to integer polynomials once; they are evaluated by
+    integer Horner at z = 0..D, with D = `_assignment_bound(m)`, each value
+    is an integer Bareiss determinant, and the values are interpolated and
+    divided by the product of the row scales once.
     """
     if not m.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
     if m.rows == 0:
         return POLY_ONE
-    bound = _det_degree_bound(m)
+    bound = _assignment_bound(m)
     if bound < 0:
         return PolyQ.zero()
-    values = [_det_fraction_rows(m.evaluate(x).to_rows()) for x in range(bound + 1)]
-    return _interp_at_integers(values).with_grade(bound)
+    rows = [_integer_coeffs(m.row(i)) for i in range(m.rows)]
+    scale = math.prod(den for _, den in rows)
+    values = []
+    for x in range(bound + 1):
+        at_x = []
+        for polys, _ in rows:
+            vals = []
+            for cs in polys:
+                acc = 0
+                for c in reversed(cs):
+                    acc = acc * x + c
+                vals.append(acc)
+            at_x.append(vals)
+        values.append(_bareiss_int(at_x))
+    return _interp_at_integers(values, scale).with_grade(bound)
 
 
 def is_unimodular(m: PolyMatrix) -> tuple[bool, Fraction | None]:
@@ -657,9 +763,11 @@ def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
     """Exact inverse of a unimodular polynomial matrix, by z-adic lifting.
 
     With m = sum_j M_j z^j and X0 = m(0)^-1, the coefficients of the inverse
-    are X_k = -X0 sum_{j>=1} M_j X_{k-j}, lifted up to the degree bound of
-    det(m), which also bounds the adjugate.  A singular m(0) refutes
-    unimodularity; otherwise the product m @ inverse == I is the proof.
+    are X_k = -X0 sum_{j>=1} M_j X_{k-j}, lifted up to `_det_degree_bound(m)`,
+    which also bounds the adjugate (`_assignment_bound` does not: [[1, z^5],
+    [0, 1]] has assignment bound 0 and an inverse of degree 5).  A singular
+    m(0) refutes unimodularity; otherwise the product m @ inverse == I is
+    the proof.
     """
     if not m.is_square:
         raise DimensionMismatch("inverse of a non-square matrix")

@@ -1,5 +1,6 @@
 """Exact scalar, polynomial, and polynomial-matrix arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -28,6 +29,8 @@ from polylin import (
     polymatrix_mul,
     recurrence_hermite_analogue,
 )
+from polylin import exact
+from polylin.exact import POLY_ONE, _assignment_bound, _det_degree_bound
 from polylin.randgen import (
     rand_fraction,
     rand_matrix_polynomial,
@@ -44,6 +47,35 @@ def rand_polymatrix(rng, n, max_deg):
         deg = rng.randint(0, max_deg)
         entries.append(PolyQ([rand_fraction(rng) for _ in range(deg + 1)], grade=max_deg))
     return PolyMatrix(n, n, entries)
+
+
+def sparse_draws():
+    """Matrices of size 1-5 with about half the entries zero, so the zero
+    pattern decides which terms of the Leibniz sum survive."""
+    rng = random.Random(12)
+    draws = []
+    for n in range(1, 6):
+        for _ in range(12):
+            entries = [PolyQ.zero() if rng.random() < 0.5 else
+                       PolyQ([rand_fraction(rng) for _ in range(rng.randint(0, 4))] + [1])
+                       for _ in range(n * n)]
+            draws.append(PolyMatrix(n, n, entries))
+    return draws
+
+
+def loop_mul(a, b):
+    """The entry-by-entry PolyQ product loop polymatrix_mul once was: the
+    reference for values and for every entry's grade."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = PolyQ.zero()
+            for k in range(a.cols):
+                x, y = a.get(i, k), b.get(k, j)
+                if not (x.is_zero or y.is_zero):
+                    acc = acc + x * y
+            out.append(acc)
+    return PolyMatrix(a.rows, b.cols, out)
 
 
 class TestPolyQ:
@@ -110,6 +142,39 @@ class TestPolyMatrixMul:
             assert polymatrix_mul(polymatrix_mul(a, b), c) == \
                 polymatrix_mul(a, polymatrix_mul(b, c))
 
+    def test_matches_entrywise_loop(self):
+        # rectangular shapes, mixed denominators, zero entries that declare a
+        # grade above 0, and a row of a whose terms are all zero
+        rng = random.Random(13)
+
+        def draw(rows, cols):
+            entries = []
+            for _ in range(rows * cols):
+                deg = rng.randint(-1, 3)
+                cs = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10, 12)))
+                      for _ in range(deg + 1)]
+                entries.append(PolyQ(cs, grade=max(deg, 0) + rng.randint(0, 2)))
+            return PolyMatrix(rows, cols, entries)
+
+        for rows, inner, cols in ((1, 1, 1), (2, 3, 1), (1, 4, 3), (3, 2, 4), (4, 4, 2)):
+            for _ in range(4):
+                a, b = draw(rows, inner), draw(inner, cols)
+                got, want = polymatrix_mul(a, b), loop_mul(a, b)
+                assert got == want
+                assert [e.grade for e in got.entries] == [e.grade for e in want.entries]
+        a = PolyMatrix.from_rows([[PolyQ.zero(3), PolyQ([F(1, 2)], grade=2)],
+                                  [PolyQ([1, F(1, 3)]), PolyQ.zero(1)]])
+        b = PolyMatrix.from_rows([[PolyQ([5], grade=4), PolyQ.zero(2)],
+                                  [PolyQ.zero(2), PolyQ([0, F(2, 5)])]])
+        got, want = polymatrix_mul(a, b), loop_mul(a, b)
+        assert got == want
+        grades = [e.grade for e in got.entries]
+        assert grades == [e.grade for e in want.entries] == [0, 3, 5, 0]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            polymatrix_mul(PolyMatrix.zeros(2, 3), PolyMatrix.zeros(2, 3))
+
 
 class TestDeterminant:
     def test_identity(self):
@@ -137,6 +202,37 @@ class TestDeterminant:
                 b = rand_polymatrix(rng, n, 3)
                 assert polymatrix_det(polymatrix_mul(a, b)) == \
                     polymatrix_det(a) * polymatrix_det(b)
+
+    def test_sparse_against_cofactor_oracle(self):
+        for m in sparse_draws():
+            assert polymatrix_det(m) == cofactor_det(m)
+
+
+class TestAssignmentBound:
+    def test_matches_brute_force(self):
+        for m in sparse_draws():
+            n = m.rows
+            best = -1
+            for perm in itertools.permutations(range(n)):
+                terms = [m.get(i, perm[i]) for i in range(n)]
+                if not any(e.is_zero for e in terms):
+                    best = max(best, sum(e.degree for e in terms))
+            assert _assignment_bound(m) == best
+            assert best <= _det_degree_bound(m)
+
+    def test_structurally_singular_is_not_evaluated(self, monkeypatch):
+        # no zero row or column, but every Leibniz term has a zero factor
+        a, b, c, d, e = (PolyQ([k, 1]) for k in range(1, 6))
+        z = PolyQ.zero()
+        m = PolyMatrix.from_rows([[a, z, z], [b, z, z], [c, d, e]])
+        assert _det_degree_bound(m) >= 0
+        assert _assignment_bound(m) == -1
+
+        def no_evaluation(rows):
+            raise AssertionError("evaluated a structurally singular matrix")
+
+        monkeypatch.setattr(exact, "_bareiss_int", no_evaluation)
+        assert polymatrix_det(m).is_zero
 
 
 class TestUnimodular:
@@ -189,6 +285,15 @@ class TestUnimodular:
     def test_non_square_raises(self):
         with pytest.raises(DimensionMismatch):
             polymatrix_inverse_unimodular(PolyMatrix.zeros(2, 3))
+
+    def test_lifting_runs_to_the_adjugate_bound(self):
+        # the assignment bound of det is 0 here, but the inverse has degree 5:
+        # lifting must run to _det_degree_bound, which bounds the adjugate
+        z5 = PolyQ.monomial(5)
+        m = PolyMatrix.from_rows([[POLY_ONE, z5], [PolyQ.zero(), POLY_ONE]])
+        assert _assignment_bound(m) == 0
+        assert polymatrix_inverse_unimodular(m) == \
+            PolyMatrix.from_rows([[POLY_ONE, -z5], [PolyQ.zero(), POLY_ONE]])
 
     def test_lifting_matches_pointwise_inverse(self):
         # the Uinv of one drawn instance per triangular basis, and a Hermite

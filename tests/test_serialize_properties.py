@@ -1,6 +1,10 @@
-"""Property tests: JSON serialisation round trips for every basis kind."""
+"""Property tests: JSON serialisation round trips for every basis kind, and
+the CLI exit-code contract on damaged inputs."""
 
+import copy
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -9,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from polylin import serialize  # noqa: E402
+from polylin.cli import main  # noqa: E402
 from polylin.bases import (  # noqa: E402
     Bernstein,
     Lagrange,
@@ -79,3 +84,77 @@ def test_polymatrix_round_trip(m):
     back = serialize.parse_polymatrix(obj)
     assert serialize.polymatrix_obj(back) == serialize.polymatrix_obj(m)
     assert back == m and [e.grade for e in back.entries] == [e.grade for e in m.entries]
+
+
+# -- the CLI exit-code contract -------------------------------------------
+
+def positions(tree, at=()):
+    """Every position below the root of a JSON tree, as key/index paths."""
+    items = tree.items() if isinstance(tree, dict) else \
+        enumerate(tree) if isinstance(tree, list) else ()
+    out = []
+    for key, child in items:
+        out.append(at + (key,))
+        out += positions(child, at + (key,))
+    return out
+
+
+def node(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+OTHER_TYPES = st.sampled_from(
+    [None, True, False, 0, -1, 7, 1.5, "", "x", "3", [], {}, [[]], ["1"]])
+# above Python's default 4300-digit limit for int(str), and just below it
+LONG_INTEGERS = st.builds(lambda sign, k: sign + "9" * k,
+                          st.sampled_from(["", "-"]), st.sampled_from([4299, 4301, 5000]))
+
+
+@st.composite
+def damaged(draw, obj):
+    """obj with one key dropped, one value of another type, one list cut
+    short, or one value replaced by an over-long integer string."""
+    obj = copy.deepcopy(obj)
+    how = draw(st.sampled_from(["drop", "swap", "shorten", "long"]))
+    if how == "shorten":
+        path = draw(st.sampled_from([p for p in positions(obj)
+                                     if isinstance(node(obj, p), list)]))
+        target = node(obj, path)
+        if target:
+            del target[draw(st.integers(0, len(target) - 1)):]
+        return obj
+    path = draw(st.sampled_from(positions(obj)))
+    parent, key = node(obj, path[:-1]), path[-1]
+    if how == "drop":
+        del parent[key]
+    else:
+        parent[key] = draw(OTHER_TYPES if how == "swap" else LONG_INTEGERS)
+    return obj
+
+
+def run_cli(command, option, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        infile = os.path.join(tmp, "in.json")
+        with open(infile, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        return main([command, "--in", infile, option[0], option[1],
+                     "--out", os.path.join(tmp, "out.json")])
+
+
+@BOUNDED
+@given(data=st.data())
+def test_equiv_exit_codes_on_damaged_input(data):
+    kind = data.draw(st.sampled_from(["monomial", "recurrence", "bernstein", "lagrange"]))
+    obj = serialize.matrix_polynomial_obj(data.draw(matrix_polynomials(kind)))
+    mode = data.draw(st.sampled_from(["cofactors", "strict", "reversal"]))
+    assert run_cli("equiv", ("--mode", mode), data.draw(damaged(obj))) in (0, 1, 2, 3)
+
+
+@BOUNDED
+@given(data=st.data())
+def test_nf_exit_codes_on_damaged_input(data):
+    obj = serialize.polymatrix_obj(data.draw(polymatrices()))
+    kind = data.draw(st.sampled_from(["hermite", "smith", "mask"]))
+    assert run_cli("nf", ("--kind", kind), data.draw(damaged(obj))) in (0, 1, 2, 3)
