@@ -251,15 +251,22 @@ def _bareiss_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _integer_row(xs) -> tuple[list[int], int]:
+    """The Fractions xs times their common denominator d, as ints, and d."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    den = math.lcm(*(d for _, d in pairs))
+    return [p * (den // d) for p, d in pairs], den
+
+
 def _det_fraction_rows(rows: list[list[Fraction]]) -> Fraction:
     """Determinant of a rational matrix: each row is scaled to integers
     once and the integer matrix goes through `_bareiss_int`."""
     scale = 1
     m = []
     for r in rows:
-        den = math.lcm(*(x.denominator for x in r))
+        ints, den = _integer_row(r)
         scale *= den
-        m.append([x.numerator * (den // x.denominator) for x in r])
+        m.append(ints)
     return Fraction(_bareiss_int(m), scale)
 
 
@@ -269,7 +276,9 @@ class ConstMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(as_fraction(x) for x in entries)
+        entries = tuple(entries)
+        if set(map(type, entries)) - {Fraction}:
+            entries = tuple(as_fraction(x) for x in entries)
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "rows", rows)
@@ -329,21 +338,26 @@ class ConstMatrix:
         return ConstMatrix(self.rows, self.cols, [-a for a in self.entries])
 
     def __matmul__(self, other: "ConstMatrix") -> "ConstMatrix":
+        """Exact product: each row of self and each column of other is
+        scaled to integers once, the products accumulate on ints over the
+        nonzero entries of other's rows, and each entry is divided once."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [ZERO] * (self.rows * other.cols)
         oc = other.cols
+        bcols = [_integer_row(other.entries[j::oc]) for j in range(oc)]
+        bdens = [db for _, db in bcols]
+        # row k of other as its nonzero (j, int) pairs
+        brows = [[(j, y) for j, y in enumerate(ys) if y]
+                 for ys in zip(*(ys for ys, _ in bcols))]
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a:
-                    ob = k * oc
-                    rb = i * oc
-                    for j in range(oc):
-                        b = other.entries[ob + j]
-                        if b:
-                            out[rb + j] += a * b
+            xs, da = _integer_row(self.row(i))
+            acc = [0] * oc
+            for x, brow in zip(xs, brows):
+                if x:
+                    for j, y in brow:
+                        acc[j] += x * y
+            out.extend(Fraction(c, da * db) if c else ZERO for c, db in zip(acc, bdens))
         return ConstMatrix(self.rows, oc, out)
 
     def scale(self, c) -> "ConstMatrix":
@@ -352,7 +366,7 @@ class ConstMatrix:
 
     def transpose(self) -> "ConstMatrix":
         return ConstMatrix(self.cols, self.rows,
-                           [self.get(i, j) for j in range(self.cols) for i in range(self.rows)])
+                           [x for j in range(self.cols) for x in self.entries[j::self.cols]])
 
     def _same_shape(self, other: "ConstMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -404,36 +418,48 @@ def solve_exact(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
     """Solve a @ x = b exactly; None when inconsistent.
 
     Works for rectangular (including overdetermined) systems; free
-    variables are set to zero.
+    variables are set to zero.  Each augmented row [a | b] is scaled to
+    integers once and reduced by fraction-free (Bareiss one-step)
+    Gauss-Jordan elimination: with pivot pv and previous pivot prev, every
+    other row becomes (pv*row - f*pivot_row) // prev, an exact division.
+    Afterwards every pivot row holds the last pivot value, so each entry of
+    the solution is divided once.
     """
     if a.rows != b.rows:
         raise DimensionMismatch("solve_exact: row counts differ")
     m, n, k = a.rows, a.cols, b.cols
-    aug = [a.row(i) + b.row(i) for i in range(m)]
+    aug = [_integer_row(a.row(i) + b.row(i))[0] for i in range(m)]
     pivots = []
+    prev = 1
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        pivot = next((i for i in range(r, m) if aug[i][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        pr = aug[r]
+        pv = pr[c]
         for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            if i == r:
+                continue
+            f = aug[i][c]
+            if f:
+                aug[i] = [(pv * x - f * y) // prev for x, y in zip(aug[i], pr)]
+            elif pv != prev:
+                # still rescaled, so that later divisions stay exact
+                aug[i] = [pv * x // prev for x in aug[i]]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == m:
             break
     for i in range(r, m):
-        if any(x != 0 for x in aug[i][n:]):
+        if any(aug[i][n:]):
             return None
-    rows = [[ZERO] * k for _ in range(n)]
+    out = [ZERO] * (n * k)
     for idx, c in enumerate(pivots):
-        rows[c] = aug[idx][n:]
-    return ConstMatrix.from_rows(rows)
+        out[c * k:(c + 1) * k] = [Fraction(x, prev) if x else ZERO for x in aug[idx][n:]]
+    return ConstMatrix(n, k, out)
 
 
 def const_from_blocks(grid, block_rows: int, block_cols: int) -> ConstMatrix:

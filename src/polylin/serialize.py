@@ -85,6 +85,9 @@ def parse_polymatrix(obj) -> PolyMatrix:
             raise InputError("entry rows must be non-empty lists of equal length")
         rows.append([parse_polyq(e) for e in row])
     m = PolyMatrix.from_rows(rows)
+    for key in ("rows", "cols"):
+        if key in obj and (not isinstance(obj[key], int) or isinstance(obj[key], bool)):
+            raise InputError(f"{key!r} must be an integer")
     if "rows" in obj and obj["rows"] != m.rows:
         raise InputError("row count mismatch")
     if "cols" in obj and obj["cols"] != m.cols:

@@ -257,6 +257,8 @@ EXIT2_CASES = [
     ("lagrange nodes number", _lagrange_text("5"), ["pencil"]),
     ("lagrange nodes string", _lagrange_text('"01"'), ["pencil"]),
     ("recurrence alpha string", _recurrence_text('"12"'), ["pencil"]),
+    ("nf rows true", '{"rows": true, "entries": [[["1", "2"]]]}', ["nf", "--kind", "mask"]),
+    ("nf cols float", '{"cols": 1.0, "entries": [[["1", "2"]]]}', ["nf", "--kind", "mask"]),
 ]
 
 

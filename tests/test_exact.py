@@ -78,6 +78,60 @@ def loop_mul(a, b):
     return PolyMatrix(a.rows, b.cols, out)
 
 
+def fraction_matmul(a, b):
+    """The Fraction product loop ConstMatrix.__matmul__ once was."""
+    out = [F(0)] * (a.rows * b.cols)
+    oc = b.cols
+    for i in range(a.rows):
+        base = i * a.cols
+        for k in range(a.cols):
+            x = a.entries[base + k]
+            if x:
+                for j in range(oc):
+                    y = b.entries[k * oc + j]
+                    if y:
+                        out[i * oc + j] += x * y
+    return ConstMatrix(a.rows, oc, out)
+
+
+def fraction_solve(a, b):
+    """The Fraction Gauss-Jordan elimination solve_exact once was."""
+    m, n, k = a.rows, a.cols, b.cols
+    aug = [a.row(i) + b.row(i) for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if any(x != 0 for x in aug[i][n:]):
+            return None
+    rows = [[F(0)] * k for _ in range(n)]
+    for idx, c in enumerate(pivots):
+        rows[c] = aug[idx][n:]
+    return ConstMatrix(n, k, [x for row in rows for x in row])
+
+
+def rand_const(rng, rows, cols, zero_share=0.3):
+    """Mixed denominators, about zero_share of the entries zero."""
+    return ConstMatrix(rows, cols, [
+        F(0) if rng.random() < zero_share else
+        F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10, 12)))
+        for _ in range(rows * cols)])
+
+
 class TestPolyQ:
     def test_trimming_and_grade(self):
         p = PolyQ([1, 2, 0, 0], grade=3)
@@ -361,3 +415,85 @@ class TestConstMatrix:
         assert k.get(2, 0) == 1 and k.get(3, 1) == 1
         assert k.get(2, 2) == 3 and k.get(3, 3) == 3
         assert k.get(0, 1) == 0
+
+
+class TestConstKernels:
+    """The integer product and fraction-free solve against the Fraction
+    loops they replaced."""
+
+    def test_matmul_matches_fraction_loop(self):
+        rng = random.Random(21)
+        shapes = [(1, 1, 1), (2, 3, 1), (1, 4, 3), (3, 2, 4), (5, 5, 5), (7, 3, 6),
+                  (2, 0, 3), (0, 3, 2), (3, 2, 0)]
+        for rows, inner, cols in shapes:
+            for zero_share in (0.0, 0.5, 0.9):
+                a = rand_const(rng, rows, inner, zero_share)
+                b = rand_const(rng, inner, cols, zero_share)
+                assert a @ b == fraction_matmul(a, b)
+        # an all-zero row of a and an all-zero column of b
+        a = ConstMatrix.from_rows([[F(1, 2), F(-3, 7)], [0, 0], [5, F(1, 10)]])
+        b = ConstMatrix.from_rows([[F(2, 3), 0, 4], [F(-1, 12), 0, F(7, 2)]])
+        got = a @ b
+        assert got == fraction_matmul(a, b)
+        assert got.row(1) == [0, 0, 0] and [got.get(i, 1) for i in range(3)] == [0, 0, 0]
+
+    def test_solve_matches_fraction_elimination(self):
+        # a = X @ Y has every rank from 0 to min(m, n); right-hand sides are
+        # consistent (a @ Z) or drawn at random, which is mostly inconsistent
+        # when a is rank deficient
+        rng = random.Random(22)
+        outcomes = {"solved": 0, "none": 0}
+        for _ in range(400):
+            m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 3)
+            rank = rng.randint(0, min(m, n))
+            a = fraction_matmul(rand_const(rng, m, rank), rand_const(rng, rank, n))
+            if rng.random() < 0.5:
+                b = fraction_matmul(a, rand_const(rng, n, k))
+            else:
+                b = rand_const(rng, m, k)
+            got, want = exact.solve_exact(a, b), fraction_solve(a, b)
+            assert got == want
+            if got is None:
+                outcomes["none"] += 1
+            else:
+                outcomes["solved"] += 1
+                assert fraction_matmul(a, got) == b
+        assert min(outcomes.values()) > 100
+
+    def test_inverse_matches_fraction_elimination(self):
+        rng = random.Random(23)
+        for n in range(1, 8):
+            for zero_share in (0.0, 0.6):
+                m = rand_const(rng, n, n, zero_share)
+                assert m.try_inverse() == fraction_solve(m, ConstMatrix.identity(n))
+
+    def test_transpose(self):
+        m = ConstMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert m.transpose() == ConstMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
+        assert ConstMatrix.zeros(0, 3).transpose() == ConstMatrix.zeros(3, 0)
+
+
+class TestExactInputs:
+    """Floats, bools and None stay rejected; ints and "p/q" strings are
+    coerced."""
+
+    @pytest.mark.parametrize("bad", [0.5, True, None], ids=["float", "bool", "none"])
+    def test_const_matrix_rejects(self, bad):
+        with pytest.raises(TypeError):
+            ConstMatrix(1, 1, [bad])
+        with pytest.raises(TypeError):
+            ConstMatrix(1, 2, [F(1), bad])
+
+    def test_from_rows_rejects_float(self):
+        with pytest.raises(TypeError):
+            ConstMatrix.from_rows([[1.0]])
+
+    def test_polyq_rejects_float(self):
+        with pytest.raises(TypeError):
+            PolyQ([0.5])
+
+    def test_ints_and_strings_coerced(self):
+        m = ConstMatrix(1, 3, [3, "-2/6", F(1, 2)])
+        assert m.entries == (F(3), F(-1, 3), F(1, 2))
+        assert all(type(x) is F for x in m.entries)
+        assert PolyQ([1, "1/2"]).coeffs == (F(1), F(1, 2))
