@@ -219,23 +219,30 @@ def basis_polys(basis: BasisSpec) -> list[PolyQ]:
     raise WrongBasis(f"unknown basis {basis!r}")
 
 
+def _phi_matrix(basis: BasisSpec) -> ConstMatrix:
+    """Row i, column k: the z^i coefficient of phi_k, for 0 <= i, k <= grade."""
+    phis = basis_polys(basis)
+    g = basis.grade
+    return ConstMatrix.from_rows([[phis[k].coeff(i) for k in range(g + 1)] for i in range(g + 1)])
+
+
+def _stacked_blocks(blocks) -> ConstMatrix:
+    """Row k: the n*n entries of block k, row by row."""
+    return ConstMatrix.from_rows([blk.entries for blk in blocks])
+
+
 def to_monomial(p: MatrixPolynomial) -> MatrixPolynomial:
-    """Rewrite p with monomial coefficients at the same grade; exact."""
+    """Rewrite p with monomial coefficients at the same grade; exact.
+
+    Monomial block i is sum_k [z^i] phi_k * block k, so all blocks are
+    the rows of one product Phi @ Y, cut back into n-by-n blocks.
+    """
     if isinstance(p.basis, Monomial):
         return p
-    phis = basis_polys(p.basis)
-    grade = p.grade
     n = p.n
-    blocks = [ConstMatrix.zeros(n, n) for _ in range(grade + 1)]
-    for k, phi in enumerate(phis):
-        coeff_block = p.coeffs[k]
-        if coeff_block.is_zero:
-            continue
-        for i in range(phi.degree + 1):
-            c = phi.coeff(i)
-            if c:
-                blocks[i] = blocks[i] + coeff_block.scale(c)
-    return MatrixPolynomial(n, Monomial(grade), tuple(blocks))
+    prod = _phi_matrix(p.basis) @ _stacked_blocks(p.coeffs)
+    blocks = tuple(ConstMatrix(n, n, prod.row(i)) for i in range(p.grade + 1))
+    return MatrixPolynomial(n, Monomial(p.grade), blocks)
 
 
 def from_monomial(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
@@ -258,21 +265,10 @@ def from_monomial(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
         values = tuple(matrix_poly_value(src, t) for t in target.nodes)
         return MatrixPolynomial(n, target, values)
     # recurrence and Bernstein: solve the change-of-basis system exactly
-    phis = basis_polys(target)
-    g = target.grade
-    phi_mat = ConstMatrix.from_rows(
-        [[phis[k].coeff(i) for k in range(g + 1)] for i in range(g + 1)]
-    )
-    rhs = ConstMatrix.from_rows(
-        [[padded[i].get(r, c) for r in range(n) for c in range(n)] for i in range(g + 1)]
-    )
-    sol = solve_exact(phi_mat, rhs)
+    sol = solve_exact(_phi_matrix(target), _stacked_blocks(padded))
     if sol is None:
         raise WrongBasis("basis polynomials do not span the target space")
-    blocks = tuple(
-        ConstMatrix(n, n, [sol.get(k, r * n + c) for r in range(n) for c in range(n)])
-        for k in range(g + 1)
-    )
+    blocks = tuple(ConstMatrix(n, n, sol.row(k)) for k in range(target.grade + 1))
     return MatrixPolynomial(n, target, blocks)
 
 

@@ -41,7 +41,9 @@ class PolyQ:
     __slots__ = ("coeffs", "grade")
 
     def __init__(self, coeffs=(), grade: int | None = None):
-        cs = [as_fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if set(map(type, cs)) - {Fraction}:
+            cs = [as_fraction(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         degree = len(cs) - 1
@@ -107,16 +109,22 @@ class PolyQ:
         return PolyQ([-c for c in self.coeffs], self.grade)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if self.is_zero or other.is_zero:
-            return PolyQ.zero(self.grade + other.grade)
+        """Exact product of grade self.grade + other.grade.
+
+        Both operands are scaled to integers once, convolved on ints, and
+        each output coefficient is divided once.  A constant operand
+        multiplies the other's Fractions directly, which is cheaper.
+        """
+        grade = self.grade + other.grade
         a, b = self.coeffs, other.coeffs
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return PolyQ(out, self.grade + other.grade)
+        if not (a and b):
+            return PolyQ.zero(grade)
+        if len(a) == 1 or len(b) == 1:
+            c, xs = (a[0], b) if len(a) == 1 else (b[0], a)
+            return PolyQ([c * x for x in xs], grade)
+        xs, da = _integer_row(a)
+        ys, db = _integer_row(b)
+        return _poly_from_ints(_convolve(xs, ys), da * db, grade)
 
     def scale(self, c) -> "PolyQ":
         c = as_fraction(c)
@@ -130,22 +138,41 @@ class PolyQ:
         return acc
 
     def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
+        """Quotient and remainder, each of grade equal to its degree.
+
+        Integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1): with both
+        operands scaled to integers N / dn and D / dv, it finds ints Q, R
+        and s with s * N = Q * D + R.  A step whose top coefficient t the
+        integer lead l of D does not divide first multiplies the partial
+        remainder, the quotient so far and s by l / gcd(t, l), so no step
+        rescales when l is 1.  Then q = Q * dv / (s * dn), r = R / (s * dn).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return PolyQ.zero(), self
-        num = list(self.coeffs)
-        den = other.coeffs
+        num, dn = _integer_row(self.coeffs)
+        den, dv = _integer_row(other.coeffs)
         dd = len(den) - 1
-        inv_lead = 1 / den[-1]
-        q = [ZERO] * (len(num) - dd)
+        lead = den[-1]
+        quot = [0] * (len(num) - dd)
+        s = 1
         for k in range(len(num) - dd - 1, -1, -1):
-            c = num[dd + k] * inv_lead
-            if c:
-                q[k] = c
-                for j in range(dd + 1):
-                    num[k + j] -= c * den[j]
-        return PolyQ(q), PolyQ(num[:dd] if dd > 0 else ())
+            top = num[dd + k]
+            if not top:
+                continue
+            c, rem = divmod(top, lead)
+            if rem:
+                m = lead // math.gcd(top, lead)
+                num = [m * x for x in num]
+                quot = [m * x for x in quot]
+                s *= m
+                c = top * m // lead
+            quot[k] = c
+            for j, y in enumerate(den, k):
+                num[j] -= c * y
+        return (_poly_from_ints([dv * x for x in quot], dn * s),
+                _poly_from_ints(num[:dd], dn * s))
 
     def __floordiv__(self, other: "PolyQ") -> "PolyQ":
         return divmod(self, other)[0]
@@ -256,6 +283,47 @@ def _integer_row(xs) -> tuple[list[int], int]:
     pairs = [x.as_integer_ratio() for x in xs]
     den = math.lcm(*(d for _, d in pairs))
     return [p * (den // d) for p, d in pairs], den
+
+
+def _convolve(xs: list[int], ys: list[int]) -> list[int]:
+    """Coefficients of the product of two nonempty integer polynomials."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys, i):
+                out[j] += x * y
+    return out
+
+
+def _poly_from_ints(ints: list[int], den: int, grade: int | None = None) -> PolyQ:
+    """The PolyQ with coefficients ints / den, each divided once."""
+    return PolyQ([Fraction(c, den) if c else ZERO for c in ints], grade)
+
+
+def sub_mul(a: PolyQ, q: PolyQ, b: PolyQ) -> PolyQ:
+    """a - q * b, of grade max(a.grade, q.grade + b.grade) as the two PolyQ
+    operations give, with every coefficient divided once.
+
+    The operands are scaled to integers once; q * b is convolved on ints
+    and subtracted over the least common denominator.
+    """
+    grade = max(a.grade, q.grade + b.grade)
+    if not (q.coeffs and b.coeffs):
+        return a if a.grade == grade else PolyQ(a.coeffs, grade)
+    xs, dq = _integer_row(q.coeffs)
+    ys, db = _integer_row(b.coeffs)
+    prod = _convolve(xs, ys)
+    if not a.coeffs:
+        return _poly_from_ints([-c for c in prod], dq * db, grade)
+    zs, da = _integer_row(a.coeffs)
+    den = math.lcm(da, dq * db)
+    ma, mp = den // da, den // (dq * db)
+    if len(zs) < len(prod):
+        zs.extend([0] * (len(prod) - len(zs)))
+    out = [ma * z for z in zs] if ma != 1 else zs
+    for k, c in enumerate(prod):
+        out[k] -= mp * c
+    return _poly_from_ints(out, den, grade)
 
 
 def _det_fraction_rows(rows: list[list[Fraction]]) -> Fraction:
@@ -788,12 +856,13 @@ def is_unimodular(m: PolyMatrix) -> tuple[bool, Fraction | None]:
 def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
     """Exact inverse of a unimodular polynomial matrix, by z-adic lifting.
 
-    With m = sum_j M_j z^j and X0 = m(0)^-1, the coefficients of the inverse
-    are X_k = -X0 sum_{j>=1} M_j X_{k-j}, lifted up to `_det_degree_bound(m)`,
-    which also bounds the adjugate (`_assignment_bound` does not: [[1, z^5],
-    [0, 1]] has assignment bound 0 and an inverse of degree 5).  A singular
-    m(0) refutes unimodularity; otherwise the product m @ inverse == I is
-    the proof.
+    With m = sum_j M_j z^j of degree d and X0 = m(0)^-1, the coefficients of
+    the inverse are X_k = -X0 sum_{1<=j<=d} M_j X_{k-j}.  Each term depends
+    on the d before it only, so d zero terms in a row end the series, and
+    lifting stops there or at `_det_degree_bound(m)`, which also bounds the
+    adjugate (`_assignment_bound` does not: [[1, z^5], [0, 1]] has
+    assignment bound 0 and an inverse of degree 5).  A singular m(0) refutes
+    unimodularity; otherwise the product m @ inverse == I is the proof.
     """
     if not m.is_square:
         raise DimensionMismatch("inverse of a non-square matrix")
@@ -803,12 +872,17 @@ def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
         raise NotUnimodular("matrix is not unimodular: m(0) is singular")
     coeffs = [ConstMatrix(n, n, [e.coeff(k) for e in m.entries])
               for k in range(m.max_degree() + 1)]
+    d = len(coeffs) - 1
     lifted = [x0]
+    zero_run = 0
     for k in range(1, _det_degree_bound(m) + 1):
         acc = ConstMatrix.zeros(n, n)
-        for j in range(1, min(k, len(coeffs) - 1) + 1):
+        for j in range(1, min(k, d) + 1):
             acc = acc + coeffs[j] @ lifted[k - j]
         lifted.append(-(x0 @ acc))
+        zero_run = zero_run + 1 if lifted[-1].is_zero else 0
+        if zero_run == d:
+            break
     result = PolyMatrix(n, n, [PolyQ([x.entries[i] for x in lifted])
                                for i in range(n * n)])
     if polymatrix_mul(m, result) != PolyMatrix.identity(n):

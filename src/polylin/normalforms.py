@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
-from .exact import PolyMatrix, PolyQ
+from .exact import PolyMatrix, PolyQ, sub_mul
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ def hermite_form(m: PolyMatrix) -> HermiteResult:
     def row_sub(i: int, k: int, q: PolyQ):
         if q.is_zero:
             return
-        h[i] = [a - q * b for a, b in zip(h[i], h[k])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[k])]
+        h[i] = [sub_mul(a, q, b) for a, b in zip(h[i], h[k])]
+        u[i] = [sub_mul(a, q, b) for a, b in zip(u[i], u[k])]
 
     r = 0
     pivots = []
@@ -113,17 +113,19 @@ def smith_form(m: PolyMatrix) -> SmithResult:
         # S_i -= q * S_k, compensated by E col_k += q * E col_i
         if q.is_zero:
             return
-        s[i] = [a - q * b for a, b in zip(s[i], s[k])]
+        s[i] = [sub_mul(a, q, b) for a, b in zip(s[i], s[k])]
+        neg = -q
         for row in e:
-            row[k] = row[k] + q * row[i]
+            row[k] = sub_mul(row[k], neg, row[i])
 
     def col_sub(j, k, q: PolyQ):
         # S col_j -= q * S col_k, compensated by F row_k += q * F row_j
         if q.is_zero:
             return
         for row in s:
-            row[j] = row[j] - q * row[k]
-        f[k] = [a + q * b for a, b in zip(f[k], f[j])]
+            row[j] = sub_mul(row[j], q, row[k])
+        neg = -q
+        f[k] = [sub_mul(a, neg, b) for a, b in zip(f[k], f[j])]
 
     def row_scale(i, c):
         s[i] = [a.scale(c) for a in s[i]]

@@ -30,8 +30,10 @@ from polylin import (
     recurrence_hermite_analogue,
 )
 from polylin import exact
-from polylin.exact import POLY_ONE, _assignment_bound, _det_degree_bound
+from polylin.bases import basis_polys, to_monomial
+from polylin.exact import POLY_ONE, _assignment_bound, _det_degree_bound, sub_mul
 from polylin.randgen import (
+    rand_basis,
     rand_fraction,
     rand_matrix_polynomial,
     rand_nodes,
@@ -130,6 +132,83 @@ def rand_const(rng, rows, cols, zero_share=0.3):
         F(0) if rng.random() < zero_share else
         F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10, 12)))
         for _ in range(rows * cols)])
+
+
+def fraction_poly_mul(a, b):
+    """The Fraction convolution PolyQ.__mul__ once was."""
+    if a.is_zero or b.is_zero:
+        return PolyQ.zero(a.grade + b.grade)
+    out = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        if ca:
+            for j, cb in enumerate(b.coeffs):
+                if cb:
+                    out[i + j] += ca * cb
+    return PolyQ(out, a.grade + b.grade)
+
+
+def fraction_divmod(a, b):
+    """The Fraction long division PolyQ.__divmod__ once was."""
+    if a.degree < b.degree:
+        return PolyQ.zero(), a
+    num = list(a.coeffs)
+    den = b.coeffs
+    dd = len(den) - 1
+    inv_lead = 1 / den[-1]
+    q = [F(0)] * (len(num) - dd)
+    for k in range(len(num) - dd - 1, -1, -1):
+        c = num[dd + k] * inv_lead
+        if c:
+            q[k] = c
+            for j in range(dd + 1):
+                num[k + j] -= c * den[j]
+    return PolyQ(q), PolyQ(num[:dd] if dd > 0 else ())
+
+
+def fraction_sub_mul(a, q, b):
+    """a - q * b as the normal forms once computed it: the Fraction
+    convolution, then PolyQ.__sub__ (which still runs on Fractions)."""
+    return a - fraction_poly_mul(q, b)
+
+
+def block_loop_to_monomial(p):
+    """The per-block scale/add loop bases.to_monomial once was."""
+    n = p.n
+    blocks = [ConstMatrix.zeros(n, n) for _ in range(p.grade + 1)]
+    for k, phi in enumerate(basis_polys(p.basis)):
+        if p.coeffs[k].is_zero:
+            continue
+        for i in range(phi.degree + 1):
+            c = phi.coeff(i)
+            if c:
+                blocks[i] = blocks[i] + p.coeffs[k].scale(c)
+    return tuple(blocks)
+
+
+def rand_poly(rng, max_deg=9):
+    """Degree 0-9 (or the zero polynomial), mixed denominators, about a
+    quarter of the lower coefficients zero, a lead that is 1, -1 or any
+    nonzero rational, and a grade up to 3 above the degree."""
+    draw = rng.random()
+    deg = -1 if draw < 0.08 else 0 if draw < 0.2 else rng.randint(1, max_deg)
+    big = 2 ** 70 if rng.random() < 0.1 else 40
+
+    def frac():
+        return F(rng.randint(-big, big), rng.choice((1, 2, 3, 4, 7, 9, 10, 12, 49)))
+
+    cs = [F(0) if rng.random() < 0.25 else frac() for _ in range(max(deg, 0))]
+    if deg >= 0:
+        lead = F(0)
+        while not lead:
+            lead = rng.choice((F(1), F(-1), frac(), frac()))
+        cs.append(lead)
+    return PolyQ(cs, max(deg, 0) + rng.choice((0, 0, 1, 3)))
+
+
+def same_poly(got, want):
+    """Equal coefficients, every one a Fraction, and equal grades."""
+    return (got.coeffs == want.coeffs and got.grade == want.grade
+            and all(type(c) is F for c in got.coeffs))
 
 
 class TestPolyQ:
@@ -349,6 +428,15 @@ class TestUnimodular:
         assert polymatrix_inverse_unimodular(m) == \
             PolyMatrix.from_rows([[POLY_ONE, -z5], [PolyQ.zero(), POLY_ONE]])
 
+    def test_lifting_does_not_stop_at_the_first_zero_term(self):
+        # X_1 = 0 but X_2 = -z^2's coefficient: for a degree-2 m, lifting
+        # may stop only after two zero terms in a row
+        z2 = PolyQ.monomial(2)
+        m = PolyMatrix.from_rows([[POLY_ONE, z2], [PolyQ.zero(), POLY_ONE]])
+        inv = polymatrix_inverse_unimodular(m)
+        assert inv == PolyMatrix.from_rows([[POLY_ONE, -z2], [PolyQ.zero(), POLY_ONE]])
+        assert [e.grade for e in inv.entries] == [0, 2, 0, 0]
+
     def test_lifting_matches_pointwise_inverse(self):
         # the Uinv of one drawn instance per triangular basis, and a Hermite
         # transform: the lifted inverse agrees with the rational inverse of
@@ -473,6 +561,72 @@ class TestConstKernels:
         assert ConstMatrix.zeros(0, 3).transpose() == ConstMatrix.zeros(3, 0)
 
 
+class TestPolyKernels:
+    """The integer product, pseudo-division, fused a - q*b and the
+    one-product to_monomial against the Fraction loops they replaced."""
+
+    def test_mul_matches_fraction_loop(self):
+        rng = random.Random(31)
+        for _ in range(600):
+            a, b = rand_poly(rng), rand_poly(rng)
+            assert same_poly(a * b, fraction_poly_mul(a, b))
+
+    def test_divmod_matches_fraction_division(self):
+        rng = random.Random(32)
+        rescaled = 0
+        for _ in range(600):
+            a, b = rand_poly(rng), rand_poly(rng, max_deg=5)
+            if b.is_zero:
+                continue
+            q, r = divmod(a, b)
+            wq, wr = fraction_divmod(a, b)
+            assert same_poly(q, wq) and same_poly(r, wr)
+            rescaled += b.lead not in (1, -1) and q.degree >= 1
+        assert rescaled > 100
+
+    def test_divmod_by_non_monic_integer_lead(self):
+        # 2z + 1 has integer lead 2: the quotient of z^2 needs the rescale
+        q, r = divmod(PolyQ([0, 0, 1]), PolyQ([1, 2]))
+        assert q == PolyQ([F(-1, 4), F(1, 2)]) and r == PolyQ([F(1, 4)])
+
+    def test_sub_mul_matches_fraction_loop(self):
+        rng = random.Random(33)
+        for _ in range(900):
+            a, q, b = rand_poly(rng), rand_poly(rng, max_deg=3), rand_poly(rng)
+            assert same_poly(sub_mul(a, q, b), fraction_sub_mul(a, q, b))
+
+    def test_sub_mul_grade_is_not_the_degree(self):
+        a = PolyQ([1, 2], grade=4)
+        z = PolyQ([0, 1], grade=2)
+        cases = [
+            (a, z, PolyQ.zero(grade=3), 5),   # q * b vanishes, its grade stays
+            (a, PolyQ.zero(grade=1), z, 4),
+            (PolyQ.zero(grade=6), z, z, 6),
+            (a, z, PolyQ([0, 1]), 4),
+            (PolyQ([0, 0, 1]), PolyQ([1]), PolyQ([0, 0, 1]), 2),  # cancels to 0
+        ]
+        for x, q, y, grade in cases:
+            got = sub_mul(x, q, y)
+            assert same_poly(got, fraction_sub_mul(x, q, y))
+            assert got.grade == grade
+
+    @pytest.mark.parametrize("kind", ["recurrence", "bernstein", "lagrange"])
+    def test_to_monomial_matches_block_loop(self, kind):
+        rng = random.Random(f"to-monomial/{kind}")
+        for grade in range(1, 6):
+            for n in (1, 2, 3):
+                basis = rand_basis(rng, kind, grade)
+                p = rand_matrix_polynomial(rng, basis, n)
+                # one all-zero block, which the block loop skipped
+                zeroed = list(p.coeffs)
+                zeroed[rng.randrange(grade + 1)] = ConstMatrix.zeros(n, n)
+                for q in (p, MatrixPolynomial(n, basis, tuple(zeroed))):
+                    mono = to_monomial(q)
+                    assert mono.basis == Monomial(grade)
+                    assert mono.coeffs == block_loop_to_monomial(q)
+                    assert all(type(x) is F for c in mono.coeffs for x in c.entries)
+
+
 class TestExactInputs:
     """Floats, bools and None stay rejected; ints and "p/q" strings are
     coerced."""
@@ -492,8 +646,22 @@ class TestExactInputs:
         with pytest.raises(TypeError):
             PolyQ([0.5])
 
+    @pytest.mark.parametrize("bad", [0.5, True, None], ids=["float", "bool", "none"])
+    def test_polyq_rejects(self, bad):
+        # alone and beside Fractions, so the all-Fraction shortcut in
+        # PolyQ.__init__ cannot let one through
+        with pytest.raises(TypeError):
+            PolyQ([bad])
+        with pytest.raises(TypeError):
+            PolyQ([F(1), bad])
+        with pytest.raises(TypeError):
+            PolyQ([bad, F(1)], grade=3)
+
     def test_ints_and_strings_coerced(self):
         m = ConstMatrix(1, 3, [3, "-2/6", F(1, 2)])
         assert m.entries == (F(3), F(-1, 3), F(1, 2))
         assert all(type(x) is F for x in m.entries)
         assert PolyQ([1, "1/2"]).coeffs == (F(1), F(1, 2))
+        p = PolyQ([F(1, 3), 2, "-4/6", 0])
+        assert p.coeffs == (F(1, 3), F(2), F(-2, 3)) and p.grade == 2
+        assert all(type(x) is F for x in p.coeffs)
