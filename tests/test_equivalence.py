@@ -6,6 +6,7 @@ polynomial coefficients, so agreement on a coefficient-basis of probes plus
 a random draw proves agreement for symbolic coefficients.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from polylin import (
     Monomial,
     PolyMatrix,
     PolyQ,
+    PreconditionError,
     Recurrence,
     SingularAtOne,
     SingularNodeValue,
@@ -32,6 +34,7 @@ from polylin import (
     build_bernstein_pencil,
     build_lagrange_pencil,
     build_monomial_pencil,
+    build_pencil,
     build_recurrence_pencil,
     lagrange_hermite_factors,
     lagrange_monomial_target,
@@ -50,6 +53,7 @@ from polylin import (
     verify_strict,
 )
 from polylin.randgen import (
+    rand_basis,
     rand_const_matrix,
     rand_fraction,
     rand_matrix_polynomial,
@@ -627,3 +631,99 @@ class TestLagrangeStrict:
                 assert verify_strict(
                     se, build_lagrange_pencil(p),
                     build_monomial_pencil(lagrange_monomial_target(p))).ok
+
+
+# ---------------------------------------------------------------------------
+# grade-pinning digest
+
+
+def _certificate_matrices(kind, p):
+    """Every certificate the constructors build for p, by name; routes whose
+    precondition p violates are left out."""
+    routes = {
+        "monomial": None,
+        "recurrence": recurrence_hermite_analogue,
+        "bernstein": bernstein_hermite_analogue,
+        "lagrange": lagrange_hermite_factors,
+    }
+    out = []
+
+    def attempt(name, build):
+        try:
+            out.extend((f"{name}.{k}", m) for k, m in build())
+        except PreconditionError:
+            pass
+
+    def cofactors():
+        if kind == "monomial":
+            cof = monomial_cofactors(p)
+            return [("E", cof.e), ("F", cof.f)]
+        pen = build_pencil(p)
+        ha = routes[kind](p, pen)
+        cof = assemble_cofactors(ha, pen, p)
+        return [("Uinv", ha.uinv), ("H", ha.h), ("corner", ha.corner_factor),
+                ("E", cof.e), ("F", cof.f)]
+
+    attempt("cofactors", cofactors)
+    if kind == "bernstein":
+        def strict():
+            se = bernstein_strict_equivalence(p.grade, p)
+            return [("U", se.u), ("W", se.w)]
+
+        def reversal():
+            re = bernstein_reversal_equivalence(list(p.coeffs), p.grade)
+            return [("U", re.u), ("Winv", re.winv)]
+
+        attempt("strict", strict)
+        attempt("reversal", reversal)
+    if kind == "lagrange":
+        def strict():
+            se = lagrange_strict_equivalence(p)
+            return [("U", se.u), ("W", se.w)]
+
+        attempt("strict", strict)
+    return out
+
+
+def _entry_key(x):
+    if isinstance(x, PolyQ):
+        return ([str(c) for c in x.coeffs], x.grade)
+    return str(x)
+
+
+def _diagonal(p):
+    """p with every off-diagonal coefficient entry set to zero, so that
+    entries of P(z) vanish identically."""
+    n = p.n
+    coeffs = tuple(ConstMatrix(n, n, [c.get(i, j) if i == j else 0
+                                      for i in range(n) for j in range(n)])
+                   for c in p.coeffs)
+    return MatrixPolynomial(n, p.basis, coeffs)
+
+
+def certificate_digest():
+    """sha256 over (coeffs, grade) of every entry of every certificate: one
+    seeded draw per basis, grade 1-5 and n 1-3, plus its diagonal part for
+    n = 2."""
+    h = hashlib.sha256()
+    for kind in ("monomial", "recurrence", "bernstein", "lagrange"):
+        for grade in range(1, 6):
+            for n in (1, 2, 3):
+                rng = random.Random(1000 * grade + n)
+                p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), n)
+                draws = [("full", p)] + ([("diagonal", _diagonal(p))] if n == 2 else [])
+                for shape, q in draws:
+                    for name, m in _certificate_matrices(kind, q):
+                        key = (kind, grade, n, shape, name, m.rows, m.cols,
+                               [_entry_key(x) for x in m.entries])
+                        h.update(repr(key).encode())
+    return h.hexdigest()
+
+
+CERTIFICATE_DIGEST = "056f9e31e2e13d2843450fb32c0ee0f5be2fa6dea9eebb6584fb0076a6895e77"
+
+
+def test_certificate_values_and_grades_digest():
+    # PolyQ equality ignores grades, but the CLI pads each entry to its
+    # grade: this pins both over every basis and shape
+    assert certificate_digest() == CERTIFICATE_DIGEST
