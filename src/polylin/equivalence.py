@@ -23,11 +23,11 @@ from .errors import (
 )
 from .exact import (
     ConstMatrix,
-    POLY_ONE,
     POLY_Z,
     PolyMatrix,
     PolyQ,
     const_from_blocks,
+    polymatrix_from_blocks,
     polymatrix_inverse_unimodular,
     polymatrix_mul,
     solve_exact,
@@ -99,83 +99,26 @@ def _poly_identity_block(n: int, poly: PolyQ) -> PolyMatrix:
                              for i in range(n) for j in range(n)])
 
 
-def _const_times_polymatrix(c: ConstMatrix, m: PolyMatrix) -> PolyMatrix:
-    """c @ m with c constant."""
-    out = []
-    for i in range(c.rows):
-        for j in range(m.cols):
-            acc = PolyQ.zero()
-            for k in range(c.cols):
-                f = c.get(i, k)
-                if f:
-                    acc = acc + m.get(k, j).scale(f)
-            out.append(acc)
-    return PolyMatrix(c.rows, m.cols, out)
-
-
-def _replace_block_column(m: PolyMatrix, n: int, col: int,
-                          blocks: list[PolyMatrix]) -> PolyMatrix:
-    rows = [list(r) for r in m.to_rows()]
-    for bi, blk in enumerate(blocks):
-        for r in range(n):
-            for c in range(n):
-                rows[bi * n + r][col * n + c] = blk.get(r, c)
-    return PolyMatrix.from_rows(rows)
-
-
-def _block_column(m: PolyMatrix, n: int, col: int) -> list[PolyMatrix]:
-    count = m.rows // n
-    out = []
-    for bi in range(count):
-        out.append(PolyMatrix(n, n, [m.get(bi * n + r, col * n + c)
-                                     for r in range(n) for c in range(n)]))
-    return out
-
-
-def _identity_with_block_column(count: int, n: int, col: int,
-                                blocks: list[PolyMatrix]) -> PolyMatrix:
-    base = PolyMatrix.identity(count * n)
-    return _replace_block_column(base, n, col, blocks)
-
-
-def _reverse_block_rows(m: PolyMatrix, n: int) -> PolyMatrix:
-    count = m.rows // n
-    rows = m.to_rows()
-    out = []
-    for bi in range(count - 1, -1, -1):
-        out.extend(rows[bi * n : (bi + 1) * n])
-    return PolyMatrix.from_rows(out)
-
-
-def _reverse_block_cols(m: PolyMatrix, n: int) -> PolyMatrix:
-    count = m.cols // n
-    out_rows = []
-    for r in m.to_rows():
-        new = []
-        for bj in range(count - 1, -1, -1):
-            new.extend(r[bj * n : (bj + 1) * n])
-        out_rows.append(new)
-    return PolyMatrix.from_rows(out_rows)
-
-
-def _check_last_column(ha: HermiteAnalogue, pencil: Pencil):
-    """Verify Uinv @ H = L on the replaced column (the rest is immediate)."""
+def _triangular(pencil: Pencil, last: list[PolyMatrix | None], h_col: list[PolyMatrix],
+                corner_factor: ConstMatrix) -> HermiteAnalogue:
+    """L = Uinv @ H with Uinv equal to L outside its last block column,
+    which is `last` (None = zero), and H equal to the identity outside its
+    last block column, which is `h_col`.  Verified on that column (the rest
+    is immediate) before returning."""
     n = pencil.n
     m = pencil.block_count
     lz = pencil.as_polymatrix()
-    hcol = _block_column(ha.h, n, ha.corner_index)
+    eye = PolyMatrix.identity(n)
+    uinv = polymatrix_from_blocks(
+        [[lz.block(i, j, n) for j in range(m - 1)] + [last[i]] for i in range(m)], n)
+    h = polymatrix_from_blocks(
+        [[eye if i == j else None for j in range(m - 1)] + [h_col[i]] for i in range(m)], n)
+    col = polymatrix_mul(uinv, polymatrix_from_blocks([[blk] for blk in h_col], n))
     for bi in range(m):
-        acc = PolyMatrix.zeros(n, n)
-        for k in range(m):
-            blk = PolyMatrix(n, n, [ha.uinv.get(bi * n + r, k * n + c)
-                                    for r in range(n) for c in range(n)])
-            if not blk.is_zero:
-                acc = acc + polymatrix_mul(blk, hcol[k])
-        want = PolyMatrix(n, n, [lz.get(bi * n + r, ha.corner_index * n + c)
-                                 for r in range(n) for c in range(n)])
-        if acc != want:
+        if col.block(bi, 0, n) != lz.block(bi, m - 1, n):
             raise ConjectureFailure(
                 f"triangular factorization failed at block row {bi}")
+    return HermiteAnalogue(uinv, h, m - 1, corner_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +137,7 @@ def monomial_cofactors(p: MatrixPolynomial) -> CofactorPair:
     L = p.grade
     n = p.n
     A = p.coeffs
-    m = L
-    zero = PolyQ.zero()
-    eye = POLY_ONE
+    eye = PolyMatrix.identity(n)
 
     # partial Horner evaluations: horner[L] = A_L, horner[k] = A_k + z*horner[k+1]
     horner: dict[int, PolyMatrix] = {L: PolyMatrix.from_const(A[L])}
@@ -204,44 +145,20 @@ def monomial_cofactors(p: MatrixPolynomial) -> CofactorPair:
         shifted = horner[k + 1].scale_poly(POLY_Z)
         horner[k] = PolyMatrix.from_const(A[k]) + shifted
 
-    e_rows = []
-    for r in range(n):
-        row = []
-        for j in range(m):
-            if j == 0:
-                row.extend(eye if r == c else zero for c in range(n))
-            else:
-                blk = horner[L + 1 - (j + 1)]  # column j holds H_{L-j}
-                row.extend(blk.get(r, c) for c in range(n))
-        e_rows.append(row)
-    for bi in range(1, m):
-        first = m + 1 - (bi + 1)  # 0-based column where the staircase starts
-        for r in range(n):
-            row = []
-            for j in range(m):
-                if j >= first:
-                    power = j - first
-                    row.extend(PolyQ.monomial(power, -1) if r == c else zero
-                               for c in range(n))
-                else:
-                    row.extend(zero for _ in range(n))
-            e_rows.append(row)
-    e = PolyMatrix.from_rows(e_rows)
+    def e_block(i: int, j: int) -> PolyMatrix | None:
+        if i == 0:
+            return eye if j == 0 else horner[L - j]  # [I, H_{L-1}, ..., H_1]
+        if i + j >= L:  # the -z^(i+j-L) I staircase
+            return _poly_identity_block(n, PolyQ.monomial(i + j - L, -1))
+        return None
 
-    f_rows = []
-    for bi in range(m):
-        for r in range(n):
-            row = []
-            for j in range(m):
-                if j == 0 and m > 1:
-                    row.extend(PolyQ.monomial(L - 1 - bi) if r == c else zero
-                               for c in range(n))
-                elif (bi + 1) + (j + 1) == m + 1 or (m == 1 and j == 0):
-                    row.extend(eye if r == c else zero for c in range(n))
-                else:
-                    row.extend(zero for _ in range(n))
-            f_rows.append(row)
-    f = PolyMatrix.from_rows(f_rows)
+    def f_block(i: int, j: int) -> PolyMatrix | None:
+        if j == 0:
+            return _poly_identity_block(n, PolyQ.monomial(L - 1 - i))
+        return eye if i + j == L - 1 else None
+
+    e = polymatrix_from_blocks([[e_block(i, j) for j in range(L)] for i in range(L)], n)
+    f = polymatrix_from_blocks([[f_block(i, j) for j in range(L)] for i in range(L)], n)
     return CofactorPair(e, f)
 
 
@@ -281,18 +198,13 @@ def recurrence_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteA
     lc = phis[L].lead
     u0 = p.coeffs[L].scale(lc)
     pz = matrix_poly_as_polymatrix(p)
-    corner = _const_times_polymatrix(a_lead_inv.scale(1 / lc), pz)
+    corner = polymatrix_mul(PolyMatrix.from_const(a_lead_inv.scale(1 / lc)), pz)
+    # a constant multiple of P(z), so of P's grade in every entry, zeros too
+    corner = PolyMatrix(n, n, [e.with_grade(L) for e in corner.entries])
 
     h_col = [_poly_identity_block(n, hs[m - j]) for j in range(1, m)] + [corner]
-    h = _identity_with_block_column(m, n, m - 1, h_col)
-
-    lz = pencil.as_polymatrix()
-    last = [PolyMatrix.from_const(u0)] + [PolyMatrix.zeros(n, n)] * (m - 1)
-    uinv = _replace_block_column(lz, n, m - 1, last)
-
-    ha = HermiteAnalogue(uinv, h, m - 1, u0)
-    _check_last_column(ha, pencil)
-    return ha
+    last = [PolyMatrix.from_const(u0)] + [None] * (m - 1)
+    return _triangular(pencil, last, h_col, u0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +236,22 @@ def bernstein_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteAn
     vs: dict[int, ConstMatrix] = {}
     hs: dict[int, PolyMatrix] = {}
     vs[m] = p1_inv.scale(L)
-    num = _poly_identity_block(n, PolyQ((0, L))) - _const_times_polymatrix(vs[m], pz)
+    num = _poly_identity_block(n, PolyQ((0, L))) - \
+        polymatrix_mul(PolyMatrix.from_const(vs[m]), pz)
     hs[1] = div_z_minus_1(num)
     for i in range(m - 1, 1, -1):
         k = m - i
         coef = Fraction(i, L + 1 - i)
         hk_at_1 = hs[k].evaluate(1)
         vs[i] = -(hk_at_1 @ p1_inv).scale(coef)
-        num = hs[k].scale_poly(PolyQ((0, coef))) + _const_times_polymatrix(vs[i], pz)
+        num = hs[k].scale_poly(PolyQ((0, coef))) + \
+            polymatrix_mul(PolyMatrix.from_const(vs[i]), pz)
         hs[k + 1] = div_z_minus_1(-num)
     vs[1] = -(p.coeffs[L] @ hs[m - 1].evaluate(1) @ p1_inv).scale(Fraction(1, L))
 
     h_col = [hs[m - j] for j in range(1, m)] + [pz]
-    h = _identity_with_block_column(m, n, m - 1, h_col)
-    lz = pencil.as_polymatrix()
     last = [PolyMatrix.from_const(vs[i + 1]) for i in range(m)]
-    uinv = _replace_block_column(lz, n, m - 1, last)
-
-    ha = HermiteAnalogue(uinv, h, m - 1, ConstMatrix.identity(n))
-    _check_last_column(ha, pencil)
-    return ha
+    return _triangular(pencil, last, h_col, ConstMatrix.identity(n))
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +296,16 @@ def lagrange_hermite_factors(p: MatrixPolynomial, pencil: Pencil) -> HermiteAnal
     for k in range(1, L + 1):
         u_blocks[k] = inverses[k].scale(-(beta[k] / beta[0]) * (tau[k] - tau[0]))
         num = _poly_identity_block(n, g_poly.scale(beta[k])) + \
-            _const_times_polymatrix(u_blocks[k], pz)
+            polymatrix_mul(PolyMatrix.from_const(u_blocks[k]), pz)
         div = PolyQ((-tau[k], 1))
         h_blocks[k] = PolyMatrix(n, n, [e.exact_div(div) for e in (-num).entries])
 
     # H column: [G I, H_L, ..., H_1, P(z)]
     h_col = [_poly_identity_block(n, g_poly)] + \
         [h_blocks[L + 1 - r] for r in range(1, L + 1)] + [pz]
-    h = _identity_with_block_column(m, n, m - 1, h_col)
-
-    lz = pencil.as_polymatrix()
-    last = [PolyMatrix.zeros(n, n)] + \
-        [PolyMatrix.from_const(u_blocks[L + 1 - r]) for r in range(1, L + 1)] + \
-        [PolyMatrix.zeros(n, n)]
-    uinv = _replace_block_column(lz, n, m - 1, last)
-
-    ha = HermiteAnalogue(uinv, h, m - 1, ConstMatrix.identity(n))
-    _check_last_column(ha, pencil)
-    return ha
+    last = [None] + \
+        [PolyMatrix.from_const(u_blocks[L + 1 - r]) for r in range(1, L + 1)] + [None]
+    return _triangular(pencil, last, h_col, ConstMatrix.identity(n))
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +323,16 @@ def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil,
     n = pencil.n
     m = pencil.block_count
     u = polymatrix_inverse_unimodular(ha.uinv)
-    e = _reverse_block_rows(u, n)
+    e_grid = [[u.block(i, j, n) for j in range(m)] for i in reversed(range(m))]
     if ha.corner_factor != ConstMatrix.identity(n):
-        rows = e.to_rows()
-        top = PolyMatrix.from_rows(rows[:n])
-        scaled = _const_times_polymatrix(ha.corner_factor, top)
-        e = PolyMatrix.from_rows(scaled.to_rows() + rows[n:])
-    col = ha.corner_index
-    h_col = _block_column(ha.h, n, col)
-    f1_col = [-blk for blk in h_col[:-1]] + [PolyMatrix.identity(n)]
-    f1 = _identity_with_block_column(m, n, col, f1_col)
-    f = _reverse_block_cols(f1, n)
-    return CofactorPair(e, f)
+        top = polymatrix_from_blocks(e_grid[:1], n)
+        top = polymatrix_mul(PolyMatrix.from_const(ha.corner_factor), top)
+        e_grid[0] = [top.block(0, j, n) for j in range(m)]
+    eye = PolyMatrix.identity(n)
+    f_col = [-ha.h.block(i, ha.corner_index, n) for i in range(m - 1)] + [eye]
+    f_grid = [[f_col[i]] + [eye if i + j == m - 1 else None for j in range(1, m)]
+              for i in range(m)]
+    return CofactorPair(polymatrix_from_blocks(e_grid, n), polymatrix_from_blocks(f_grid, n))
 
 
 # ---------------------------------------------------------------------------
@@ -472,36 +370,23 @@ def bernstein_strict_equivalence(grade: int, p: MatrixPolynomial) -> StrictEquiv
         raise GradeTooSmall("strict equivalence needs grade >= 2")
     L = grade
     n = p.n
-    N = L * n
     lb = build_bernstein_pencil(p)
     lm = build_monomial_pencil(to_monomial(p))
     w_scalar = _bernstein_binomial_w(L)
     w = w_scalar.kron_identity(n)
 
-    r1 = lb.c1 @ w
-    r0 = lb.c0 @ w
-    top = ConstMatrix.from_rows
-    r1_top = top([r1.row(i) for i in range(n)])
-    r0_top = top([r0.row(i) for i in range(n)])
-    a_sys = top([lm.c1.transpose().row(i) for i in range(N)] +
-                [lm.c0.transpose().row(i) for i in range(N)])
-    b_sys = top([r1_top.transpose().row(i) for i in range(N)] +
-                [r0_top.transpose().row(i) for i in range(N)])
-    xt = solve_exact(a_sys, b_sys)
+    # x @ [lm.c1 | lm.c0] = the top n rows of [lb.c1 @ w | lb.c0 @ w], transposed
+    a_sys = ConstMatrix.from_rows(lm.c1.transpose().to_rows() + lm.c0.transpose().to_rows())
+    b_rows = (lb.c1 @ w).transpose().to_rows() + (lb.c0 @ w).transpose().to_rows()
+    xt = solve_exact(a_sys, ConstMatrix.from_rows([r[:n] for r in b_rows]))
     if xt is None:
         raise ConjectureFailure(f"no first row solves the grade-{L} system")
     x = xt.transpose()  # n x N
 
-    rows = [x.row(i) for i in range(n)]
-    zeros = [Fraction(0)] * n
-    for bi in range(1, L):
-        for r in range(n):
-            row = list(zeros)
-            for bj in range(1, L):
-                blk = w_scalar.get(bi - 1, bj - 1)
-                row.extend(blk if r == c else Fraction(0) for c in range(n))
-            rows.append(row)
-    uinv = ConstMatrix.from_rows(rows)
+    # U^{-1}: x over [0 | W_s[:L-1, :L-1]] (x) I
+    lower = ConstMatrix.from_rows(
+        [[0] + w_scalar.row(i)[:L - 1] for i in range(L - 1)]).kron_identity(n)
+    uinv = ConstMatrix.from_rows(x.to_rows() + lower.to_rows())
     u = uinv.try_inverse()
     if u is None:
         raise ConjectureFailure(f"U^(-1) singular at grade {L}")
@@ -649,34 +534,11 @@ def lagrange_strict_equivalence(p: MatrixPolynomial) -> StrictEquivalence:
     if vd_inv is None:  # impossible for distinct nodes
         raise ConjectureFailure("Vandermonde unexpectedly singular")
 
-    N = (L + 2) * n
-    eye_n = ConstMatrix.identity(n)
-    u_rows = [[Fraction(0)] * N for _ in range(N)]
-    for r in range(n):
-        u_rows[r][r] = Fraction(-1)
-    vk = vd.kron_identity(n)
-    for r in range(vk.rows):
-        for c in range(vk.cols):
-            val = vk.get(r, c)
-            if val:
-                u_rows[n + r][n + c] = val
-    u = ConstMatrix.from_rows(u_rows)
-
     q_desc = list(reversed(bary.node_poly_tail))  # [q_L, ..., q_0]
-    w_rows = [[Fraction(0)] * N for _ in range(N)]
-    for r in range(n):
-        w_rows[r][r] = Fraction(-1)
-    for bj, qv in enumerate(q_desc):
-        if qv:
-            for r in range(n):
-                w_rows[r][(bj + 1) * n + r] = -qv
-    vik = vd_inv.kron_identity(n)
-    for r in range(vik.rows):
-        for c in range(vik.cols):
-            val = vik.get(r, c)
-            if val:
-                w_rows[n + r][n + c] = val
-    w = ConstMatrix.from_rows(w_rows)
+    u = ConstMatrix.from_rows([[-1] + [0] * (L + 1)] +
+                              [[0] + vd.row(i) for i in range(L + 1)]).kron_identity(n)
+    w = ConstMatrix.from_rows([[-1] + [-q for q in q_desc]] +
+                              [[0] + vd_inv.row(i) for i in range(L + 1)]).kron_identity(n)
 
     ll = build_lagrange_pencil(p)
     lm = build_monomial_pencil(lagrange_monomial_target(p))

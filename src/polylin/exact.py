@@ -530,11 +530,17 @@ def solve_exact(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
     return ConstMatrix(n, k, out)
 
 
+def _check_grid(grid):
+    if any(len(row) != len(grid[0]) for row in grid):
+        raise DimensionMismatch("ragged block grid")
+
+
 def const_from_blocks(grid, block_rows: int, block_cols: int) -> ConstMatrix:
     """Assemble a matrix from a grid of ConstMatrix blocks (None = zero).
 
-    All blocks are block_rows x block_cols.
+    All blocks are block_rows x block_cols, and all grid rows equally long.
     """
+    _check_grid(grid)
     R = len(grid) * block_rows
     C = len(grid[0]) * block_cols
     out = [ZERO] * (R * C)
@@ -613,6 +619,11 @@ class PolyMatrix:
     def max_degree(self) -> int:
         return max((e.degree for e in self.entries), default=-1)
 
+    def block(self, i: int, j: int, n: int) -> "PolyMatrix":
+        """The n-by-n block at block position (i, j)."""
+        return PolyMatrix(n, n, [self.get(i * n + r, j * n + c)
+                                 for r in range(n) for c in range(n)])
+
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._same_shape(other)
@@ -658,7 +669,9 @@ class PolyMatrix:
 
 
 def polymatrix_from_blocks(grid, n: int) -> PolyMatrix:
-    """Assemble from a grid of n-by-n PolyMatrix blocks (None = zero)."""
+    """Assemble from a grid of n-by-n PolyMatrix blocks (None = zero), all
+    grid rows equally long."""
+    _check_grid(grid)
     R = len(grid) * n
     C = len(grid[0]) * n
     out = [PolyQ.zero()] * (R * C)
@@ -666,6 +679,8 @@ def polymatrix_from_blocks(grid, n: int) -> PolyMatrix:
         for bj, blk in enumerate(row):
             if blk is None:
                 continue
+            if blk.rows != n or blk.cols != n:
+                raise DimensionMismatch("inconsistent block size")
             for r in range(n):
                 for c in range(n):
                     out[(bi * n + r) * C + (bj * n + c)] = blk.get(r, c)

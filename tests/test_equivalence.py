@@ -14,6 +14,7 @@ import pytest
 
 from polylin import (
     Bernstein,
+    ConjectureFailure,
     ConstMatrix,
     GenericityFailure,
     Lagrange,
@@ -52,6 +53,7 @@ from polylin import (
     verify_reversal_equivalence,
     verify_strict,
 )
+from polylin import equivalence
 from polylin.randgen import (
     rand_basis,
     rand_const_matrix,
@@ -634,54 +636,121 @@ class TestLagrangeStrict:
 
 
 # ---------------------------------------------------------------------------
+# construction-time checks, each reached with inconsistent data
+
+
+class TestConstructionChecks:
+    @pytest.mark.parametrize("kind, build", [
+        ("recurrence", recurrence_hermite_analogue),
+        ("bernstein", bernstein_hermite_analogue),
+        ("lagrange", lagrange_hermite_factors),
+    ])
+    def test_triangular_rejects_another_pencil(self, kind, build):
+        rng = random.Random(70)
+        basis = rand_basis(rng, kind, 3)
+        p = rand_matrix_polynomial(rng, basis, 2)
+        other = build_pencil(rand_matrix_polynomial(rng, basis, 2))
+        with pytest.raises(ConjectureFailure, match="failed at block row 0"):
+            build(p, other)
+
+    def test_lagrange_strict_rejects_another_target(self, monkeypatch):
+        rng = random.Random(71)
+        basis = Lagrange(3, rand_nodes(rng, 4))
+        p = rand_matrix_polynomial(rng, basis, 2)
+        target = lagrange_monomial_target(rand_matrix_polynomial(rng, basis, 2))
+        monkeypatch.setattr(equivalence, "lagrange_monomial_target", lambda _: target)
+        with pytest.raises(ConjectureFailure, match="strict-equivalence identities failed"):
+            lagrange_strict_equivalence(p)
+
+    def test_reversal_rejects_perturbed_entry(self, monkeypatch):
+        rng = random.Random(72)
+        y = [rand_const_matrix(rng, 2) for _ in range(4)]
+        exact_entry = equivalence.reversal_u_entry
+        monkeypatch.setattr(equivalence, "reversal_u_entry", lambda g, i, j:
+                            exact_entry(g, i, j) + (1 if (i, j) == (2, 2) else 0))
+        with pytest.raises(ConjectureFailure, match="reversal identities failed at grade 3"):
+            bernstein_reversal_equivalence(y, 3)
+
+    def test_bernstein_strict_rejects_perturbed_w(self, monkeypatch):
+        rng = random.Random(73)
+        p = rand_matrix_polynomial(rng, Bernstein(3), 2)
+        exact_w = equivalence._bernstein_binomial_w
+
+        def perturbed(L):
+            rows = exact_w(L).to_rows()
+            rows[1][0] += 1
+            return ConstMatrix.from_rows(rows)
+
+        monkeypatch.setattr(equivalence, "_bernstein_binomial_w", perturbed)
+        with pytest.raises(ConjectureFailure):
+            bernstein_strict_equivalence(3, p)
+
+    @pytest.mark.parametrize("zero, message", [
+        (False, "strict-equivalence identities failed at grade 3"),
+        (True, r"U\^\(-1\) singular at grade 3"),
+    ])
+    def test_bernstein_strict_rejects_wrong_first_row(self, monkeypatch, zero, message):
+        rng = random.Random(74)
+        p = rand_matrix_polynomial(rng, Bernstein(3), 2)
+        exact_solve = equivalence.solve_exact
+
+        def wrong_solve(a, b):
+            x = exact_solve(a, b)
+            if zero:
+                return ConstMatrix.zeros(x.rows, x.cols)
+            rows = x.to_rows()
+            rows[0][0] += 1
+            return ConstMatrix.from_rows(rows)
+
+        monkeypatch.setattr(equivalence, "solve_exact", wrong_solve)
+        with pytest.raises(ConjectureFailure, match=message):
+            bernstein_strict_equivalence(3, p)
+
+
+# ---------------------------------------------------------------------------
 # grade-pinning digest
+
+
+TRIANGULAR = {
+    "recurrence": recurrence_hermite_analogue,
+    "bernstein": bernstein_hermite_analogue,
+    "lagrange": lagrange_hermite_factors,
+}
 
 
 def _certificate_matrices(kind, p):
     """Every certificate the constructors build for p, by name; routes whose
     precondition p violates are left out."""
-    routes = {
-        "monomial": None,
-        "recurrence": recurrence_hermite_analogue,
-        "bernstein": bernstein_hermite_analogue,
-        "lagrange": lagrange_hermite_factors,
-    }
-    out = []
-
-    def attempt(name, build):
-        try:
-            out.extend((f"{name}.{k}", m) for k, m in build())
-        except PreconditionError:
-            pass
-
     def cofactors():
         if kind == "monomial":
             cof = monomial_cofactors(p)
-            return [("E", cof.e), ("F", cof.f)]
+            return {"E": cof.e, "F": cof.f}
         pen = build_pencil(p)
-        ha = routes[kind](p, pen)
+        ha = TRIANGULAR[kind](p, pen)
         cof = assemble_cofactors(ha, pen, p)
-        return [("Uinv", ha.uinv), ("H", ha.h), ("corner", ha.corner_factor),
-                ("E", cof.e), ("F", cof.f)]
+        return {"Uinv": ha.uinv, "H": ha.h, "corner": ha.corner_factor,
+                "E": cof.e, "F": cof.f}
 
-    attempt("cofactors", cofactors)
+    def strict():
+        se = (bernstein_strict_equivalence(p.grade, p) if kind == "bernstein"
+              else lagrange_strict_equivalence(p))
+        return {"U": se.u, "W": se.w}
+
+    def reversal():
+        re = bernstein_reversal_equivalence(list(p.coeffs), p.grade)
+        return {"U": re.u, "Winv": re.winv}
+
+    builds = {"cofactors": cofactors}
+    if kind in ("bernstein", "lagrange"):
+        builds["strict"] = strict
     if kind == "bernstein":
-        def strict():
-            se = bernstein_strict_equivalence(p.grade, p)
-            return [("U", se.u), ("W", se.w)]
-
-        def reversal():
-            re = bernstein_reversal_equivalence(list(p.coeffs), p.grade)
-            return [("U", re.u), ("Winv", re.winv)]
-
-        attempt("strict", strict)
-        attempt("reversal", reversal)
-    if kind == "lagrange":
-        def strict():
-            se = lagrange_strict_equivalence(p)
-            return [("U", se.u), ("W", se.w)]
-
-        attempt("strict", strict)
+        builds["reversal"] = reversal
+    out = []
+    for name, build in builds.items():
+        try:
+            out.extend((f"{name}.{k}", m) for k, m in build().items())
+        except PreconditionError:
+            pass
     return out
 
 

@@ -505,6 +505,37 @@ class TestConstMatrix:
         assert k.get(0, 1) == 0
 
 
+
+class TestBlockAssembly:
+    def test_blocks_round_trip(self):
+        rng = random.Random(80)
+        blocks = [[rand_polymatrix(rng, 2, 2) for _ in range(3)] for _ in range(2)]
+        m = exact.polymatrix_from_blocks(blocks, 2)
+        assert (m.rows, m.cols) == (4, 6)
+        for i, row in enumerate(blocks):
+            for j, blk in enumerate(row):
+                assert m.block(i, j, 2) == blk
+        c = exact.const_from_blocks([[None, ConstMatrix.identity(2)]], 2, 2)
+        assert c.block(0, 0, 2).is_zero and c.block(0, 1, 2) == ConstMatrix.identity(2)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_wrong_block_size_rejected(self, size):
+        # a 3x3 block used to be cut to its top-left 2x2 without a word
+        with pytest.raises(DimensionMismatch):
+            exact.polymatrix_from_blocks([[PolyMatrix.identity(size)]], 2)
+        with pytest.raises(DimensionMismatch):
+            exact.const_from_blocks([[ConstMatrix.identity(size)]], 2, 2)
+
+    def test_ragged_grid_rejected(self):
+        eye = PolyMatrix.identity(2)
+        for grid in ([[eye], [eye, eye]], [[eye, None], [eye]]):
+            with pytest.raises(DimensionMismatch):
+                exact.polymatrix_from_blocks(grid, 2)
+        ceye = ConstMatrix.identity(2)
+        for grid in ([[ceye], [ceye, ceye]], [[ceye, None], [ceye]]):
+            with pytest.raises(DimensionMismatch):
+                exact.const_from_blocks(grid, 2, 2)
+
 class TestConstKernels:
     """The integer product and fraction-free solve against the Fraction
     loops they replaced."""
