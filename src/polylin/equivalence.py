@@ -381,7 +381,7 @@ def bernstein_strict_equivalence(grade: int, p: MatrixPolynomial) -> StrictEquiv
     xt = solve_exact(a_sys, ConstMatrix.from_rows([r[:n] for r in b_rows]))
     if xt is None:
         raise ConjectureFailure(f"no first row solves the grade-{L} system")
-    x = xt.transpose()  # n x N
+    x = xt.transpose()  # n x nL
 
     # U^{-1}: x over [0 | W_s[:L-1, :L-1]] (x) I
     lower = ConstMatrix.from_rows(
