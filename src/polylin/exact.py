@@ -140,12 +140,9 @@ class PolyQ:
     def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         """Quotient and remainder, each of grade equal to its degree.
 
-        Integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1): with both
-        operands scaled to integers N / dn and D / dv, it finds ints Q, R
-        and s with s * N = Q * D + R.  A step whose top coefficient t the
-        integer lead l of D does not divide first multiplies the partial
-        remainder, the quotient so far and s by l / gcd(t, l), so no step
-        rescales when l is 1.  Then q = Q * dv / (s * dn), r = R / (s * dn).
+        With both operands scaled to integers N / dn and D / dv,
+        `_pseudo_divide` finds ints Q, R and s with s * N = Q * D + R; then
+        q = Q * dv / (s * dn) and r = R / (s * dn).
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -153,26 +150,9 @@ class PolyQ:
             return PolyQ.zero(), self
         num, dn = _integer_row(self.coeffs)
         den, dv = _integer_row(other.coeffs)
-        dd = len(den) - 1
-        lead = den[-1]
-        quot = [0] * (len(num) - dd)
-        s = 1
-        for k in range(len(num) - dd - 1, -1, -1):
-            top = num[dd + k]
-            if not top:
-                continue
-            c, rem = divmod(top, lead)
-            if rem:
-                m = lead // math.gcd(top, lead)
-                num = [m * x for x in num]
-                quot = [m * x for x in quot]
-                s *= m
-                c = top * m // lead
-            quot[k] = c
-            for j, y in enumerate(den, k):
-                num[j] -= c * y
+        quot, rem, s = _pseudo_divide(num, den)
         return (_poly_from_ints([dv * x for x in quot], dn * s),
-                _poly_from_ints(num[:dd], dn * s))
+                _poly_from_ints(rem, dn * s))
 
     def __floordiv__(self, other: "PolyQ") -> "PolyQ":
         return divmod(self, other)[0]
@@ -241,10 +221,55 @@ POLY_Z = PolyQ((0, 1))
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over Q[z]; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd over Q[z]; gcd(0, 0) = 0.
+
+    A primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967; Knuth,
+    TAOCP vol. 2, 4.6.1): both operands are scaled to integers, and each
+    pseudo-remainder is divided by the gcd of its coefficients, so the loop
+    runs on ints that the division keeps small, with no Fraction
+    arithmetic.  The last nonzero remainder is divided by its lead, one
+    Fraction per coefficient.
+    """
+    xs = _integer_row(a.coeffs)[0]
+    ys = _integer_row(b.coeffs)[0]
+    while ys:
+        rem = _pseudo_divide(xs, ys)[1]
+        while rem and not rem[-1]:
+            rem.pop()
+        if rem:
+            c = math.gcd(*rem)
+            rem = [x // c for x in rem]
+        xs, ys = ys, rem
+    return _poly_from_ints(xs, xs[-1]) if xs else PolyQ.zero()
+
+
+def _pseudo_divide(num: list[int], den: list[int]) -> tuple[list[int], list[int], int]:
+    """Ints Q, R and s with s * num = Q * den + R and len(R) < len(den), by
+    integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1); num is overwritten.
+
+    A step whose top coefficient t the lead l of den does not divide first
+    multiplies the partial remainder, the quotient so far and s by
+    l / gcd(t, l), so no step rescales when l is 1.  R may end in zeros.
+    """
+    dd = len(den) - 1
+    lead = den[-1]
+    quot = [0] * max(len(num) - dd, 0)
+    s = 1
+    for k in range(len(num) - dd - 1, -1, -1):
+        top = num[dd + k]
+        if not top:
+            continue
+        c, rem = divmod(top, lead)
+        if rem:
+            m = lead // math.gcd(top, lead)
+            num = [m * x for x in num]
+            quot = [m * x for x in quot]
+            s *= m
+            c = top * m // lead
+        quot[k] = c
+        for j, y in enumerate(den, k):
+            num[j] -= c * y
+    return quot, num[:dd], s
 
 
 def _bareiss_int(m: list[list[int]]) -> int:

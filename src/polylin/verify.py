@@ -7,16 +7,20 @@ so a bug there cannot silently confirm itself here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
+    POLY_ONE,
     ConstMatrix,
     PolyMatrix,
     PolyQ,
     is_unimodular,
+    poly_gcd,
     polymatrix_det,
     polymatrix_mul,
+    sub_mul,
 )
 from .bases import (
     Bernstein,
@@ -32,7 +36,6 @@ from .equivalence import (
     StrictEquivalence,
     bernstein_reversal_coeffs,
 )
-from .normalforms import smith_form
 from .pencils import Pencil, build_bernstein_pencil
 
 
@@ -66,20 +69,34 @@ def diag_with_identity(p_mat: PolyMatrix, blocks: int) -> PolyMatrix:
     return PolyMatrix.from_rows(out)
 
 
+def _ratio_refusal(det_l: PolyQ, det_p: PolyQ) -> dict | None:
+    """Why det_l is not a nonzero constant times det_p, or None when it is
+    (or when both are zero)."""
+    if det_l.is_zero != det_p.is_zero:
+        reason = "exactly one determinant is zero"
+    elif det_p.is_zero:
+        return None
+    else:
+        quot, rem = divmod(det_l, det_p)
+        if rem.is_zero and quot.degree == 0:
+            return None
+        reason = "determinant ratio not constant"
+    return {"reason": reason, "det_l": str(det_l), "det_p": str(det_p)}
+
+
+def _ratio(det_l: PolyQ, det_p: PolyQ) -> Fraction | None:
+    """det_l / det_p when `_ratio_refusal` passed; None when both are zero."""
+    return det_l.lead / det_p.lead if det_p.coeffs else None
+
+
 def verify_companion(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
     """det L(z) must equal a nonzero constant times det P(z)."""
     det_l = polymatrix_det(pencil.as_polymatrix())
     det_p = polymatrix_det(matrix_poly_as_polymatrix(p))
-    if det_p.is_zero or det_l.is_zero:
-        if det_p.is_zero and det_l.is_zero:
-            return Verdict("companion", True, None)
-        return _falsified("companion", reason="exactly one determinant is zero",
-                          det_l=str(det_l), det_p=str(det_p))
-    quot, rem = divmod(det_l, det_p)
-    if not rem.is_zero or quot.degree != 0:
-        return _falsified("companion", reason="determinant ratio not constant",
-                          det_l=str(det_l), det_p=str(det_p))
-    return Verdict("companion", True, quot.coeff(0))
+    refusal = _ratio_refusal(det_l, det_p)
+    if refusal:
+        return _falsified("companion", **refusal)
+    return Verdict("companion", True, _ratio(det_l, det_p))
 
 
 def verify_linearization(pencil: Pencil, p: MatrixPolynomial,
@@ -146,12 +163,224 @@ def _padded_monomial_reversal(p: MatrixPolynomial, grade: int) -> MatrixPolynomi
     return MatrixPolynomial(p.n, Monomial(grade), tuple(reversed(blocks)))
 
 
-def _smith_matches_diag(big: PolyMatrix, small: PolyMatrix, pad: int) -> bool:
-    """smith(big) == diag(smith(small), I, ..., I) up to ordering."""
-    big_factors = list(smith_form(big).invariant_factors)
-    small_factors = list(smith_form(small).invariant_factors)
-    expected = [PolyQ((1,))] * pad + small_factors
-    return big_factors == expected
+# The prime of the squarefree certificate: the Mersenne prime 2^61 - 1, so
+# large that it rarely divides an integer lead or a discriminant.
+SQUAREFREE_PRIME = 2**61 - 1
+
+
+def _gcd_mod_p(f: list[int], g: list[int]) -> list[int]:
+    """A gcd in F_p[z] (not monic), p = SQUAREFREE_PRIME, of two residue
+    lists without trailing zeros; f and g are overwritten."""
+    p = SQUAREFREE_PRIME
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c = f[-1] * inv % p
+            for j, y in enumerate(g, len(f) - len(g)):
+                f[j] = (f[j] - c * y) % p
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return f
+
+
+def certified_squarefree(d: PolyQ) -> bool:
+    """True when the image of d != 0 modulo p = SQUAREFREE_PRIME proves that d
+    has no repeated factor over Q.  False means only "not certified": an
+    unlucky prime or a real repeated factor.
+
+    Proof.  Let D be d times the lcm of its denominators, and let p not
+    divide lc(D).  Suppose d = a^2 b over Q with deg a >= 1.  Take a
+    primitive in Z[z]; a^2 is primitive (Gauss's lemma), so D = a^2 b with
+    b in Z[z], and lc(D) = lc(a)^2 lc(b) makes p not divide lc(a).  So the
+    image a_p of a modulo p has degree deg a >= 1, and it divides both
+    D_p = a_p^2 b_p and D_p' = a_p (2 a_p' b_p + a_p b_p').  Hence
+    gcd(D_p, D_p') = 1 in F_p[z] leaves no such a: d is squarefree.
+    """
+    den = math.lcm(*(c.denominator for c in d.coeffs))
+    f = [c.numerator * (den // c.denominator) % SQUAREFREE_PRIME for c in d.coeffs]
+    if not f[-1]:
+        return False
+    df = [k * x % SQUAREFREE_PRIME for k, x in enumerate(f)][1:]
+    while df and not df[-1]:
+        df.pop()
+    return len(_gcd_mod_p(f, df)) == 1
+
+
+def _low_unit_inverse(u: PolyQ, modulus: PolyQ | None) -> PolyQ | None:
+    """The inverse of u modulo `modulus` when u is a nonzero constant, or
+    linear and coprime to `modulus`; None otherwise.
+
+    With r the root of u, modulus = (z - r) q + c where c = modulus(r), so
+    u is a unit exactly when c != 0, and then u (-q / (lc(u) c)) = 1.
+    """
+    if u.degree == 0:
+        return PolyQ((1 / u.lead,))
+    if modulus is None or u.degree > 1:
+        return None
+    q, c = divmod(modulus, PolyQ((u.coeff(0) / u.lead, 1)))
+    return None if c.is_zero else q.scale(-1 / (u.lead * c.lead))
+
+
+def _primitive(row: list[PolyQ]) -> list[PolyQ]:
+    """row times the rational that makes its coefficients coprime ints."""
+    cs = [c for e in row for c in e.coeffs]
+    if not cs:
+        return row
+    k = Fraction(math.lcm(*(c.denominator for c in cs)), math.gcd(*(c.numerator for c in cs)))
+    return [e.scale(k) for e in row] if k != 1 else row
+
+
+def _diagonal(m: PolyMatrix, modulus: PolyQ | None) -> list[PolyQ]:
+    """The pivots a_1, a_2, ... (zeros left out) of an elimination that
+    brings m to diagonal form without E and F, where a multiple of
+    `modulus`, when given, may be added to any entry.
+
+    A pivot that is a unit of degree at most 1 modulo `modulus` is taken
+    first: with its inverse v, subtracting (a_it v mod `modulus`) times the
+    pivot row clears each entry below it.  That is Gaussian elimination, so
+    each entry stays a Schur complement of m reduced modulo `modulus`, and
+    coefficients grow slowly.  Otherwise the pivot is a least-degree entry,
+    which row and column division clear around it, with rows kept
+    primitive and not reduced (remainders reduced modulo `modulus`, or
+    units of higher degree with their dense inverses, make coefficients
+    swell); when the pivot does not divide some later entry, that entry's
+    row is added to the pivot row, and the remainder it leaves becomes a
+    pivot of lower degree.  Either way a_t divides every later entry modulo
+    `modulus`.
+    """
+    def reduced(e: PolyQ) -> PolyQ:
+        return e % modulus if modulus is not None else e
+
+    a = [[reduced(e) for e in row] for row in m.to_rows()]
+
+    def swap_in(i: int, j: int):
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+
+    n = len(a)
+    pivots = []
+    for t in range(n):
+        cells = sorted((a[i][j].degree, i, j) for i in range(t, n) for j in range(t, n)
+                       if a[i][j].coeffs)
+        if not cells:
+            break
+        inverse = None
+        for degree, i, j in cells:
+            if degree > 1:
+                break
+            inverse = _low_unit_inverse(a[i][j], modulus)
+            if inverse is not None:
+                break
+        if inverse is None:
+            _, i, j = cells[0]
+        swap_in(i, j)
+        if inverse is not None:
+            # column operations then clear row t, changing no other row
+            for i in range(t + 1, n):
+                if a[i][t].coeffs:
+                    q = reduced(a[i][t] * inverse)
+                    a[i][t:] = [reduced(sub_mul(x, q, y)) for x, y in zip(a[i][t:], a[t][t:])]
+            pivots.append(a[t][t])
+            continue
+        while True:
+            pivot = a[t][t]
+            swapped = False
+            for i in range(t + 1, n):
+                if a[i][t].coeffs:
+                    q = a[i][t] // pivot
+                    a[i][t:] = _primitive([sub_mul(x, q, y) for x, y in zip(a[i][t:], a[t][t:])])
+                    if a[i][t].coeffs:  # a remainder: a pivot of lower degree
+                        a[t], a[i] = a[i], a[t]
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            for j in range(t + 1, n):
+                if a[t][j].coeffs:  # column t is clear below the pivot
+                    a[t][j] = a[t][j] % pivot
+                    if a[t][j].coeffs:
+                        swap_in(t, j)
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            if pivot.degree == 0:  # a unit divides every entry
+                break
+            offender = next((i for i in range(t + 1, n)
+                             if any((e % pivot).coeffs for e in a[i][t + 1:])), None)
+            if offender is None:
+                break
+            a[t][t + 1:] = a[offender][t + 1:]  # row t was zero beyond the pivot
+        pivots.append(a[t][t])
+    return pivots
+
+
+def smith_invariants(m: PolyMatrix, det: PolyQ | None = None) -> list[PolyQ]:
+    """The monic invariant factors s_1 | s_2 | ... | s_N of a square m, zero
+    factors last, as `normalforms.smith_form` lists them, but without E
+    and F.  det, when given, must be det(m).
+
+    - det != 0 and `certified_squarefree(det)`: s_(N-1)^2 divides
+      s_(N-1) s_N, which divides det, so s_1 = ... = s_(N-1) = 1 and
+      s_N = monic det.
+    - det != 0 otherwise: for i < N, s_i^2 divides det, so s_i divides
+      g = gcd(det, det').  The Smith form of [m | g I] is then
+      diag(gcd(s_i, g)), whose first N-1 entries are s_1 ... s_(N-1).  Row
+      and column operations on m, and adding a multiple of g to an entry
+      (a column operation with the g I block, which a row operation turns
+      into g R and column operations within the block restore), keep that
+      Smith form, so the elimination may reduce entries modulo g.  On its
+      diagonal a_1, a_2, ..., gcd(a_t, g) divides every later entry and g,
+      so [diag(a) | g I] has the Smith form diag(gcd(a_t, g)), and
+      s_i = gcd(a_i, g) for i < N (a missing pivot counts as 0).  Then
+      s_N = monic det / (s_1 ... s_(N-1)).
+    - det = 0: the same elimination with no modulus; s_i = monic a_i.
+    """
+    n = m.rows
+    if det is None:
+        det = polymatrix_det(m)
+    if det.is_zero:
+        pivots = [a.monic() for a in _diagonal(m, None)]
+        return pivots + [PolyQ.zero()] * (n - len(pivots))
+    if certified_squarefree(det):
+        return [POLY_ONE] * (n - 1) + [det.monic()]
+    g = poly_gcd(det, det.derivative())
+    head = [poly_gcd(a, g) for a in _diagonal(m, g)][:n - 1]
+    head += [g] * (n - 1 - len(head))
+    last = det.monic()
+    for s in head:
+        last = last.exact_div(s)
+    return head + [last]
+
+
+def _smith_refusal(big: PolyMatrix, small: PolyMatrix, det_big: PolyQ,
+                   det_small: PolyQ) -> dict | None:
+    """Why smith(big) differs from diag(I, smith(small)), or None when they
+    agree; det_big and det_small are the two determinants.
+
+    The determinant ratio is checked first.  The invariant factors are
+    compared after it, in `smith_invariants` order; the identity block puts
+    big.rows - small.rows ones first.
+    """
+    refusal = _ratio_refusal(det_big, det_small)
+    if refusal:
+        return {"step": "determinant ratio", **refusal}
+    got = smith_invariants(big, det_big)
+    want = [POLY_ONE] * (big.rows - small.rows) + smith_invariants(small, det_small)
+    for i, (x, y) in enumerate(zip(got, want)):
+        if x != y:
+            return {"step": "invariant factors", "index": i,
+                    "pencil": str(x), "polynomial": str(y)}
+    return None
+
+
+def _smith_check(check: str, big: PolyMatrix, small: PolyMatrix) -> Verdict:
+    refusal = _smith_refusal(big, small, polymatrix_det(big), polymatrix_det(small))
+    if refusal:
+        return _falsified(check, **refusal)
+    return Verdict(check, True)
 
 
 def verify_strong(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
@@ -160,27 +389,18 @@ def verify_strong(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
     The reversal grade is the pencil's block count (the grade the pencil
     represents P at), and the check compares Smith forms.
     """
-    rev_pencil = pencil.reversed_pencil()
     rev_p = _padded_monomial_reversal(p, pencil.block_count)
-    big = rev_pencil.as_polymatrix()
-    small = matrix_poly_as_polymatrix(rev_p)
-    pad = (pencil.block_count - 1) * pencil.n
-    if not _smith_matches_diag(big, small, pad):
-        return _falsified("strong", reason="Smith forms of reversal disagree")
-    return Verdict("strong", True)
+    return _smith_check("strong", pencil.reversed_pencil().as_polymatrix(),
+                        matrix_poly_as_polymatrix(rev_p))
 
 
 def smith_equivalence_check(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
-    """smith(L) must equal diag(smith(P), I, ..., I) after sorting.
+    """smith(L) must equal diag(I, ..., I, smith(P)).
 
     Works for singular values and nonregular P.
     """
-    big = pencil.as_polymatrix()
-    small = matrix_poly_as_polymatrix(p)
-    pad = (pencil.block_count - 1) * pencil.n
-    if not _smith_matches_diag(big, small, pad):
-        return _falsified("smith-equivalence", reason="invariant factors disagree")
-    return Verdict("smith-equivalence", True)
+    return _smith_check("smith-equivalence", pencil.as_polymatrix(),
+                        matrix_poly_as_polymatrix(p))
 
 
 def verify_reversal_equivalence(re: ReversalEquivalence, p: MatrixPolynomial) -> Verdict:
@@ -215,11 +435,10 @@ def verify_bernstein_reversal_pencil(p: MatrixPolynomial) -> Verdict:
     rev = Pencil(a_mat, b_mat - a_mat, n, pen.block_count, "bernstein-new-reversal")
     d = bernstein_reversal_coeffs(list(p.coeffs), L)
     rev_p = MatrixPolynomial(n, Bernstein(L), tuple(d))
-    verdict = verify_companion(rev, rev_p)
-    if not verdict.ok:
-        return _falsified("bernstein-reversal-pencil", reason="determinant ratio failed")
     big = rev.as_polymatrix()
     small = matrix_poly_as_polymatrix(rev_p)
-    if not _smith_matches_diag(big, small, (pen.block_count - 1) * n):
-        return _falsified("bernstein-reversal-pencil", reason="Smith forms disagree")
-    return Verdict("bernstein-reversal-pencil", True, verdict.constant)
+    det_l, det_p = polymatrix_det(big), polymatrix_det(small)
+    refusal = _smith_refusal(big, small, det_l, det_p)
+    if refusal:
+        return _falsified("bernstein-reversal-pencil", **refusal)
+    return Verdict("bernstein-reversal-pencil", True, _ratio(det_l, det_p))

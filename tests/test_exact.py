@@ -26,6 +26,7 @@ from polylin import (
     lagrange_hermite_factors,
     polymatrix_det,
     polymatrix_inverse_unimodular,
+    poly_gcd,
     polymatrix_mul,
     recurrence_hermite_analogue,
 )
@@ -163,6 +164,13 @@ def fraction_divmod(a, b):
             for j in range(dd + 1):
                 num[k + j] -= c * den[j]
     return PolyQ(q), PolyQ(num[:dd] if dd > 0 else ())
+
+
+def euclid_gcd(a, b):
+    """The Euclid loop over Q that poly_gcd once was."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
 
 
 def fraction_sub_mul(a, q, b):
@@ -593,8 +601,9 @@ class TestConstKernels:
 
 
 class TestPolyKernels:
-    """The integer product, pseudo-division, fused a - q*b and the
-    one-product to_monomial against the Fraction loops they replaced."""
+    """The integer product, pseudo-division, fused a - q*b, the primitive
+    remainder gcd and the one-product to_monomial against the Fraction loops
+    they replaced."""
 
     def test_mul_matches_fraction_loop(self):
         rng = random.Random(31)
@@ -640,6 +649,34 @@ class TestPolyKernels:
             got = sub_mul(x, q, y)
             assert same_poly(got, fraction_sub_mul(x, q, y))
             assert got.grade == grade
+
+    def test_gcd_matches_euclid_loop(self):
+        rng = random.Random(34)
+        nontrivial = 0
+        for _ in range(300):
+            common = rand_poly(rng, max_deg=4)
+            a = rand_poly(rng, max_deg=6) * common
+            b = rand_poly(rng, max_deg=6) * common
+            g = poly_gcd(a, b)
+            assert g == euclid_gcd(a, b)
+            assert all(type(c) is F for c in g.coeffs)
+            assert g.is_zero or g.lead == 1
+            nontrivial += g.degree >= 1
+        assert nontrivial > 150
+
+    def test_gcd_of_a_determinant_and_its_derivative(self):
+        # a repeated factor of a 24x24 determinant: what the Smith checks ask
+        rng = random.Random(35)
+        p = rand_matrix_polynomial(rng, Lagrange(6, rand_nodes(rng, 7)), 3)
+        d = polymatrix_det(build_lagrange_pencil(p).reversed_pencil().as_polymatrix())
+        g = poly_gcd(d, d.derivative())
+        assert g == euclid_gcd(d, d.derivative()) and g.degree >= 1
+
+    def test_gcd_with_zero(self):
+        assert poly_gcd(PolyQ.zero(), PolyQ.zero()).is_zero
+        assert poly_gcd(PolyQ([0, 2]), PolyQ.zero()) == PolyQ([0, 1])
+        assert poly_gcd(PolyQ.zero(), PolyQ([F(-3, 2), 3])) == PolyQ([F(-1, 2), 1])
+        assert poly_gcd(PolyQ([F(2, 3)]), PolyQ([1, 1])) == POLY_ONE
 
     @pytest.mark.parametrize("kind", ["recurrence", "bernstein", "lagrange"])
     def test_to_monomial_matches_block_loop(self, kind):

@@ -23,6 +23,7 @@ from polylin import (
     smith_form,
 )
 from polylin.randgen import rand_fraction
+from polylin.verify import SQUAREFREE_PRIME, certified_squarefree, smith_invariants
 
 
 def rand_polymatrix(rng, n, max_deg):
@@ -217,3 +218,109 @@ class TestPolyGcd:
     def test_zero(self):
         assert poly_gcd(PolyQ.zero(), PolyQ.zero()).is_zero
         assert poly_gcd(PolyQ([0, 2]), PolyQ.zero()) == PolyQ([0, 1])
+
+
+def rand_unimodular(rng, n):
+    """A row permutation of a unit upper triangular (linear entries) times
+    a unit lower triangular (constant entries) matrix."""
+    up = PolyMatrix.identity(n).to_rows()
+    lo = PolyMatrix.identity(n).to_rows()
+    for i in range(n):
+        for j in range(i + 1, n):
+            up[i][j] = PolyQ([rand_fraction(rng), rand_fraction(rng)])
+            lo[j][i] = PolyQ([rand_fraction(rng)])
+    u = polymatrix_mul(PolyMatrix.from_rows(up), PolyMatrix.from_rows(lo))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return PolyMatrix.from_rows([u.row(k) for k in perm])
+
+
+def rand_divisor_chain(rng, n, zeros=0):
+    """Monic s_1 | ... | s_n with s_1 = 1, each step multiplying by up to two
+    factors z - r drawn from three roots (so repeated factors are common),
+    and the last `zeros` factors 0."""
+    roots = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(3)]
+    chain = [PolyQ([1])]
+    for _ in range(n - 1):
+        s = chain[-1]
+        for _ in range(rng.randint(0, 2)):
+            s = s * PolyQ([-rng.choice(roots), 1])
+        chain.append(s)
+    return chain[:n - zeros] + [PolyQ.zero()] * zeros
+
+
+def diagonal(entries):
+    n = len(entries)
+    return PolyMatrix.from_rows([[entries[i] if i == j else PolyQ.zero() for j in range(n)]
+                                 for i in range(n)])
+
+
+class TestSmithInvariants:
+    """verify.smith_invariants, the Smith checks' E- and F-free invariant
+    factors, against smith_form and the sympy oracle."""
+
+    def test_divisor_chains(self):
+        rng = random.Random(75)
+        fell_through = 0
+        for _ in range(80):
+            n = rng.randint(2, 5)
+            zeros = rng.choice((0, 0, 0, 1, 2)) if n > 2 else 0
+            chain = rand_divisor_chain(rng, n, zeros)
+            m = polymatrix_mul(polymatrix_mul(rand_unimodular(rng, n), diagonal(chain)),
+                               rand_unimodular(rng, n))
+            det = polymatrix_det(m)
+            assert smith_invariants(m) == smith_invariants(m, det) == chain
+            if n <= 4:
+                assert list(smith_form(m).invariant_factors) == chain
+            if n <= 3:
+                assert sympy_factors(m) == chain
+            fell_through += not det.is_zero and not certified_squarefree(det)
+        assert fell_through > 30
+
+    def test_singular(self):
+        z = PolyQ([0, 1])
+        cases = [
+            PolyMatrix.zeros(3, 3),
+            PolyMatrix.from_rows([[z, z], [z, z]]),
+            PolyMatrix.from_rows([[z, z * z, PolyQ([1])], [z, z * z, PolyQ([1])],
+                                  [PolyQ([2]), PolyQ([0, 3]), z]]),
+        ]
+        rng = random.Random(76)
+        for _ in range(6):
+            row = [PolyQ([rand_fraction(rng), rand_fraction(rng)]) for _ in range(3)]
+            other = rand_polymatrix(rng, 3, 1)
+            cases.append(PolyMatrix.from_rows([row, [e.scale(F(2)) for e in row],
+                                               other.row(2)]))
+        for m in cases:
+            assert polymatrix_det(m).is_zero
+            want = list(smith_form(m).invariant_factors)
+            assert smith_invariants(m) == want == sympy_factors(m)
+
+    def test_unlucky_prime(self):
+        # z(z - p) is squarefree over Q but z^2 modulo p
+        z = PolyQ([0, 1])
+        d = z * PolyQ([-SQUAREFREE_PRIME, 1])
+        assert not certified_squarefree(d)
+        m = diagonal([z, PolyQ([-SQUAREFREE_PRIME, 1])])
+        assert smith_invariants(m) == [PolyQ([1]), d]
+        rng = random.Random(77)
+        mixed = polymatrix_mul(polymatrix_mul(rand_unimodular(rng, 2), m),
+                               rand_unimodular(rng, 2))
+        assert smith_invariants(mixed) == [PolyQ([1]), d] == sympy_factors(mixed)
+
+    def test_lead_divisible_by_the_prime(self):
+        # (p z + 1)(z + 2): squarefree, but p divides the integer lead
+        m = diagonal([PolyQ([1, SQUAREFREE_PRIME]), PolyQ([2, 1])])
+        d = polymatrix_det(m)
+        assert not certified_squarefree(d)
+        assert smith_invariants(m) == [PolyQ([1]), d.monic()]
+        # the same with denominators: the lead is scaled to an integer first
+        assert not certified_squarefree(PolyQ([F(1, 3), F(SQUAREFREE_PRIME, 7)]))
+        assert certified_squarefree(PolyQ([F(1, 3), F(SQUAREFREE_PRIME + 1, 7)]))
+
+    def test_certified_squarefree(self):
+        z_minus = [PolyQ([-r, 1]) for r in (1, 2, F(1, 3))]
+        assert certified_squarefree(PolyQ([F(5, 2)]))
+        assert certified_squarefree(z_minus[0] * z_minus[1] * z_minus[2])
+        assert not certified_squarefree(z_minus[0] * z_minus[0] * z_minus[2])
+        assert not certified_squarefree(z_minus[2] * z_minus[2])

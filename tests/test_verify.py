@@ -1,7 +1,12 @@
 """The verification engine, including negative controls."""
 
+import hashlib
+import json
 import random
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 from polylin import (
     Bernstein,
@@ -26,8 +31,12 @@ from polylin import (
     verify_strict,
     verify_strong,
 )
+from polylin import serialize
 from polylin.equivalence import CofactorPair
-from polylin.randgen import rand_fraction, rand_matrix_polynomial, rand_nodes
+from polylin.pencils import build_pencil
+from polylin.randgen import rand_basis, rand_fraction, rand_matrix_polynomial, rand_nodes
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def perturb_entry(m: ConstMatrix, i=0, j=0, delta=1) -> ConstMatrix:
@@ -170,6 +179,106 @@ class TestSmithEquivalence:
         bad = Pencil(pen.c1, perturb_entry(pen.c0, 1, 1, F(5)), pen.n,
                      pen.block_count, pen.basis_tag)
         assert not smith_equivalence_check(bad, p).ok
+
+
+def jordan_control():
+    """P = diag(z-1, z-1) and the pencil L = z I - [[1, -1], [0, 1]] =
+    [[z-1, 1], [0, z-1]]: det L = det P, but smith(L) = diag(1, (z-1)^2)."""
+    p = MatrixPolynomial(2, Monomial(1), (ConstMatrix.from_rows([[-1, 0], [0, -1]]),
+                                          ConstMatrix.identity(2)))
+    pen = Pencil(ConstMatrix.identity(2), ConstMatrix.from_rows([[1, -1], [0, 1]]),
+                 2, 1, "jordan")
+    return pen, p
+
+
+class TestSmithChecksFromDeterminants:
+    """The determinant ratio, the squarefree certificate and the elimination
+    that replaced two smith_form calls per check."""
+
+    def test_jordan_negative_control(self):
+        pen, p = jordan_control()
+        companion = verify_companion(pen, p)
+        assert companion.ok and companion.constant == 1
+        for check in (smith_equivalence_check, verify_strong):
+            verdict = check(pen, p)
+            assert not verdict.ok
+            assert verdict.counterexample["step"] == "invariant factors"
+        assert smith_equivalence_check(pen, p).counterexample == {
+            "step": "invariant factors", "index": 0, "pencil": "1", "polynomial": "z - 1"}
+
+    def test_ratio_refusal_is_structured(self):
+        p = MatrixPolynomial.scalar(Monomial(2), [2, -3, 1])
+        pen = build_monomial_pencil(p)
+        bad = Pencil(pen.c1, perturb_entry(pen.c0, 1, 1, F(5)), pen.n,
+                     pen.block_count, pen.basis_tag)
+        for check in (smith_equivalence_check, verify_strong):
+            cex = check(bad, p).counterexample
+            assert cex["step"] == "determinant ratio"
+            assert cex["reason"] == "determinant ratio not constant"
+        # a singular pencil for a regular P: exactly one determinant is zero
+        ones = ConstMatrix.from_rows([[1, 1], [1, 1]])
+        cex = smith_equivalence_check(Pencil(ones, ones, 1, 2, "singular"), p).counterexample
+        assert cex == {"step": "determinant ratio", "reason": "exactly one determinant is zero",
+                       "det_l": "0", "det_p": "z^2 - 3*z + 2"}
+
+    def test_singular_negative_control(self):
+        # det P = det L = 0 with smith(P) = diag(z, 0) but smith(L) = diag(z+1, 0)
+        ones = ConstMatrix.from_rows([[1, 1], [1, 1]])
+        p = MatrixPolynomial(2, Monomial(1), (ConstMatrix.zeros(2, 2), ones))
+        q = MatrixPolynomial(2, Monomial(1), (ones, ones))
+        assert smith_equivalence_check(build_monomial_pencil(p), p).ok
+        verdict = smith_equivalence_check(build_monomial_pencil(q), p)
+        assert verdict.counterexample == {
+            "step": "invariant factors", "index": 0, "pencil": "z + 1", "polynomial": "z"}
+
+    def test_repeated_factor_passes(self):
+        # P(z) = (z - 1)^2 I: det P = (z - 1)^4 is certified by elimination only
+        p = MatrixPolynomial(2, Monomial(2), (ConstMatrix.identity(2),
+                                              ConstMatrix.identity(2).scale(-2),
+                                              ConstMatrix.identity(2)))
+        for check in (smith_equivalence_check, verify_strong):
+            assert check(build_monomial_pencil(p), p).ok
+
+    def test_lagrange_reversal_in_bounded_time(self):
+        # the reversal at grade L+2 of a Lagrange pencil carries a z^(2n)
+        # factor, so it is never squarefree; n=3, L=6 ran over 60 s through
+        # smith_form
+        rng = random.Random(93)
+        p = rand_matrix_polynomial(rng, rand_basis(rng, "lagrange", 6), 3)
+        pen = build_lagrange_pencil(p)
+        start = time.perf_counter()
+        assert verify_strong(pen, p).ok
+        assert smith_equivalence_check(pen, p).ok
+        assert time.perf_counter() - start < 20
+
+    def test_catalog_verdicts_match_the_bench_reference(self):
+        # bench/reference.json holds the sha256 prefix of every verdict
+        # string "check ok constant" of the normal-forms catalog, recorded
+        # when the checks ran through smith_form
+        sys.path.insert(0, str(BENCH))
+        try:
+            from workloads import VARIANTS, WORKLOADS, instance, ops_of
+        finally:
+            sys.path.remove(str(BENCH))
+        reference = json.loads((BENCH / "reference.json").read_text())["normal-forms"]
+        slots = WORKLOADS["normal-forms"]
+        checked = 0
+        for k, op in enumerate(ops_of(slots)):
+            if op.kind != "verify":
+                continue
+            check = globals()[op.arg]
+            for v in range(VARIANTS):
+                obj = json.loads(json.dumps(instance("normal-forms", op.slot, slots[op.slot], v)))
+                p = serialize.parse_matrix_polynomial(obj)
+                if op.arg == "verify_bernstein_reversal_pencil":
+                    verdict = check(p)
+                else:
+                    verdict = check(build_pencil(p), p)
+                text = f"{verdict.check} {verdict.ok} {verdict.constant}"
+                assert hashlib.sha256(text.encode()).hexdigest()[:16] == reference[k][v], \
+                    (op.label, op.slot, v)
+                checked += 1
+        assert checked == 456
 
 
 class TestDeterminantRelationUnderStrictEquivalence:
