@@ -136,14 +136,6 @@ CHECKS = {
 }
 
 
-# Smith-form checks sweep runs after CHECKS, on the same draw, when named in
-# --checks; each takes (pencil, p) and returns a verdict.
-SMITH_CHECKS = {
-    "strong": lambda pen, p: verify.verify_strong(pen, p),
-    "smith": lambda pen, p: verify.smith_equivalence_check(pen, p),
-}
-
-
 def _factor_obj(m):
     if isinstance(m, ConstMatrix):
         return serialize.const_matrix_obj(m)
@@ -204,9 +196,9 @@ def cmd_nf(args) -> int:
 
 
 def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int,
-               inject_fault: bool, smith_checks: list[str]) -> dict | None:
+               inject_fault: bool, smith_checks: bool) -> dict | None:
     """Run every applicable constructor+verifier on one random instance,
-    then the named SMITH_CHECKS.
+    then, with smith_checks, verify_strong and smith_equivalence_check.
 
     Returns None on success or a counterexample description.
     """
@@ -243,10 +235,11 @@ def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int,
             continue  # singular leading block / value: documented restriction
         if not verdict.ok:
             return fail(verdict.check)
-    for name in smith_checks:
-        verdict = SMITH_CHECKS[name](pen, p)
-        if not verdict.ok:
-            return fail(verdict.check)
+    if smith_checks:
+        for check in (verify.verify_strong, verify.smith_equivalence_check):
+            verdict = check(pen, p)
+            if not verdict.ok:
+                return fail(verdict.check)
     return None
 
 
@@ -255,25 +248,20 @@ def cmd_sweep(args) -> int:
     for k in kinds:
         if k not in ROUTES:
             raise InputError(f"unknown basis kind {k!r}")
-    names = {c.strip() for c in args.checks.split(",") if c.strip()}
-    unknown = sorted(names - SMITH_CHECKS.keys())
-    if unknown:
-        raise InputError(f"unknown check {unknown[0]!r}")
-    smith_checks = [name for name in SMITH_CHECKS if name in names]
     for name in ("nmax", "lmax", "count"):
         if getattr(args, name) < 1:
             raise InputError(f"--{name} must be at least 1")
     rng = random.Random(args.seed)
     report = {"seed": args.seed, "count": args.count, "nmax": args.nmax,
               "lmax": args.lmax, "bases": {}, "ok": True}
-    if smith_checks:
-        report["checks"] = smith_checks
+    if args.smith_checks:
+        report["smith_checks"] = True
     counterexample = None
     for kind in kinds:
         passed = 0
         for i in range(args.count):
             fault = args.inject_fault and i == 0
-            bad = _sweep_one(rng, kind, args.nmax, args.lmax, fault, smith_checks)
+            bad = _sweep_one(rng, kind, args.nmax, args.lmax, fault, args.smith_checks)
             if bad is None:
                 passed += 1
             else:
@@ -325,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lmax", type=int, default=6)
     sp.add_argument("--count", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--checks", default="",
-                    help="Smith-form checks to add after the others: strong, smith")
+    sp.add_argument("--smith-checks", action="store_true",
+                    help="add verify_strong and smith_equivalence_check after the others")
     sp.add_argument("--inject-fault", action="store_true",
                     help=argparse.SUPPRESS)  # test hook: corrupt one entry
     sp.add_argument("--out", default=None)

@@ -163,50 +163,6 @@ def _padded_monomial_reversal(p: MatrixPolynomial, grade: int) -> MatrixPolynomi
     return MatrixPolynomial(p.n, Monomial(grade), tuple(reversed(blocks)))
 
 
-# The prime of the squarefree certificate: the Mersenne prime 2^61 - 1, so
-# large that it rarely divides an integer lead or a discriminant.
-SQUAREFREE_PRIME = 2**61 - 1
-
-
-def _gcd_mod_p(f: list[int], g: list[int]) -> list[int]:
-    """A gcd in F_p[z] (not monic), p = SQUAREFREE_PRIME, of two residue
-    lists without trailing zeros; f and g are overwritten."""
-    p = SQUAREFREE_PRIME
-    while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            c = f[-1] * inv % p
-            for j, y in enumerate(g, len(f) - len(g)):
-                f[j] = (f[j] - c * y) % p
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
-    return f
-
-
-def certified_squarefree(d: PolyQ) -> bool:
-    """True when the image of d != 0 modulo p = SQUAREFREE_PRIME proves that d
-    has no repeated factor over Q.  False means only "not certified": an
-    unlucky prime or a real repeated factor.
-
-    Proof.  Let D be d times the lcm of its denominators, and let p not
-    divide lc(D).  Suppose d = a^2 b over Q with deg a >= 1.  Take a
-    primitive in Z[z]; a^2 is primitive (Gauss's lemma), so D = a^2 b with
-    b in Z[z], and lc(D) = lc(a)^2 lc(b) makes p not divide lc(a).  So the
-    image a_p of a modulo p has degree deg a >= 1, and it divides both
-    D_p = a_p^2 b_p and D_p' = a_p (2 a_p' b_p + a_p b_p').  Hence
-    gcd(D_p, D_p') = 1 in F_p[z] leaves no such a: d is squarefree.
-    """
-    den = math.lcm(*(c.denominator for c in d.coeffs))
-    f = [c.numerator * (den // c.denominator) % SQUAREFREE_PRIME for c in d.coeffs]
-    if not f[-1]:
-        return False
-    df = [k * x % SQUAREFREE_PRIME for k, x in enumerate(f)][1:]
-    while df and not df[-1]:
-        df.pop()
-    return len(_gcd_mod_p(f, df)) == 1
-
-
 def _low_unit_inverse(u: PolyQ, modulus: PolyQ | None) -> PolyQ | None:
     """The inverse of u modulo `modulus` when u is a nonzero constant, or
     linear and coprime to `modulus`; None otherwise.
@@ -317,15 +273,12 @@ def _diagonal(m: PolyMatrix, modulus: PolyQ | None) -> list[PolyQ]:
     return pivots
 
 
-def smith_invariants(m: PolyMatrix, det: PolyQ | None = None) -> list[PolyQ]:
+def smith_invariants(m: PolyMatrix, det: PolyQ) -> list[PolyQ]:
     """The monic invariant factors s_1 | s_2 | ... | s_N of a square m, zero
     factors last, as `normalforms.smith_form` lists them, but without E
-    and F.  det, when given, must be det(m).
+    and F.  det must be det(m).
 
-    - det != 0 and `certified_squarefree(det)`: s_(N-1)^2 divides
-      s_(N-1) s_N, which divides det, so s_1 = ... = s_(N-1) = 1 and
-      s_N = monic det.
-    - det != 0 otherwise: for i < N, s_i^2 divides det, so s_i divides
+    - det != 0: for i < N, s_i^2 divides det, so s_i divides
       g = gcd(det, det').  The Smith form of [m | g I] is then
       diag(gcd(s_i, g)), whose first N-1 entries are s_1 ... s_(N-1).  Row
       and column operations on m, and adding a multiple of g to an entry
@@ -335,19 +288,17 @@ def smith_invariants(m: PolyMatrix, det: PolyQ | None = None) -> list[PolyQ]:
       diagonal a_1, a_2, ..., gcd(a_t, g) divides every later entry and g,
       so [diag(a) | g I] has the Smith form diag(gcd(a_t, g)), and
       s_i = gcd(a_i, g) for i < N (a missing pivot counts as 0).  Then
-      s_N = monic det / (s_1 ... s_(N-1)).
+      s_N = monic det / (s_1 ... s_(N-1)).  A squarefree det gives g = 1,
+      and the factors 1, ..., 1, monic det.
     - det = 0: the same elimination with no modulus; s_i = monic a_i.
     """
     n = m.rows
-    if det is None:
-        det = polymatrix_det(m)
     if det.is_zero:
         pivots = [a.monic() for a in _diagonal(m, None)]
         return pivots + [PolyQ.zero()] * (n - len(pivots))
-    if certified_squarefree(det):
-        return [POLY_ONE] * (n - 1) + [det.monic()]
     g = poly_gcd(det, det.derivative())
-    head = [poly_gcd(a, g) for a in _diagonal(m, g)][:n - 1]
+    # with g = 1 every entry reduces to 0, leaving no pivots
+    head = [poly_gcd(a, g) for a in _diagonal(m, g)][:n - 1] if g.degree else []
     head += [g] * (n - 1 - len(head))
     last = det.monic()
     for s in head:
