@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -276,6 +277,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_FALSIFIED
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polylin",

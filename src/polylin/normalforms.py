@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DimensionMismatch
-from .exact import PolyMatrix, PolyQ, sub_mul
+from .exact import PolyMatrix, PolyQ, _convolve, _poly_from_ints, _pseudo_divide, sub_mul
 
 
 @dataclass(frozen=True)
@@ -38,47 +40,84 @@ def _rows_of(m: PolyMatrix) -> list[list[PolyQ]]:
     return [list(r) for r in m.to_rows()]
 
 
+def _primitive(row: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """The row's ints and denominator divided by their gcd."""
+    g = math.gcd(den, *chain.from_iterable(row))
+    if g == 1:
+        return row, den
+    return [[x // g for x in xs] for xs in row], den // g
+
+
 def hermite_form(m: PolyMatrix) -> HermiteResult:
-    """Row Hermite normal form over Q[z] by extended-gcd row reduction."""
+    """Row Hermite normal form over Q[z] by extended-gcd row reduction.
+
+    Each row of [H | U] is 2n integer coefficient lists over one
+    denominator, with the grade of every entry beside them, so the loop
+    runs on ints (fraction-free, after Bareiss and Kannan-Bachem).  For
+    row_i -= q * row_r with q = h[i][c] // h[r][c], one integer
+    pseudo-division of the two pivot-column ints gives s * a = Q * b + R,
+    and the new row is s * row_i - Q * row_r over s * d_i: the pivot
+    row's denominator cancels.  Grades follow a - q * b, and each entry
+    becomes a PolyQ once, at the end.
+    """
     if not m.is_square:
         raise DimensionMismatch("hermite_form expects a square matrix")
     n = m.rows
-    h = _rows_of(m)
-    u = _rows_of(PolyMatrix.identity(n))
+    rows = []
+    for i, entries in enumerate(m.to_rows()):
+        den = math.lcm(*(c.denominator for e in entries for c in e.coeffs))
+        ints = [[c.numerator * (den // c.denominator) for c in e.coeffs] for e in entries]
+        ints += [[den] if j == i else [] for j in range(n)]
+        rows.append((ints, den, [e.grade for e in entries] + [0] * n))
 
-    def row_sub(i: int, k: int, q: PolyQ):
-        if q.is_zero:
+    def row_sub(i: int, r: int, c: int):
+        a, den, ga = rows[i]
+        b, _, gb = rows[r]
+        if len(a[c]) < len(b[c]):  # the quotient is zero
             return
-        h[i] = [sub_mul(a, q, b) for a, b in zip(h[i], h[k])]
-        u[i] = [sub_mul(a, q, b) for a, b in zip(u[i], u[k])]
+        q, _, s = _pseudo_divide(list(a[c]), b[c])
+        out = []
+        for xs, ys in zip(a, b):
+            xs = [s * x for x in xs]
+            if ys:
+                prod = _convolve(q, ys)
+                xs.extend([0] * (len(prod) - len(xs)))
+                for k, y in enumerate(prod):
+                    xs[k] -= y
+                while xs and not xs[-1]:
+                    xs.pop()
+            out.append(xs)
+        dq = len(q) - 1
+        rows[i] = (*_primitive(out, s * den), [max(x, dq + y) for x, y in zip(ga, gb)])
 
     r = 0
     pivots = []
     for c in range(n):
         while True:
-            nz = [i for i in range(r, n) if not h[i][c].is_zero]
+            nz = [i for i in range(r, n) if rows[i][0][c]]
             if not nz:
                 break
-            imin = min(nz, key=lambda i: h[i][c].degree)
+            imin = min(nz, key=lambda i: len(rows[i][0][c]))
             if imin != r:
-                h[r], h[imin] = h[imin], h[r]
-                u[r], u[imin] = u[imin], u[r]
-            others = [i for i in range(r + 1, n) if not h[i][c].is_zero]
+                rows[r], rows[imin] = rows[imin], rows[r]
+            others = [i for i in range(r + 1, n) if rows[i][0][c]]
             if not others:
                 break
             for i in others:
-                row_sub(i, r, h[i][c] // h[r][c])
-        if r < n and not h[r][c].is_zero:
-            lc = 1 / h[r][c].lead
-            h[r] = [a.scale(lc) for a in h[r]]
-            u[r] = [a.scale(lc) for a in u[r]]
+                row_sub(i, r, c)
+        if r < n and rows[r][0][c]:
+            ints, _, grades = rows[r]
+            # the pivot is monic over its own integer lead
+            rows[r] = (*_primitive(ints, ints[c][-1]), grades)
             for i in range(r):
-                row_sub(i, r, h[i][c] // h[r][c])
+                row_sub(i, r, c)
             pivots.append(c)
             r += 1
+    polys = [[_poly_from_ints(xs, den, g) for xs, g in zip(ints, grades)]
+             for ints, den, grades in rows]
     return HermiteResult(
-        PolyMatrix.from_rows(h),
-        PolyMatrix.from_rows(u),
+        PolyMatrix.from_rows(p[:n] for p in polys),
+        PolyMatrix.from_rows(p[n:] for p in polys),
         tuple(pivots),
         rank_deficient=(r < n),
     )

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from polylin.cli import main
-from polylin import equivalence, serialize, verify
+from polylin import bases, equivalence, pencils, serialize, verify
 from polylin.bases import Bernstein, Lagrange, MatrixPolynomial, Monomial, Recurrence
 from polylin.exact import ConstMatrix
 
@@ -371,6 +371,43 @@ GOLDEN = [
      "4737540132bbdeab255c7ec997da3da5c9a84ad796f0375ce4478eb13b65639a"),
     (["equiv", "bernstein-grade-1", "strict"],
      "450a165988fa53c865da9079c9af2f0f9cd1df33482f5776cf0be6679db84aac"),
+    (["nf", "monomial", "L", "hermite"],
+     "1be7e4adf64bc69254528c61b72bf71733bd7bc86861bd50e028a890caa26a17"),
+    (["nf", "monomial", "L", "smith"],
+     "0464aed1ad7a49dccb5d312d626fadd2d0c1d55c8da6ecc2d49bcdc8c9f93e3a"),
+    (["nf", "monomial", "P", "hermite"],
+     "1d5ab208363a2554f5b35cde4eccdaec974476f5f7f30b9233714da7a66da518"),
+    (["nf", "monomial", "P", "smith"],
+     "efee4ed576db1410654c35ee74d495ba080dd5f1e85d8ed821c32375da564155"),
+    (["nf", "recurrence", "L", "hermite"],
+     "6441f3bdbbd5d473726ee63036c3d70055ffffd16f9f20fdae1082f59968ff27"),
+    (["nf", "recurrence", "L", "smith"],
+     "be8336ddf6fce7f48bb6670589a12743fe1b071717db838f972fb19c1bde2cc4"),
+    (["nf", "recurrence", "P", "hermite"],
+     "34dae67f8463219621acee97410dbdbc1ac2321983e28b9ec0076d43ba413684"),
+    (["nf", "recurrence", "P", "smith"],
+     "dc8905dc1427f670d019a3a3808bd7530494f9dcc76131f48480db8de56e1710"),
+    (["nf", "bernstein", "L", "hermite"],
+     "45409756b48b1d5f4e8ae98664a1cdc5eb63a42ba088074b2b9b40616a461555"),
+    (["nf", "bernstein", "L", "smith"],
+     "df1e6da6da897b1cc2f649d112bcddee69b6c3a1b74f6699ae2dfd56ad5e79b0"),
+    (["nf", "bernstein", "P", "hermite"],
+     "c13f18969d25a1ffda3f82b2fc8ac57cd1d76e4f571e136fdf1f0755ca1ed302"),
+    (["nf", "bernstein", "P", "smith"],
+     "68af7020f2613388746e475bd9223dd11033475210209759399e8b70158a2864"),
+    (["nf", "lagrange", "L", "hermite"],
+     "55768cf301c97eda39c5cf8af34cb4815e6b9bbad75394140570c393fee42815"),
+    (["nf", "lagrange", "L", "smith"],
+     "a385ed2d8bb481f504e5834719c144940d7924e3197785d1f8914fb658a66cfd"),
+    (["nf", "lagrange", "P", "hermite"],
+     "9578eee6ee0b0be065800a3c7daf24842788f2222ba14a9cbc111322e9828874"),
+    (["nf", "lagrange", "P", "smith"],
+     "30c89c496b9f6ee55f365aca8fb0efb348283398df0bd8984ea75fa6f8ef98b1"),
+    # rank deficient: two equal rows, grades above the degree, a zero of grade 2
+    (["nf", "equal-rows", "-", "hermite"],
+     "90e6af7be1a951b983ff5e7866427ba2ec9f503320d5da396faee0684584d65b"),
+    (["nf", "equal-rows", "-", "smith"],
+     "2a3b3351a9dc7697f78565c6faacb9a5e8f1b0b31ae3f9670c344928c027ea74"),
     (["sweep", "--count", "3", "--seed", "0"],
      "aaaf65a022cf3b638b7f34f524987975401c1b37913ae555642184a6776bab08"),
     (["sweep", "--count", "3", "--seed", "0", "--inject-fault"],
@@ -392,7 +429,23 @@ def test_golden_output_bytes(argv, digest, tmp_path, capsys):
         infile = tmp_path / "p.json"
         write_json(infile, serialize.matrix_polynomial_obj(_golden_instances()[name]))
         argv = ["equiv", "--in", str(infile), "--mode", mode]
+    elif argv[0] == "nf":
+        _, name, on, kind = argv
+        infile = tmp_path / "m.json"
+        write_json(infile, _golden_nf_input(name, on))
+        argv = ["nf", "--in", str(infile), "--kind", kind]
     assert _digest(main(argv), capsys) == digest
+
+
+def _golden_nf_input(name, on):
+    """L(z) or P(z) of a golden instance as polynomial-matrix JSON."""
+    if name == "equal-rows":
+        row = [["1/2", "1", "0"], ["3", "0"], ["0", "0", "0"]]
+        return {"entries": [row, row, [["0", "0", "2/3"], ["-1", "1"], ["5", "0"]]]}
+    p = _golden_instances()[name]
+    m = pencils.build_pencil(p).as_polymatrix() if on == "L" \
+        else bases.matrix_poly_as_polymatrix(p)
+    return serialize.polymatrix_obj(m)
 
 
 def _digest(code, capsys) -> str:

@@ -22,6 +22,7 @@ from polylin import (
     polymatrix_mul,
     smith_form,
 )
+from polylin.exact import sub_mul
 from polylin.randgen import rand_fraction
 from polylin.verify import smith_invariants
 
@@ -104,6 +105,96 @@ class TestHermite:
         assert res.pivot_cols == (0,)
         assert polymatrix_mul(res.u, m) == res.h
 
+
+def fraction_hermite(m: PolyMatrix):
+    """The PolyQ loop hermite_form once was: every update of H and U one
+    exact.sub_mul per entry.  Returns H, U, the pivot columns and the flag."""
+    n = m.rows
+    h = [list(r) for r in m.to_rows()]
+    u = [list(r) for r in PolyMatrix.identity(n).to_rows()]
+
+    def row_sub(i, k, q):
+        if q.is_zero:
+            return
+        h[i] = [sub_mul(a, q, b) for a, b in zip(h[i], h[k])]
+        u[i] = [sub_mul(a, q, b) for a, b in zip(u[i], u[k])]
+
+    r = 0
+    pivots = []
+    for c in range(n):
+        while True:
+            nz = [i for i in range(r, n) if not h[i][c].is_zero]
+            if not nz:
+                break
+            imin = min(nz, key=lambda i: h[i][c].degree)
+            if imin != r:
+                h[r], h[imin] = h[imin], h[r]
+                u[r], u[imin] = u[imin], u[r]
+            others = [i for i in range(r + 1, n) if not h[i][c].is_zero]
+            if not others:
+                break
+            for i in others:
+                row_sub(i, r, h[i][c] // h[r][c])
+        if r < n and not h[r][c].is_zero:
+            lc = 1 / h[r][c].lead
+            h[r] = [a.scale(lc) for a in h[r]]
+            u[r] = [a.scale(lc) for a in u[r]]
+            for i in range(r):
+                row_sub(i, r, h[i][c] // h[r][c])
+            pivots.append(c)
+            r += 1
+    return PolyMatrix.from_rows(h), PolyMatrix.from_rows(u), tuple(pivots), r < n
+
+
+def hermite_draw(rng):
+    """n 1-6 and degrees 0-4 (n times the degree at most 12, which keeps the
+    old loop fast); mixed denominators and leads, so pivots are rarely
+    monic; declared grades up to 2 above the degree and zero entries of
+    grade up to 2; sometimes a zero row, a zero column or a duplicate (or
+    scaled) row, which makes the matrix rank deficient."""
+    n = rng.randint(1, 6)
+    max_deg = rng.randint(0, min(4, 12 // n))
+
+    def entry():
+        if rng.random() < 0.2:
+            return PolyQ.zero(grade=rng.randint(0, 2))
+        deg = rng.randint(0, max_deg)
+        coeffs = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+                  for _ in range(deg)] + [rand_fraction(rng, nonzero=True)]
+        return PolyQ(coeffs, grade=deg + rng.randint(0, 2))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    kind = rng.random()
+    if n > 1 and kind < 0.2:
+        i, k = rng.sample(range(n), 2)
+        rows[i] = [e.scale(rng.choice((1, -2, F(1, 3)))) for e in rows[k]]
+    elif kind < 0.3:
+        rows[rng.randrange(n)] = [PolyQ.zero(grade=rng.randint(0, 2)) for _ in range(n)]
+    elif kind < 0.4:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = PolyQ.zero(grade=rng.randint(0, 2))
+    return PolyMatrix.from_rows(rows)
+
+
+class TestHermiteIntegerRows:
+    """hermite_form on integer rows over one denominator against the
+    sub_mul loop it replaced: the same values, grades, pivots and flag."""
+
+    def test_matches_fraction_loop(self):
+        rng = random.Random(78)
+        deficient = 0
+        for _ in range(300):
+            m = hermite_draw(rng)
+            res = hermite_form(m)
+            h, u, pivots, flag = fraction_hermite(m)
+            assert (res.pivot_cols, res.rank_deficient) == (pivots, flag)
+            for got, want in ((res.h, h), (res.u, u)):
+                assert got == want
+                assert [e.grade for e in got.entries] == [e.grade for e in want.entries]
+                assert all(type(c) is F for e in got.entries for c in e.coeffs)
+            deficient += flag
+        assert deficient > 40
 
 class TestSmith:
     def test_diag_sorting(self):
