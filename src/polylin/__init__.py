@@ -1,86 +1,23 @@
 """polylin: exact companion pencils, unimodular equivalences, and
-polynomial-matrix normal forms over Q[z]."""
+polynomial-matrix normal forms over Q[z].
 
-from .errors import (
-    ConjectureFailure,
-    DimensionMismatch,
-    DuplicateNodes,
-    GenericityFailure,
-    GradeTooSmall,
-    InputError,
-    NotUnimodular,
-    PolylinError,
-    PreconditionError,
-    SingularAtOne,
-    SingularNodeValue,
-    WrongBasis,
-    ZeroAlpha,
-)
-from .exact import (
-    ConstMatrix,
-    PolyMatrix,
-    PolyQ,
-    as_fraction,
-    is_unimodular,
-    poly_gcd,
-    polymatrix_det,
-    polymatrix_inverse_unimodular,
-    polymatrix_mul,
-)
+The package root re-exports the names the README documents; everything
+else is imported from its module (the exception classes from
+`polylin.errors`)."""
+
+from .exact import ConstMatrix, PolyMatrix, PolyQ, poly_gcd
 from .bases import (
-    BarycentricData,
-    BasisSpec,
     Bernstein,
     Lagrange,
     MatrixPolynomial,
     Monomial,
     Recurrence,
-    barycentric_weights,
-    basis_polys,
     convert,
-    degree_elevate,
     from_monomial,
-    matrix_poly_as_polymatrix,
-    matrix_poly_value,
-    recurrence_basis_polys,
     to_monomial,
 )
-from .pencils import (
-    Pencil,
-    build_bernstein_pencil,
-    build_lagrange_pencil,
-    build_monomial_pencil,
-    build_pencil,
-    build_recurrence_pencil,
-)
-from .equivalence import (
-    CofactorPair,
-    HermiteAnalogue,
-    ReversalEquivalence,
-    StrictEquivalence,
-    assemble_cofactors,
-    bernstein_hermite_analogue,
-    bernstein_reversal_coeffs,
-    bernstein_reversal_equivalence,
-    bernstein_strict_equivalence,
-    lagrange_hermite_factors,
-    lagrange_monomial_target,
-    lagrange_strict_equivalence,
-    monomial_cofactors,
-    recurrence_hermite_analogue,
-    standard_reversal_coeffs,
-)
-from .normalforms import HermiteResult, SmithResult, hermite_form, mask, smith_form
-from .verify import (
-    Verdict,
-    smith_equivalence_check,
-    verify_bernstein_reversal_pencil,
-    verify_companion,
-    verify_hermite_analogue,
-    verify_linearization,
-    verify_reversal_equivalence,
-    verify_strict,
-    verify_strong,
-)
+from .pencils import build_pencil
+from .normalforms import hermite_form, smith_form
+from .verify import smith_equivalence_check, verify_strong
 
 __version__ = "0.1.0"

@@ -42,6 +42,8 @@ def _load(path: str):
         raise InputError(f"no such file: {path}") from None
     except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
         raise InputError(f"bad JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"JSON in {path} is nested too deeply") from None
 
 
 def _load_basis_arg(arg: str):
@@ -52,6 +54,8 @@ def _load_basis_arg(arg: str):
             obj = json.loads(text)
         except ValueError as exc:
             raise InputError(f"bad inline basis JSON: {exc}") from None
+        except RecursionError:
+            raise InputError("inline basis JSON is nested too deeply") from None
         return serialize.parse_basis(obj)
     return serialize.parse_basis(_load(arg))
 
@@ -96,7 +100,7 @@ ROUTES = {
     "bernstein": Route(
         lambda p, pen: equivalence.assemble_cofactors(
             equivalence.bernstein_hermite_analogue(p, pen), pen, p),
-        lambda p: (equivalence.bernstein_strict_equivalence(p.grade, p),
+        lambda p: (equivalence.bernstein_strict_equivalence(p),
                    pencils.build_monomial_pencil(bases.to_monomial(p))),
         True, 2),
     "lagrange": Route(
@@ -123,7 +127,7 @@ def _check_strict(route: Route, p, pen=None):
 
 
 def _check_reversal(route: Route, p, pen=None):
-    re = equivalence.bernstein_reversal_equivalence(list(p.coeffs), p.grade)
+    re = equivalence.bernstein_reversal_equivalence(list(p.coeffs))
     return verify.verify_reversal_equivalence(re, p), {"U": re.u, "Winv": re.winv}
 
 
@@ -246,6 +250,8 @@ def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int,
 
 def cmd_sweep(args) -> int:
     kinds = [k.strip() for k in args.bases.split(",") if k.strip()]
+    if not kinds:
+        raise InputError("--bases names no basis kind")
     for k in kinds:
         if k not in ROUTES:
             raise InputError(f"unknown basis kind {k!r}")

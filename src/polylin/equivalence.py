@@ -26,8 +26,6 @@ from .exact import (
     POLY_Z,
     PolyMatrix,
     PolyQ,
-    const_from_blocks,
-    polymatrix_from_blocks,
     polymatrix_inverse_unimodular,
     polymatrix_mul,
     solve_exact,
@@ -109,11 +107,11 @@ def _triangular(pencil: Pencil, last: list[PolyMatrix | None], h_col: list[PolyM
     m = pencil.block_count
     lz = pencil.as_polymatrix()
     eye = PolyMatrix.identity(n)
-    uinv = polymatrix_from_blocks(
+    uinv = PolyMatrix.from_blocks(
         [[lz.block(i, j, n) for j in range(m - 1)] + [last[i]] for i in range(m)], n)
-    h = polymatrix_from_blocks(
+    h = PolyMatrix.from_blocks(
         [[eye if i == j else None for j in range(m - 1)] + [h_col[i]] for i in range(m)], n)
-    col = polymatrix_mul(uinv, polymatrix_from_blocks([[blk] for blk in h_col], n))
+    col = polymatrix_mul(uinv, PolyMatrix.from_blocks([[blk] for blk in h_col], n))
     for bi in range(m):
         if col.block(bi, 0, n) != lz.block(bi, m - 1, n):
             raise ConjectureFailure(
@@ -157,8 +155,8 @@ def monomial_cofactors(p: MatrixPolynomial) -> CofactorPair:
             return _poly_identity_block(n, PolyQ.monomial(L - 1 - i))
         return eye if i + j == L - 1 else None
 
-    e = polymatrix_from_blocks([[e_block(i, j) for j in range(L)] for i in range(L)], n)
-    f = polymatrix_from_blocks([[f_block(i, j) for j in range(L)] for i in range(L)], n)
+    e = PolyMatrix.from_blocks([[e_block(i, j) for j in range(L)] for i in range(L)], n)
+    f = PolyMatrix.from_blocks([[f_block(i, j) for j in range(L)] for i in range(L)], n)
     return CofactorPair(e, f)
 
 
@@ -325,14 +323,14 @@ def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil,
     u = polymatrix_inverse_unimodular(ha.uinv)
     e_grid = [[u.block(i, j, n) for j in range(m)] for i in reversed(range(m))]
     if ha.corner_factor != ConstMatrix.identity(n):
-        top = polymatrix_from_blocks(e_grid[:1], n)
+        top = PolyMatrix.from_blocks(e_grid[:1], n)
         top = polymatrix_mul(PolyMatrix.from_const(ha.corner_factor), top)
         e_grid[0] = [top.block(0, j, n) for j in range(m)]
     eye = PolyMatrix.identity(n)
     f_col = [-ha.h.block(i, ha.corner_index, n) for i in range(m - 1)] + [eye]
     f_grid = [[f_col[i]] + [eye if i + j == m - 1 else None for j in range(1, m)]
               for i in range(m)]
-    return CofactorPair(polymatrix_from_blocks(e_grid, n), polymatrix_from_blocks(f_grid, n))
+    return CofactorPair(PolyMatrix.from_blocks(e_grid, n), PolyMatrix.from_blocks(f_grid, n))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +350,7 @@ def _bernstein_binomial_w(L: int) -> ConstMatrix:
     return ConstMatrix.from_rows(rows)
 
 
-def bernstein_strict_equivalence(grade: int, p: MatrixPolynomial) -> StrictEquivalence:
+def bernstein_strict_equivalence(p: MatrixPolynomial) -> StrictEquivalence:
     """Constant U, W with U @ L_B(z) @ W = L_M(z).
 
     L_B is the Bernstein pencil of p and L_M the monomial pencil of the
@@ -364,11 +362,9 @@ def bernstein_strict_equivalence(grade: int, p: MatrixPolynomial) -> StrictEquiv
     """
     if not isinstance(p.basis, Bernstein):
         raise WrongBasis("expected a Bernstein-basis polynomial")
-    if grade != p.grade:
-        raise WrongBasis("grade argument disagrees with the polynomial")
-    if grade < 2:
+    L = p.grade
+    if L < 2:
         raise GradeTooSmall("strict equivalence needs grade >= 2")
-    L = grade
     n = p.n
     lb = build_bernstein_pencil(p)
     lm = build_monomial_pencil(to_monomial(p))
@@ -399,11 +395,10 @@ def bernstein_strict_equivalence(grade: int, p: MatrixPolynomial) -> StrictEquiv
 # Bernstein reversals
 
 
-def bernstein_reversal_coeffs(y: list[ConstMatrix], grade: int) -> list[ConstMatrix]:
+def bernstein_reversal_coeffs(y: list[ConstMatrix]) -> list[ConstMatrix]:
     """Coefficients d of rev p(z) = (z+1)^grade p(1/(z+1)) in the same
-    Bernstein basis: d_k = sum_j C(k, j) y_{grade-j}."""
-    if len(y) != grade + 1:
-        raise ValueError("need grade+1 coefficients")
+    Bernstein basis, grade = len(y) - 1: d_k = sum_j C(k, j) y_{grade-j}."""
+    grade = len(y) - 1
     out = []
     for k in range(grade + 1):
         acc = y[grade].scale(math.comb(k, 0))
@@ -413,11 +408,10 @@ def bernstein_reversal_coeffs(y: list[ConstMatrix], grade: int) -> list[ConstMat
     return out
 
 
-def standard_reversal_coeffs(y: list[ConstMatrix], grade: int) -> list[ConstMatrix]:
-    """Coefficients e of z^grade p(1/z) in the same Bernstein basis:
-    e_k = sum_m (-1)^m C(grade-k, m) y_{grade-m}."""
-    if len(y) != grade + 1:
-        raise ValueError("need grade+1 coefficients")
+def standard_reversal_coeffs(y: list[ConstMatrix]) -> list[ConstMatrix]:
+    """Coefficients e of z^grade p(1/z) in the same Bernstein basis,
+    grade = len(y) - 1: e_k = sum_m (-1)^m C(grade-k, m) y_{grade-m}."""
+    grade = len(y) - 1
     out = []
     for k in range(grade + 1):
         acc = None
@@ -440,10 +434,11 @@ def reversal_z_entry(grade: int, i: int, j: int) -> Fraction:
     return -Fraction(grade - i, j) * math.comb(i, grade - j)
 
 
-def bernstein_reversal_equivalence(y: list[ConstMatrix], grade: int) -> ReversalEquivalence:
+def bernstein_reversal_equivalence(y: list[ConstMatrix]) -> ReversalEquivalence:
     """Constant U, W^{-1} with U @ A_R = (B - A) @ W^{-1} and
     U @ B_R = A @ W^{-1}, where (A, B) = (C0, C1) of the Bernstein pencil
-    of y and (A_R, B_R) the same for the reversed coefficients d.
+    of y, of grade L = len(y) - 1, and (A_R, B_R) the same for the
+    reversed coefficients d.
 
     The closed-form entry data (reversal_u_entry / reversal_z_entry plus
     the d-coefficient column) is indexed for the transposed, corner-flipped
@@ -453,13 +448,11 @@ def bernstein_reversal_equivalence(y: list[ConstMatrix], grade: int) -> Reversal
     block row.  Both determinants are +-1; everything is verified before
     returning.
     """
-    L = grade
+    L = len(y) - 1
     if L < 2:
         raise GradeTooSmall("reversal equivalence needs grade >= 2")
-    if len(y) != L + 1:
-        raise ValueError("need grade+1 coefficients")
     n = y[0].rows
-    d = bernstein_reversal_coeffs(y, L)
+    d = bernstein_reversal_coeffs(y)
     basis = Bernstein(L)
     pen_y = build_bernstein_pencil(MatrixPolynomial(n, basis, tuple(y)))
     pen_d = build_bernstein_pencil(MatrixPolynomial(n, basis, tuple(d)))
@@ -476,7 +469,7 @@ def bernstein_reversal_equivalence(y: list[ConstMatrix], grade: int) -> Reversal
             val = reversal_z_entry(L, L + 1 - j, L + 1 - i)
             if val:
                 u_grid[i - 1][j - 1] = eye.scale(val)
-    u = const_from_blocks(u_grid, n, n)
+    u = ConstMatrix.from_blocks(u_grid, n)
 
     w_grid = [[None] * L for _ in range(L)]
     for i in range(1, L + 1):
@@ -484,7 +477,7 @@ def bernstein_reversal_equivalence(y: list[ConstMatrix], grade: int) -> Reversal
             val = reversal_u_entry(L, L + 1 - j, L + 1 - i)
             if val:
                 w_grid[i - 1][j - 1] = eye.scale(val)
-    winv = const_from_blocks(w_grid, n, n)
+    winv = ConstMatrix.from_blocks(w_grid, n)
 
     if u @ ar_mat != (b_mat - a_mat) @ winv or u @ br_mat != a_mat @ winv:
         raise ConjectureFailure(f"reversal identities failed at grade {L}")

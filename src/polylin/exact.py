@@ -363,15 +363,17 @@ def _det_fraction_rows(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(_bareiss_int(m), scale)
 
 
-class ConstMatrix:
-    """Immutable rectangular matrix of rationals."""
+class _Matrix:
+    """Immutable rectangular grid of entries stored row by row.
+
+    The subclasses fix the entry type (`_coerce`, `_zero`, `_one`) and add
+    the algebra of that type; the grid code is shared.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if set(map(type, entries)) - {Fraction}:
-            entries = tuple(as_fraction(x) for x in entries)
+        entries = self._coerce(tuple(entries))
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "rows", rows)
@@ -379,11 +381,11 @@ class ConstMatrix:
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ConstMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def from_rows(cls, rows) -> "ConstMatrix":
+    def from_rows(cls, rows):
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
@@ -391,45 +393,103 @@ class ConstMatrix:
         return cls(len(rows), ncols, [x for r in rows for x in r])
 
     @classmethod
-    def identity(cls, n: int) -> "ConstMatrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+    def identity(cls, n: int):
+        return cls(n, n, [cls._one if i == j else cls._zero for i in range(n) for j in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ConstMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+    def zeros(cls, rows: int, cols: int):
+        return cls(rows, cols, [cls._zero] * (rows * cols))
+
+    @classmethod
+    def from_blocks(cls, grid, n: int):
+        """Assemble from a grid of n-by-n blocks (None = zero), all grid
+        rows equally long."""
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise DimensionMismatch("ragged block grid")
+        C = len(grid[0]) * n
+        out = [cls._zero] * (len(grid) * n * C)
+        for bi, row in enumerate(grid):
+            for bj, blk in enumerate(row):
+                if blk is None:
+                    continue
+                if blk.rows != n or blk.cols != n:
+                    raise DimensionMismatch("inconsistent block size")
+                for r in range(n):
+                    start = (bi * n + r) * C + bj * n
+                    out[start:start + n] = blk.entries[r * n:(r + 1) * n]
+        return cls(len(grid) * n, C, out)
 
     # -- inspection ---------------------------------------------------
-    def get(self, i: int, j: int) -> Fraction:
+    def get(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> list[Fraction]:
+    def row(self, i: int) -> list:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def to_rows(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def block(self, i: int, j: int, n: int):
+        """The n-by-n block at block position (i, j)."""
+        return type(self)(n, n, [self.get(i * n + r, j * n + c)
+                                 for r in range(n) for c in range(n)])
+
+    def transpose(self):
+        return type(self)(self.cols, self.rows,
+                          [x for j in range(self.cols) for x in self.entries[j::self.cols]])
+
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "ConstMatrix") -> "ConstMatrix":
+    def __add__(self, other):
         self._same_shape(other)
-        return ConstMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
+        return type(self)(self.rows, self.cols,
+                          [a + b for a, b in zip(self.entries, other.entries)])
 
-    def __sub__(self, other: "ConstMatrix") -> "ConstMatrix":
+    def __sub__(self, other):
         self._same_shape(other)
-        return ConstMatrix(self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
+        return type(self)(self.rows, self.cols,
+                          [a - b for a, b in zip(self.entries, other.entries)])
 
-    def __neg__(self) -> "ConstMatrix":
-        return ConstMatrix(self.rows, self.cols, [-a for a in self.entries])
+    def __neg__(self):
+        return type(self)(self.rows, self.cols, [-a for a in self.entries])
 
+    def _same_shape(self, other):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+
+class ConstMatrix(_Matrix):
+    """Immutable rectangular matrix of rationals."""
+
+    __slots__ = ()
+    _zero = ZERO
+    _one = ONE
+
+    @staticmethod
+    def _coerce(entries: tuple) -> tuple:
+        if set(map(type, entries)) - {Fraction}:
+            return tuple(as_fraction(x) for x in entries)
+        return entries
+
+    @property
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.entries)
+
+    def __repr__(self):
+        return f"ConstMatrix({self.to_rows()})"
+
+    # -- arithmetic ---------------------------------------------------
     def __matmul__(self, other: "ConstMatrix") -> "ConstMatrix":
         """Exact product: each row of self and each column of other is
         scaled to integers once, the products accumulate on ints over the
@@ -457,14 +517,6 @@ class ConstMatrix:
         c = as_fraction(c)
         return ConstMatrix(self.rows, self.cols, [c * a for a in self.entries])
 
-    def transpose(self) -> "ConstMatrix":
-        return ConstMatrix(self.cols, self.rows,
-                           [x for j in range(self.cols) for x in self.entries[j::self.cols]])
-
-    def _same_shape(self, other: "ConstMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
     # -- linear algebra -------------------------------------------------
     def det(self) -> Fraction:
         if not self.is_square:
@@ -480,31 +532,9 @@ class ConstMatrix:
     def kron_identity(self, n: int) -> "ConstMatrix":
         """Tensor product self (x) I_n: each scalar entry becomes a scalar
         multiple of the n-by-n identity block."""
-        R, C = self.rows * n, self.cols * n
-        out = [ZERO] * (R * C)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.get(i, j)
-                if a:
-                    for t in range(n):
-                        out[(i * n + t) * C + (j * n + t)] = a
-        return ConstMatrix(R, C, out)
-
-    def block(self, i: int, j: int, n: int) -> "ConstMatrix":
-        """The n-by-n block at block position (i, j)."""
-        return ConstMatrix(n, n, [self.get(i * n + r, j * n + c)
-                                  for r in range(n) for c in range(n)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConstMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"ConstMatrix({self.to_rows()})"
+        eye = ConstMatrix.identity(n)
+        return ConstMatrix.from_blocks(
+            [[eye.scale(a) if a else None for a in self.row(i)] for i in range(self.rows)], n)
 
 
 def solve_exact(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
@@ -555,87 +585,27 @@ def solve_exact(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
     return ConstMatrix(n, k, out)
 
 
-def _check_grid(grid):
-    if any(len(row) != len(grid[0]) for row in grid):
-        raise DimensionMismatch("ragged block grid")
-
-
-def const_from_blocks(grid, block_rows: int, block_cols: int) -> ConstMatrix:
-    """Assemble a matrix from a grid of ConstMatrix blocks (None = zero).
-
-    All blocks are block_rows x block_cols, and all grid rows equally long.
-    """
-    _check_grid(grid)
-    R = len(grid) * block_rows
-    C = len(grid[0]) * block_cols
-    out = [ZERO] * (R * C)
-    for bi, row in enumerate(grid):
-        for bj, blk in enumerate(row):
-            if blk is None:
-                continue
-            if blk.rows != block_rows or blk.cols != block_cols:
-                raise DimensionMismatch("inconsistent block size")
-            for r in range(block_rows):
-                for c in range(block_cols):
-                    out[(bi * block_rows + r) * C + (bj * block_cols + c)] = blk.get(r, c)
-    return ConstMatrix(R, C, out)
-
-
-class PolyMatrix:
+class PolyMatrix(_Matrix):
     """Immutable rectangular matrix with PolyQ entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
+    _zero = PolyQ.zero()
+    _one = POLY_ONE
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(e if isinstance(e, PolyQ) else PolyQ((e,)) for e in entries)
-        if len(entries) != rows * cols:
-            raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def from_rows(cls, rows) -> "PolyMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatch("ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(n, n, [POLY_ONE if i == j else PolyQ.zero()
-                          for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls(rows, cols, [PolyQ.zero()] * (rows * cols))
-
-    @classmethod
-    def from_const(cls, m: ConstMatrix) -> "PolyMatrix":
-        return cls(m.rows, m.cols, [PolyQ((x,)) for x in m.entries])
-
-    # -- inspection ---------------------------------------------------
-    def get(self, i: int, j: int) -> PolyQ:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list[PolyQ]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def to_rows(self) -> list[list[PolyQ]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+    @staticmethod
+    def _coerce(entries: tuple) -> tuple:
+        return tuple(e if isinstance(e, PolyQ) else PolyQ((e,)) for e in entries)
 
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
+
+    def __repr__(self):
+        return f"PolyMatrix({[[str(e) for e in r] for r in self.to_rows()]})"
+
+    @classmethod
+    def from_const(cls, m: ConstMatrix) -> "PolyMatrix":
+        return cls(m.rows, m.cols, [PolyQ((x,)) for x in m.entries])
 
     def evaluate(self, x) -> ConstMatrix:
         x = as_fraction(x)
@@ -644,25 +614,7 @@ class PolyMatrix:
     def max_degree(self) -> int:
         return max((e.degree for e in self.entries), default=-1)
 
-    def block(self, i: int, j: int, n: int) -> "PolyMatrix":
-        """The n-by-n block at block position (i, j)."""
-        return PolyMatrix(n, n, [self.get(i * n + r, j * n + c)
-                                 for r in range(n) for c in range(n)])
-
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._same_shape(other)
-        return PolyMatrix(self.rows, self.cols,
-                          [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._same_shape(other)
-        return PolyMatrix(self.rows, self.cols,
-                          [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [-a for a in self.entries])
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return polymatrix_mul(self, other)
 
@@ -672,44 +624,6 @@ class PolyMatrix:
     def scale(self, c) -> "PolyMatrix":
         c = as_fraction(c)
         return PolyMatrix(self.rows, self.cols, [e.scale(c) for e in self.entries])
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.cols, self.rows,
-                          [self.get(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def _same_shape(self, other: "PolyMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"PolyMatrix({[[str(e) for e in r] for r in self.to_rows()]})"
-
-
-def polymatrix_from_blocks(grid, n: int) -> PolyMatrix:
-    """Assemble from a grid of n-by-n PolyMatrix blocks (None = zero), all
-    grid rows equally long."""
-    _check_grid(grid)
-    R = len(grid) * n
-    C = len(grid[0]) * n
-    out = [PolyQ.zero()] * (R * C)
-    for bi, row in enumerate(grid):
-        for bj, blk in enumerate(row):
-            if blk is None:
-                continue
-            if blk.rows != n or blk.cols != n:
-                raise DimensionMismatch("inconsistent block size")
-            for r in range(n):
-                for c in range(n):
-                    out[(bi * n + r) * C + (bj * n + c)] = blk.get(r, c)
-    return PolyMatrix(R, C, out)
 
 
 def _integer_coeffs(polys) -> tuple[list[list[int]], int]:

@@ -7,7 +7,15 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DimensionMismatch
-from .exact import PolyMatrix, PolyQ, _convolve, _poly_from_ints, _pseudo_divide, sub_mul
+from .exact import (
+    PolyMatrix,
+    PolyQ,
+    _convolve,
+    _integer_coeffs,
+    _poly_from_ints,
+    _pseudo_divide,
+    sub_mul,
+)
 
 
 @dataclass(frozen=True)
@@ -36,10 +44,6 @@ class SmithResult:
     invariant_factors: tuple[PolyQ, ...]
 
 
-def _rows_of(m: PolyMatrix) -> list[list[PolyQ]]:
-    return [list(r) for r in m.to_rows()]
-
-
 def _primitive(row: list[list[int]], den: int) -> tuple[list[list[int]], int]:
     """The row's ints and denominator divided by their gcd."""
     g = math.gcd(den, *chain.from_iterable(row))
@@ -65,8 +69,7 @@ def hermite_form(m: PolyMatrix) -> HermiteResult:
     n = m.rows
     rows = []
     for i, entries in enumerate(m.to_rows()):
-        den = math.lcm(*(c.denominator for e in entries for c in e.coeffs))
-        ints = [[c.numerator * (den // c.denominator) for c in e.coeffs] for e in entries]
+        ints, den = _integer_coeffs(entries)
         ints += [[den] if j == i else [] for j in range(n)]
         rows.append((ints, den, [e.grade for e in entries] + [0] * n))
 
@@ -133,9 +136,9 @@ def smith_form(m: PolyMatrix) -> SmithResult:
     if not m.is_square:
         raise DimensionMismatch("smith_form expects a square matrix")
     n = m.rows
-    s = _rows_of(m)
-    e = _rows_of(PolyMatrix.identity(n))
-    f = _rows_of(PolyMatrix.identity(n))
+    s = m.to_rows()
+    e = PolyMatrix.identity(n).to_rows()
+    f = PolyMatrix.identity(n).to_rows()
 
     # invariant: original = E @ S @ F throughout
     def row_swap(i, k):

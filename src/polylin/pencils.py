@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GradeTooSmall, WrongBasis
-from .exact import ConstMatrix, PolyMatrix, PolyQ, const_from_blocks
+from .exact import ConstMatrix, PolyMatrix, PolyQ
 from .bases import (
     Bernstein,
     Lagrange,
@@ -70,7 +70,7 @@ def build_monomial_pencil(p: MatrixPolynomial) -> Pencil:
         c0[i][i - 1] = eye
     for j in range(m):
         c0[0][j] = -A[L - 1 - j]
-    return Pencil(const_from_blocks(c1, n, n), const_from_blocks(c0, n, n),
+    return Pencil(ConstMatrix.from_blocks(c1, n), ConstMatrix.from_blocks(c0, n),
                   n, m, "monomial")
 
 
@@ -106,7 +106,7 @@ def build_recurrence_pencil(p: MatrixPolynomial) -> Pencil:
         c0[i][i] = eye.scale(be[k])
         if i + 1 < m:
             c0[i][i + 1] = eye.scale(ga[k])
-    return Pencil(const_from_blocks(c1, n, n), const_from_blocks(c0, n, n),
+    return Pencil(ConstMatrix.from_blocks(c1, n), ConstMatrix.from_blocks(c0, n),
                   n, m, "recurrence")
 
 
@@ -137,7 +137,7 @@ def build_bernstein_pencil(p: MatrixPolynomial) -> Pencil:
         c1[i][i - 1] = eye
         c0[i][i - 1] = eye
         c1[i][i] = eye.scale(Fraction(i + 1, L - i))
-    return Pencil(const_from_blocks(c1, n, n), const_from_blocks(c0, n, n),
+    return Pencil(ConstMatrix.from_blocks(c1, n), ConstMatrix.from_blocks(c0, n),
                   n, m, "bernstein")
 
 
@@ -165,7 +165,7 @@ def build_lagrange_pencil(p: MatrixPolynomial) -> Pencil:
         c0[r][0] = eye.scale(-bary.weights[k])
         c0[r][r] = eye.scale(spec.nodes[k])
         c0[0][r] = P[k]
-    return Pencil(const_from_blocks(c1, n, n), const_from_blocks(c0, n, n),
+    return Pencil(ConstMatrix.from_blocks(c1, n), ConstMatrix.from_blocks(c0, n),
                   n, m, "lagrange")
 
 

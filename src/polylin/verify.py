@@ -61,12 +61,10 @@ def _falsified(check: str, **details) -> Verdict:
 
 def diag_with_identity(p_mat: PolyMatrix, blocks: int) -> PolyMatrix:
     """diag(P(z), I, ..., I) with `blocks` total block rows of size n."""
-    n = p_mat.rows
-    out = PolyMatrix.identity(blocks * n).to_rows()
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = p_mat.get(i, j)
-    return PolyMatrix.from_rows(out)
+    eye = PolyMatrix.identity(p_mat.rows)
+    grid = [[eye if i == j else None for j in range(blocks)] for i in range(blocks)]
+    grid[0][0] = p_mat
+    return PolyMatrix.from_blocks(grid, p_mat.rows)
 
 
 def _ratio_refusal(det_l: PolyQ, det_p: PolyQ) -> dict | None:
@@ -108,11 +106,8 @@ def verify_linearization(pencil: Pencil, p: MatrixPolynomial,
     if product != target:
         for bi in range(pencil.block_count):
             for bj in range(pencil.block_count):
-                for r in range(n):
-                    for c in range(n):
-                        if product.get(bi * n + r, bj * n + c) != target.get(bi * n + r, bj * n + c):
-                            return _falsified("linearization",
-                                              first_differing_block=(bi, bj))
+                if product.block(bi, bj, n) != target.block(bi, bj, n):
+                    return _falsified("linearization", first_differing_block=(bi, bj))
     ok_e, unit_e = is_unimodular(cof.e)
     if not ok_e:
         return _falsified("linearization", reason="E not unimodular")
@@ -360,7 +355,7 @@ def verify_reversal_equivalence(re: ReversalEquivalence, p: MatrixPolynomial) ->
         return _falsified("reversal", reason="not a Bernstein polynomial")
     L = p.grade
     n = p.n
-    d = bernstein_reversal_coeffs(list(p.coeffs), L)
+    d = bernstein_reversal_coeffs(list(p.coeffs))
     pen_y = build_bernstein_pencil(p)
     pen_d = build_bernstein_pencil(MatrixPolynomial(n, Bernstein(L), tuple(d)))
     a_mat, b_mat = pen_y.c0, pen_y.c1
@@ -384,7 +379,7 @@ def verify_bernstein_reversal_pencil(p: MatrixPolynomial) -> Verdict:
     pen = build_bernstein_pencil(p)
     a_mat, b_mat = pen.c0, pen.c1
     rev = Pencil(a_mat, b_mat - a_mat, n, pen.block_count, "bernstein-new-reversal")
-    d = bernstein_reversal_coeffs(list(p.coeffs), L)
+    d = bernstein_reversal_coeffs(list(p.coeffs))
     rev_p = MatrixPolynomial(n, Bernstein(L), tuple(d))
     big = rev.as_polymatrix()
     small = matrix_poly_as_polymatrix(rev_p)

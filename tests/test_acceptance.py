@@ -19,42 +19,52 @@ from polylin import (
     PolyMatrix,
     PolyQ,
     Recurrence,
-    SingularAtOne,
-    assemble_cofactors,
+    build_pencil,
+    hermite_form,
+    smith_equivalence_check,
+    smith_form,
+    to_monomial,
+)
+from polylin.bases import (
     barycentric_weights,
+    degree_elevate,
+    matrix_poly_as_polymatrix,
+    matrix_poly_value,
+)
+from polylin.equivalence import (
+    assemble_cofactors,
     bernstein_hermite_analogue,
     bernstein_reversal_coeffs,
     bernstein_reversal_equivalence,
     bernstein_strict_equivalence,
-    build_bernstein_pencil,
-    build_lagrange_pencil,
-    build_monomial_pencil,
-    build_pencil,
-    build_recurrence_pencil,
-    degree_elevate,
-    hermite_form,
-    is_unimodular,
     lagrange_hermite_factors,
     lagrange_monomial_target,
     lagrange_strict_equivalence,
-    mask,
-    matrix_poly_as_polymatrix,
-    matrix_poly_value,
     monomial_cofactors,
+    recurrence_hermite_analogue,
+    standard_reversal_coeffs,
+)
+from polylin.errors import SingularAtOne
+from polylin.exact import (
+    is_unimodular,
     polymatrix_det,
     polymatrix_inverse_unimodular,
     polymatrix_mul,
-    recurrence_hermite_analogue,
-    smith_equivalence_check,
-    smith_form,
-    standard_reversal_coeffs,
-    to_monomial,
+)
+from polylin.normalforms import mask
+from polylin.pencils import (
+    build_bernstein_pencil,
+    build_lagrange_pencil,
+    build_monomial_pencil,
+    build_recurrence_pencil,
+)
+from polylin.verify import (
+    diag_with_identity,
     verify_hermite_analogue,
     verify_linearization,
     verify_reversal_equivalence,
     verify_strict,
 )
-from polylin.verify import diag_with_identity
 from polylin.randgen import (
     rand_basis,
     rand_const_matrix,
@@ -203,13 +213,13 @@ def test_criterion_3_bernstein():
         for top in (rand_fraction(rng, nonzero=True), F(0)):
             y = [rand_fraction(rng) for _ in range(grade)] + [top]
             p = MatrixPolynomial.scalar(Bernstein(grade), y)
-            se = bernstein_strict_equivalence(grade, p)
+            se = bernstein_strict_equivalence(p)
             assert verify_strict(se, build_bernstein_pencil(p),
                                  build_monomial_pencil(to_monomial(p))).ok
 
     # the closed binomial transform at grade 5 is this integer matrix
     y = [rand_fraction(rng) for _ in range(6)]
-    se5 = bernstein_strict_equivalence(5, MatrixPolynomial.scalar(Bernstein(5), y))
+    se5 = bernstein_strict_equivalence(MatrixPolynomial.scalar(Bernstein(5), y))
     assert se5.w == ConstMatrix.from_rows([
         [5, 0, 0, 0, 0],
         [-10, 10, 0, 0, 0],
@@ -225,17 +235,17 @@ def test_criterion_4_reversal():
     for grade in range(2, 7):
         y = [ConstMatrix(1, 1, [rand_fraction(rng)]) for _ in range(grade + 1)]
         p = MatrixPolynomial(1, Bernstein(grade), tuple(y))
-        re = bernstein_reversal_equivalence(y, grade)
+        re = bernstein_reversal_equivalence(y)
         assert verify_reversal_equivalence(re, p).ok
         assert re.u.det() in (1, -1) and re.winv.det() in (1, -1)
 
         # reversal coefficient maps against the rational-function oracles
         mono = [c.get(0, 0) for c in to_monomial(p).coeffs]
-        d = bernstein_reversal_coeffs(y, grade)
+        d = bernstein_reversal_coeffs(y)
         d_mono = to_monomial(MatrixPolynomial(1, Bernstein(grade), tuple(d)))
         assert PolyQ([c.get(0, 0) for c in d_mono.coeffs]) == \
             shifted_reversal_monomial(mono, grade)
-        e = standard_reversal_coeffs(y, grade)
+        e = standard_reversal_coeffs(y)
         e_mono = to_monomial(MatrixPolynomial(1, Bernstein(grade), tuple(e)))
         assert PolyQ([c.get(0, 0) for c in e_mono.coeffs]) == \
             standard_reversal_monomial(mono, grade)
@@ -243,7 +253,7 @@ def test_criterion_4_reversal():
     # block case
     yb = [rand_const_matrix(rng, 2) for _ in range(5)]
     pb = MatrixPolynomial(2, Bernstein(4), tuple(yb))
-    reb = bernstein_reversal_equivalence(yb, 4)
+    reb = bernstein_reversal_equivalence(yb)
     assert verify_reversal_equivalence(reb, pb).ok
 
 

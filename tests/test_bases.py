@@ -7,23 +7,23 @@ import pytest
 
 from polylin import (
     Bernstein,
-    DuplicateNodes,
-    GradeTooSmall,
     Lagrange,
     MatrixPolynomial,
     Monomial,
     PolyQ,
     Recurrence,
-    ZeroAlpha,
-    barycentric_weights,
-    basis_polys,
     convert,
-    degree_elevate,
     from_monomial,
-    matrix_poly_value,
-    recurrence_basis_polys,
     to_monomial,
 )
+from polylin.bases import (
+    barycentric_weights,
+    basis_polys,
+    degree_elevate,
+    matrix_poly_value,
+    recurrence_basis_polys,
+)
+from polylin.errors import DuplicateNodes, GradeTooSmall, ZeroAlpha
 from polylin.randgen import (
     rand_basis,
     rand_fraction,

@@ -157,7 +157,9 @@ class TestNfCommand:
     def test_hermite_mask_of_recurrence_pencil(self, tmp_path):
         from fractions import Fraction as F
 
-        from polylin import Recurrence, build_recurrence_pencil, mask
+        from polylin import Recurrence
+        from polylin.normalforms import mask
+        from polylin.pencils import build_recurrence_pencil
 
         p = MatrixPolynomial.scalar(Recurrence.chebyshev(5),
                                     [F(2), F(3), F(5), F(7), F(11), F(13)])
@@ -173,7 +175,7 @@ class TestNfCommand:
 
     def test_smith_of_lagrange_pencil(self, tmp_path):
         p = MatrixPolynomial.scalar(Lagrange(2, (0, 1, 2)), [2, 3, 6])
-        from polylin import build_lagrange_pencil
+        from polylin.pencils import build_lagrange_pencil
 
         pen = build_lagrange_pencil(p)
         infile = tmp_path / "m.json"
@@ -280,6 +282,11 @@ EXIT2_CASES = [
     ("recurrence alpha string", _recurrence_text('"12"'), ["pencil"]),
     ("nf rows true", '{"rows": true, "entries": [[["1", "2"]]]}', ["nf", "--kind", "mask"]),
     ("nf cols float", '{"cols": 1.0, "entries": [[["1", "2"]]]}', ["nf", "--kind", "mask"]),
+    ("nested json", "[" * 200000 + "]" * 200000, ["nf", "--kind", "mask"]),
+    ("nested inline basis", _mono_text('"1"'),
+     ["convert", "--basis", '{"kind": %s}' % ("[" * 5000 + "]" * 5000)]),
+    ("sweep bases comma", None, ["sweep", "--bases", ","]),
+    ("sweep bases empty", None, ["sweep", "--bases", ""]),
 ]
 
 
@@ -312,7 +319,7 @@ class TestJsonRoundTrips:
         assert q == p
 
     def test_pencil_roundtrip(self):
-        from polylin import build_monomial_pencil
+        from polylin.pencils import build_monomial_pencil
 
         p = MatrixPolynomial.scalar(Monomial(2), [2, -3, 1])
         pen = build_monomial_pencil(p)

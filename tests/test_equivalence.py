@@ -14,40 +14,48 @@ import pytest
 
 from polylin import (
     Bernstein,
-    ConjectureFailure,
     ConstMatrix,
-    GenericityFailure,
     Lagrange,
     MatrixPolynomial,
     Monomial,
     PolyMatrix,
     PolyQ,
-    PreconditionError,
     Recurrence,
-    SingularAtOne,
-    SingularNodeValue,
-    assemble_cofactors,
+    build_pencil,
+    to_monomial,
+)
+from polylin.bases import (
     barycentric_weights,
+    matrix_poly_as_polymatrix,
+    matrix_poly_value,
+)
+from polylin.equivalence import (
+    assemble_cofactors,
     bernstein_hermite_analogue,
     bernstein_reversal_coeffs,
     bernstein_reversal_equivalence,
     bernstein_strict_equivalence,
-    build_bernstein_pencil,
-    build_lagrange_pencil,
-    build_monomial_pencil,
-    build_pencil,
-    build_recurrence_pencil,
     lagrange_hermite_factors,
     lagrange_monomial_target,
     lagrange_strict_equivalence,
-    matrix_poly_as_polymatrix,
-    matrix_poly_value,
     monomial_cofactors,
-    polymatrix_det,
-    polymatrix_inverse_unimodular,
-    polymatrix_mul,
     recurrence_hermite_analogue,
-    to_monomial,
+)
+from polylin.errors import (
+    ConjectureFailure,
+    GenericityFailure,
+    PreconditionError,
+    SingularAtOne,
+    SingularNodeValue,
+)
+from polylin.exact import polymatrix_det, polymatrix_inverse_unimodular, polymatrix_mul
+from polylin.pencils import (
+    build_bernstein_pencil,
+    build_lagrange_pencil,
+    build_monomial_pencil,
+    build_recurrence_pencil,
+)
+from polylin.verify import (
     verify_hermite_analogue,
     verify_linearization,
     verify_reversal_equivalence,
@@ -390,7 +398,7 @@ class TestBernsteinStrict:
         rng = random.Random(51)
         y = [rand_fraction(rng) for _ in range(6)]
         p = scalar_mp(Bernstein(5), y)
-        se = bernstein_strict_equivalence(5, p)
+        se = bernstein_strict_equivalence(p)
         assert se.w == ConstMatrix.from_rows([
             [5, 0, 0, 0, 0],
             [-10, 10, 0, 0, 0],
@@ -412,7 +420,7 @@ class TestBernsteinStrict:
         probes.append([rand_fraction(rng) for _ in range(6)])
         for y in probes:
             p = scalar_mp(Bernstein(5), y)
-            se = bernstein_strict_equivalence(5, p)
+            se = bernstein_strict_equivalence(p)
             uinv = se.u.try_inverse()
             h3 = -10 * y[3] + 20 * y[2] - 15 * y[1] + 4 * y[0]
             h2 = -10 * y[2] + 15 * y[1] - 6 * y[0]
@@ -424,7 +432,7 @@ class TestBernsteinStrict:
         for grade in range(2, 7):
             y = [rand_fraction(rng) for _ in range(grade + 1)]
             p = scalar_mp(Bernstein(grade), y)
-            se = bernstein_strict_equivalence(grade, p)
+            se = bernstein_strict_equivalence(p)
             source = build_bernstein_pencil(p)
             target = build_monomial_pencil(to_monomial(p))
             assert verify_strict(se, source, target).ok
@@ -434,7 +442,7 @@ class TestBernsteinStrict:
         for grade in range(2, 7):
             y = [rand_fraction(rng) for _ in range(grade)] + [F(0)]
             p = scalar_mp(Bernstein(grade), y)
-            se = bernstein_strict_equivalence(grade, p)
+            se = bernstein_strict_equivalence(p)
             source = build_bernstein_pencil(p)
             target = build_monomial_pencil(to_monomial(p))
             assert verify_strict(se, source, target).ok
@@ -442,7 +450,7 @@ class TestBernsteinStrict:
     def test_matrix_blocks(self):
         rng = random.Random(55)
         p = rand_matrix_polynomial(rng, Bernstein(3), 2)
-        se = bernstein_strict_equivalence(3, p)
+        se = bernstein_strict_equivalence(p)
         source = build_bernstein_pencil(p)
         target = build_monomial_pencil(to_monomial(p))
         assert verify_strict(se, source, target).ok
@@ -456,13 +464,13 @@ class TestReversalCoeffs:
     def test_grade1_closed_form(self):
         rng = random.Random(56)
         y = [ConstMatrix(1, 1, [rand_fraction(rng)]) for _ in range(2)]
-        d = bernstein_reversal_coeffs(y, 1)
+        d = bernstein_reversal_coeffs(y)
         assert d[0] == y[1]
         assert d[1] == y[1] + y[0]
 
     def test_one_minus_z_squared_reverses_to_z_squared(self):
         y = [ConstMatrix(1, 1, [v]) for v in (1, 0, 0)]
-        d = bernstein_reversal_coeffs(y, 2)
+        d = bernstein_reversal_coeffs(y)
         assert [blk.get(0, 0) for blk in d] == [F(0), F(0), F(1)]
 
     def test_d_against_rational_oracle(self):
@@ -472,7 +480,7 @@ class TestReversalCoeffs:
             p = scalar_mp(Bernstein(grade), y)
             mono = [c.get(0, 0) for c in to_monomial(p).coeffs]
             want = shifted_reversal_monomial(mono, grade)
-            d = bernstein_reversal_coeffs(list(p.coeffs), grade)
+            d = bernstein_reversal_coeffs(list(p.coeffs))
             d_poly = scalar_mp(Bernstein(grade), [blk.get(0, 0) for blk in d])
             got = PolyQ([c.get(0, 0) for c in to_monomial(d_poly).coeffs])
             assert got == want
@@ -484,9 +492,9 @@ class TestReversalCoeffs:
             p = scalar_mp(Bernstein(grade), y)
             mono = [c.get(0, 0) for c in to_monomial(p).coeffs]
             want = standard_reversal_monomial(mono, grade)
-            from polylin import standard_reversal_coeffs
+            from polylin.equivalence import standard_reversal_coeffs
 
-            e = standard_reversal_coeffs(list(p.coeffs), grade)
+            e = standard_reversal_coeffs(list(p.coeffs))
             e_poly = scalar_mp(Bernstein(grade), [blk.get(0, 0) for blk in e])
             got = PolyQ([c.get(0, 0) for c in to_monomial(e_poly).coeffs])
             assert got == want
@@ -501,12 +509,12 @@ class TestReversalCoeffs:
         one = ConstMatrix(1, 1, [1])
         zero = ConstMatrix(1, 1, [0])
         grade = 4
-        from polylin import standard_reversal_coeffs
+        from polylin.equivalence import standard_reversal_coeffs
 
         for j in range(grade + 1):
             y = [one if k == j else zero for k in range(grade + 1)]
-            d = bernstein_reversal_coeffs(y, grade)
-            e = standard_reversal_coeffs(y, grade)
+            d = bernstein_reversal_coeffs(y)
+            e = standard_reversal_coeffs(y)
             assert (d[0] == one) == (j == grade)
             assert not e[0].is_zero  # every y_j shows up in e_0
 
@@ -516,7 +524,7 @@ class TestReversalEquivalence:
         rng = random.Random(60)
         for grade in range(2, 7):
             y = [ConstMatrix(1, 1, [rand_fraction(rng)]) for _ in range(grade + 1)]
-            re = bernstein_reversal_equivalence(y, grade)
+            re = bernstein_reversal_equivalence(y)
             p = MatrixPolynomial(1, Bernstein(grade), tuple(y))
             verdict = verify_reversal_equivalence(re, p)
             assert verdict.ok
@@ -527,7 +535,7 @@ class TestReversalEquivalence:
         # the factor carrying the closed anti-diagonal -(L-i+1)/i
         rng = random.Random(61)
         y = [ConstMatrix(1, 1, [rand_fraction(rng)]) for _ in range(7)]
-        re = bernstein_reversal_equivalence(y, 6)
+        re = bernstein_reversal_equivalence(y)
         anti = [re.winv.get(i - 1, 6 - i) for i in range(1, 7)]
         assert anti == [F(-6), F(-5, 2), F(-4, 3), F(-3, 4), F(-2, 5), F(-1, 6)]
 
@@ -536,8 +544,8 @@ class TestReversalEquivalence:
         grade = 4
         yv = [rand_fraction(rng) for _ in range(grade + 1)]
         y = [ConstMatrix(1, 1, [v]) for v in yv]
-        re = bernstein_reversal_equivalence(y, grade)
-        d = bernstein_reversal_coeffs(y, grade)
+        re = bernstein_reversal_equivalence(y)
+        d = bernstein_reversal_coeffs(y)
         # first row of U holds d_{L+1-j} - ((j-1)/L) y_L for j = 2..L
         for j in range(2, grade + 1):
             want = d[grade + 1 - j].get(0, 0) - F(j - 1, grade) * yv[grade]
@@ -546,7 +554,7 @@ class TestReversalEquivalence:
     def test_matrix_blocks(self):
         rng = random.Random(63)
         y = [rand_nonsingular_const_matrix(rng, 2) for _ in range(4)]
-        re = bernstein_reversal_equivalence(y, 3)
+        re = bernstein_reversal_equivalence(y)
         p = MatrixPolynomial(2, Bernstein(3), tuple(y))
         assert verify_reversal_equivalence(re, p).ok
 
@@ -669,7 +677,7 @@ class TestConstructionChecks:
         monkeypatch.setattr(equivalence, "reversal_u_entry", lambda g, i, j:
                             exact_entry(g, i, j) + (1 if (i, j) == (2, 2) else 0))
         with pytest.raises(ConjectureFailure, match="reversal identities failed at grade 3"):
-            bernstein_reversal_equivalence(y, 3)
+            bernstein_reversal_equivalence(y)
 
     def test_bernstein_strict_rejects_perturbed_w(self, monkeypatch):
         rng = random.Random(73)
@@ -683,7 +691,7 @@ class TestConstructionChecks:
 
         monkeypatch.setattr(equivalence, "_bernstein_binomial_w", perturbed)
         with pytest.raises(ConjectureFailure):
-            bernstein_strict_equivalence(3, p)
+            bernstein_strict_equivalence(p)
 
     @pytest.mark.parametrize("zero, message", [
         (False, "strict-equivalence identities failed at grade 3"),
@@ -704,7 +712,7 @@ class TestConstructionChecks:
 
         monkeypatch.setattr(equivalence, "solve_exact", wrong_solve)
         with pytest.raises(ConjectureFailure, match=message):
-            bernstein_strict_equivalence(3, p)
+            bernstein_strict_equivalence(p)
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +740,12 @@ def _certificate_matrices(kind, p):
                 "E": cof.e, "F": cof.f}
 
     def strict():
-        se = (bernstein_strict_equivalence(p.grade, p) if kind == "bernstein"
+        se = (bernstein_strict_equivalence(p) if kind == "bernstein"
               else lagrange_strict_equivalence(p))
         return {"U": se.u, "W": se.w}
 
     def reversal():
-        re = bernstein_reversal_equivalence(list(p.coeffs), p.grade)
+        re = bernstein_reversal_equivalence(list(p.coeffs))
         return {"U": re.u, "Winv": re.winv}
 
     builds = {"cofactors": cofactors}

@@ -9,30 +9,38 @@ import pytest
 from polylin import (
     Bernstein,
     ConstMatrix,
-    DimensionMismatch,
     Lagrange,
     MatrixPolynomial,
     Monomial,
-    NotUnimodular,
     PolyMatrix,
     PolyQ,
+    hermite_form,
+    poly_gcd,
+)
+from polylin.equivalence import (
     bernstein_hermite_analogue,
+    lagrange_hermite_factors,
+    recurrence_hermite_analogue,
+)
+from polylin.errors import DimensionMismatch, NotUnimodular
+from polylin.exact import (
+    POLY_ONE,
+    _assignment_bound,
+    _det_degree_bound,
+    is_unimodular,
+    polymatrix_det,
+    polymatrix_inverse_unimodular,
+    polymatrix_mul,
+    sub_mul,
+)
+from polylin.pencils import (
     build_bernstein_pencil,
     build_lagrange_pencil,
     build_monomial_pencil,
     build_recurrence_pencil,
-    hermite_form,
-    is_unimodular,
-    lagrange_hermite_factors,
-    polymatrix_det,
-    polymatrix_inverse_unimodular,
-    poly_gcd,
-    polymatrix_mul,
-    recurrence_hermite_analogue,
 )
 from polylin import exact
 from polylin.bases import basis_polys, to_monomial
-from polylin.exact import POLY_ONE, _assignment_bound, _det_degree_bound, sub_mul
 from polylin.randgen import (
     rand_basis,
     rand_fraction,
@@ -474,11 +482,12 @@ class TestUnimodular:
     def test_inverse_of_strict_equivalence_transform(self):
         # the 5x5 constant transform from the Bernstein strict equivalence,
         # inverted as a polynomial matrix; multiply-back must give I
-        from polylin import Bernstein, MatrixPolynomial, bernstein_strict_equivalence
+        from polylin import Bernstein, MatrixPolynomial
+        from polylin.equivalence import bernstein_strict_equivalence
 
         rng = random.Random(7)
         y = [rand_fraction(rng) for _ in range(6)]
-        se = bernstein_strict_equivalence(5, MatrixPolynomial.scalar(Bernstein(5), y))
+        se = bernstein_strict_equivalence(MatrixPolynomial.scalar(Bernstein(5), y))
         uinv = PolyMatrix.from_const(se.u.try_inverse())
         u = polymatrix_inverse_unimodular(uinv)
         assert polymatrix_mul(uinv, u) == PolyMatrix.identity(5)
@@ -518,31 +527,31 @@ class TestBlockAssembly:
     def test_blocks_round_trip(self):
         rng = random.Random(80)
         blocks = [[rand_polymatrix(rng, 2, 2) for _ in range(3)] for _ in range(2)]
-        m = exact.polymatrix_from_blocks(blocks, 2)
+        m = PolyMatrix.from_blocks(blocks, 2)
         assert (m.rows, m.cols) == (4, 6)
         for i, row in enumerate(blocks):
             for j, blk in enumerate(row):
                 assert m.block(i, j, 2) == blk
-        c = exact.const_from_blocks([[None, ConstMatrix.identity(2)]], 2, 2)
+        c = ConstMatrix.from_blocks([[None, ConstMatrix.identity(2)]], 2)
         assert c.block(0, 0, 2).is_zero and c.block(0, 1, 2) == ConstMatrix.identity(2)
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_wrong_block_size_rejected(self, size):
         # a 3x3 block used to be cut to its top-left 2x2 without a word
         with pytest.raises(DimensionMismatch):
-            exact.polymatrix_from_blocks([[PolyMatrix.identity(size)]], 2)
+            PolyMatrix.from_blocks([[PolyMatrix.identity(size)]], 2)
         with pytest.raises(DimensionMismatch):
-            exact.const_from_blocks([[ConstMatrix.identity(size)]], 2, 2)
+            ConstMatrix.from_blocks([[ConstMatrix.identity(size)]], 2)
 
     def test_ragged_grid_rejected(self):
         eye = PolyMatrix.identity(2)
         for grid in ([[eye], [eye, eye]], [[eye, None], [eye]]):
             with pytest.raises(DimensionMismatch):
-                exact.polymatrix_from_blocks(grid, 2)
+                PolyMatrix.from_blocks(grid, 2)
         ceye = ConstMatrix.identity(2)
         for grid in ([[ceye], [ceye, ceye]], [[ceye, None], [ceye]]):
             with pytest.raises(DimensionMismatch):
-                exact.const_from_blocks(grid, 2, 2)
+                ConstMatrix.from_blocks(grid, 2)
 
 class TestConstKernels:
     """The integer product and fraction-free solve against the Fraction

@@ -7,22 +7,23 @@ import pytest
 
 from polylin import (
     Bernstein,
-    GradeTooSmall,
     Lagrange,
     MatrixPolynomial,
     Monomial,
     PolyQ,
     Recurrence,
+    build_pencil,
+)
+from polylin.bases import matrix_poly_as_polymatrix
+from polylin.errors import DuplicateNodes, GradeTooSmall
+from polylin.exact import polymatrix_det
+from polylin.pencils import (
     build_bernstein_pencil,
     build_lagrange_pencil,
     build_monomial_pencil,
-    build_pencil,
     build_recurrence_pencil,
-    matrix_poly_as_polymatrix,
-    polymatrix_det,
-    verify_companion,
 )
-from polylin.errors import DuplicateNodes
+from polylin.verify import verify_companion
 from polylin.randgen import rand_basis, rand_matrix_polynomial
 
 

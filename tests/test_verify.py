@@ -14,26 +14,32 @@ from polylin import (
     Lagrange,
     MatrixPolynomial,
     Monomial,
-    Pencil,
     PolyMatrix,
     PolyQ,
+    smith_equivalence_check,
+    to_monomial,
+    verify_strong,
+)
+from polylin.equivalence import (
+    CofactorPair,
     StrictEquivalence,
     bernstein_strict_equivalence,
+    monomial_cofactors,
+)
+from polylin.pencils import (
+    Pencil,
     build_bernstein_pencil,
     build_lagrange_pencil,
     build_monomial_pencil,
-    monomial_cofactors,
-    smith_equivalence_check,
-    to_monomial,
+    build_pencil,
+)
+from polylin.verify import (
     verify_bernstein_reversal_pencil,
     verify_companion,
     verify_linearization,
     verify_strict,
-    verify_strong,
 )
 from polylin import serialize, verify
-from polylin.equivalence import CofactorPair
-from polylin.pencils import build_pencil
 from polylin.randgen import rand_basis, rand_fraction, rand_matrix_polynomial, rand_nodes
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -108,7 +114,7 @@ class TestStrict:
     def test_positive_and_negative(self):
         rng = random.Random(84)
         p = rand_matrix_polynomial(rng, Bernstein(3), 1)
-        se = bernstein_strict_equivalence(3, p)
+        se = bernstein_strict_equivalence(p)
         source = build_bernstein_pencil(p)
         target = build_monomial_pencil(to_monomial(p))
         assert verify_strict(se, source, target).ok
@@ -294,12 +300,15 @@ class TestSmithChecksFromDeterminants:
 
 class TestDeterminantRelationUnderStrictEquivalence:
     def test_bernstein_and_lagrange(self):
-        from polylin import lagrange_monomial_target, lagrange_strict_equivalence
-        from polylin import polymatrix_det
+        from polylin.equivalence import (
+            lagrange_monomial_target,
+            lagrange_strict_equivalence,
+        )
+        from polylin.exact import polymatrix_det
 
         rng = random.Random(91)
         p = rand_matrix_polynomial(rng, Bernstein(3), 2)
-        se = bernstein_strict_equivalence(3, p)
+        se = bernstein_strict_equivalence(p)
         source = build_bernstein_pencil(p)
         target = build_monomial_pencil(to_monomial(p))
         lhs = polymatrix_det(source.as_polymatrix()).scale(se.u.det() * se.w.det())
@@ -316,13 +325,10 @@ class TestDeterminantRelationUnderStrictEquivalence:
 
 class TestRemainingNegativeControls:
     def test_hermite_analogue_perturbed(self):
-        from polylin import (
-            HermiteAnalogue,
-            recurrence_hermite_analogue,
-            Recurrence,
-            build_recurrence_pencil,
-            verify_hermite_analogue,
-        )
+        from polylin import Recurrence
+        from polylin.equivalence import HermiteAnalogue, recurrence_hermite_analogue
+        from polylin.pencils import build_recurrence_pencil
+        from polylin.verify import verify_hermite_analogue
 
         p = MatrixPolynomial.scalar(Recurrence.chebyshev(3), [1, 2, 3, 4])
         pen = build_recurrence_pencil(p)
@@ -334,15 +340,56 @@ class TestRemainingNegativeControls:
         assert not verify_hermite_analogue(bad, pen).ok
 
     def test_reversal_equivalence_perturbed(self):
-        from polylin import (
+        from polylin.equivalence import (
             ReversalEquivalence,
             bernstein_reversal_equivalence,
-            verify_reversal_equivalence,
         )
+        from polylin.verify import verify_reversal_equivalence
 
         rng = random.Random(92)
         y = [ConstMatrix(1, 1, [rand_fraction(rng)]) for _ in range(4)]
         p = MatrixPolynomial(1, Bernstein(3), tuple(y))
-        re = bernstein_reversal_equivalence(y, 3)
+        re = bernstein_reversal_equivalence(y)
         bad = ReversalEquivalence(perturb_entry(re.u), re.winv)
         assert not verify_reversal_equivalence(bad, p).ok
+
+
+class TestTracerHooks:
+    """bench/tracer.py patches every layer it times by name; a renamed or
+    moved function or method would break per-layer tracing, which only a
+    traced bench run exercises."""
+
+    def test_install_patches_and_uninstall_restores(self):
+        import polylin.cli  # noqa: F401  (imports every traced module)
+        from polylin import exact
+
+        sys.path.insert(0, str(BENCH))
+        try:
+            from tracer import GROUPS, Tracer
+        finally:
+            sys.path.remove(str(BENCH))
+        owners = {k: m for k, m in sys.modules.items()
+                  if m is not None and (k == "polylin" or k.startswith("polylin."))}
+        owners["ConstMatrix"] = exact.ConstMatrix
+        owners["PolyMatrix"] = exact.PolyMatrix
+        before = {k: dict(vars(owner)) for k, owner in owners.items()}
+        for _name, _mod, members in GROUPS:
+            for member in members:
+                owner_name, _, attr = member.rpartition(".")
+                if owner_name:
+                    # defined on the class itself, so uninstall leaves no copy behind
+                    assert attr in before[owner_name], member
+        tracer = Tracer()
+        try:
+            tracer.install()
+            assert exact.ConstMatrix.__matmul__ is not before["ConstMatrix"]["__matmul__"]
+            assert exact.PolyMatrix.evaluate is not before["PolyMatrix"]["evaluate"]
+            # bound by name in another layer, so patched there too
+            assert verify.is_unimodular is not before["polylin.verify"]["is_unimodular"]
+        finally:
+            tracer.uninstall()
+        for k, owner in owners.items():
+            now = vars(owner)
+            assert now.keys() == before[k].keys(), k
+            for key, value in before[k].items():
+                assert now[key] is value, (k, key)
