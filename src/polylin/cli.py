@@ -85,7 +85,7 @@ class Route(NamedTuple):
     """
 
     cofactors: Callable  # (p, pencil) -> CofactorPair
-    strict: Callable | None  # p -> (StrictEquivalence, monomial target pencil)
+    strict: Callable | None  # p -> StrictEquivalence
     reversal: bool  # the Bernstein reversal map applies
     min_grade: int  # smallest grade sweep draws
 
@@ -100,14 +100,12 @@ ROUTES = {
     "bernstein": Route(
         lambda p, pen: equivalence.assemble_cofactors(
             equivalence.bernstein_hermite_analogue(p, pen), pen, p),
-        lambda p: (equivalence.bernstein_strict_equivalence(p),
-                   pencils.build_monomial_pencil(bases.to_monomial(p))),
+        lambda p: equivalence.bernstein_strict_equivalence(p),
         True, 2),
     "lagrange": Route(
         lambda p, pen: equivalence.assemble_cofactors(
             equivalence.lagrange_hermite_factors(p, pen), pen, p),
-        lambda p: (equivalence.lagrange_strict_equivalence(p),
-                   pencils.build_monomial_pencil(equivalence.lagrange_monomial_target(p))),
+        lambda p: equivalence.lagrange_strict_equivalence(p),
         False, 1),
 }
 
@@ -120,10 +118,10 @@ def _check_cofactors(route: Route, p, pen=None):
 
 
 def _check_strict(route: Route, p, pen=None):
-    se, target = route.strict(p)
+    se = route.strict(p)
     if pen is None:  # built after the constructor, whose precondition errors come first
         pen = pencils.build_pencil(p)
-    return verify.verify_strict(se, pen, target), {"U": se.u, "W": se.w}
+    return verify.verify_strict(se, pen, p), {"U": se.u, "W": se.w}
 
 
 def _check_reversal(route: Route, p, pen=None):

@@ -56,5 +56,6 @@ class SingularNodeValue(PreconditionError):
 
 
 class ConjectureFailure(PolylinError):
-    """Mandatory post-construction verification of a general-size closed
-    form failed; the constructed matrices were not returned."""
+    """A general-size closed form could not be carried through (a linear
+    system without a solution, or a factor to invert that is singular or
+    not unimodular); nothing was returned."""

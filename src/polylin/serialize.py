@@ -30,15 +30,21 @@ def frac_str(x: Fraction) -> str:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _shown(value) -> str:
+    """repr(value), cut to 40 characters, for error messages."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def parse_frac(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise InputError(f"expected a rational string, got {s!r}")
+        raise InputError(f"expected a rational string, got {_shown(s)}")
     if isinstance(s, str) and not _RATIONAL.fullmatch(s):
-        raise InputError(f"bad rational {s!r}: expected \"p\" or \"p/q\"")
+        raise InputError(f"bad rational {_shown(s)}: expected \"p\" or \"p/q\"")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {s!r}: {exc}") from None
+        raise InputError(f"bad rational {_shown(s)}: {exc}") from None
 
 
 def const_matrix_obj(m: ConstMatrix) -> list[list[str]]:

@@ -2,7 +2,9 @@
 
 Each verifier recomputes what it needs from the pencil's constant pair and
 the coefficient list; none of them reuses the formulas in `equivalence`,
-so a bug there cannot silently confirm itself here.
+so a bug there cannot silently confirm itself here.  The constructors in
+`equivalence` check nothing themselves: these verifiers are the only place
+a certificate is checked.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .bases import (
     Bernstein,
     MatrixPolynomial,
     Monomial,
+    from_monomial,
     matrix_poly_as_polymatrix,
     to_monomial,
 )
@@ -34,9 +37,8 @@ from .equivalence import (
     HermiteAnalogue,
     ReversalEquivalence,
     StrictEquivalence,
-    bernstein_reversal_coeffs,
 )
-from .pencils import Pencil, build_bernstein_pencil
+from .pencils import Pencil, build_bernstein_pencil, build_monomial_pencil
 
 
 @dataclass
@@ -87,10 +89,27 @@ def _ratio(det_l: PolyQ, det_p: PolyQ) -> Fraction | None:
     return det_l.lead / det_p.lead if det_p.coeffs else None
 
 
+# (pencil, p, result) of the last _companion_pair call.  Pencils and
+# matrix polynomials are immutable, so the same objects give the same result.
+_last_pair: list = [(None, None, None)]
+
+
+def _companion_pair(pencil: Pencil, p: MatrixPolynomial) -> tuple:
+    """(L(z), P(z), det L(z), det P(z)) for `verify_companion` and
+    `smith_equivalence_check`.  The last result is kept and returned again
+    for the same two objects (not equal ones: hashing them would cost more
+    than a small determinant), since sweep runs both checks on each draw."""
+    last_pencil, last_p, pair = _last_pair[0]
+    if pencil is not last_pencil or p is not last_p:
+        big, small = pencil.as_polymatrix(), matrix_poly_as_polymatrix(p)
+        pair = big, small, polymatrix_det(big), polymatrix_det(small)
+        _last_pair[0] = (pencil, p, pair)
+    return pair
+
+
 def verify_companion(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
     """det L(z) must equal a nonzero constant times det P(z)."""
-    det_l = polymatrix_det(pencil.as_polymatrix())
-    det_p = polymatrix_det(matrix_poly_as_polymatrix(p))
+    _, _, det_l, det_p = _companion_pair(pencil, p)
     refusal = _ratio_refusal(det_l, det_p)
     if refusal:
         return _falsified("companion", **refusal)
@@ -118,15 +137,18 @@ def verify_linearization(pencil: Pencil, p: MatrixPolynomial,
                    factor_dets=(unit_e, unit_f))
 
 
-def verify_strict(se: StrictEquivalence, source: Pencil, target: Pencil) -> Verdict:
-    """U @ C1 @ W = C1' and U @ C0 @ W = C0' with U, W nonsingular."""
+def verify_strict(se: StrictEquivalence, pencil: Pencil, p: MatrixPolynomial) -> Verdict:
+    """U @ C1 @ W = C1' and U @ C0 @ W = C0' with U, W nonsingular, where
+    (C1, C0) is `pencil` and (C1', C0') the monomial pencil of P at the
+    pencil's grade (its block count)."""
+    target = build_monomial_pencil(_padded_monomial(p, pencil.block_count))
     du = se.u.det()
     dw = se.w.det()
     if du == 0 or dw == 0:
         return _falsified("strict", reason="transform singular")
-    if se.u @ source.c1 @ se.w != target.c1:
+    if se.u @ pencil.c1 @ se.w != target.c1:
         return _falsified("strict", reason="z-coefficient identity failed")
-    if se.u @ source.c0 @ se.w != target.c0:
+    if se.u @ pencil.c0 @ se.w != target.c0:
         return _falsified("strict", reason="constant-coefficient identity failed")
     return Verdict("strict", True, du * dw, factor_dets=(du, dw))
 
@@ -151,11 +173,30 @@ def verify_hermite_analogue(ha: HermiteAnalogue, pencil: Pencil) -> Verdict:
     return Verdict("hermite-analogue", True, unit)
 
 
+def _padded_monomial(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
+    """P in monomial coefficients at the stated grade (zero blocks on top)."""
+    mono = to_monomial(p)
+    blocks = mono.coeffs + (ConstMatrix.zeros(p.n, p.n),) * (grade - p.grade)
+    return MatrixPolynomial(p.n, Monomial(grade), blocks)
+
+
 def _padded_monomial_reversal(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
     """z^grade * P(1/z) in monomial coefficients (reversal at the stated grade)."""
-    mono = to_monomial(p)
-    blocks = list(mono.coeffs) + [ConstMatrix.zeros(p.n, p.n)] * (grade - p.grade)
-    return MatrixPolynomial(p.n, Monomial(grade), tuple(reversed(blocks)))
+    return MatrixPolynomial(p.n, Monomial(grade), _padded_monomial(p, grade).coeffs[::-1])
+
+
+def _shifted_reversal(p: MatrixPolynomial) -> MatrixPolynomial:
+    """(z+1)^L P(1/(z+1)) = sum_j A_j (z+1)^(L-j) in monomial coefficients,
+    from the monomial coefficients A_j of P at its grade L."""
+    L = p.grade
+    a = to_monomial(p).coeffs
+    blocks = []
+    for i in range(L + 1):
+        acc = ConstMatrix.zeros(p.n, p.n)
+        for j in range(L - i + 1):
+            acc = acc + a[j].scale(math.comb(L - j, i))
+        blocks.append(acc)
+    return MatrixPolynomial(p.n, Monomial(L), tuple(blocks))
 
 
 def _low_unit_inverse(u: PolyQ, modulus: PolyQ | None) -> PolyQ | None:
@@ -322,8 +363,9 @@ def _smith_refusal(big: PolyMatrix, small: PolyMatrix, det_big: PolyQ,
     return None
 
 
-def _smith_check(check: str, big: PolyMatrix, small: PolyMatrix) -> Verdict:
-    refusal = _smith_refusal(big, small, polymatrix_det(big), polymatrix_det(small))
+def _smith_check(check: str, big: PolyMatrix, small: PolyMatrix,
+                 det_big: PolyQ, det_small: PolyQ) -> Verdict:
+    refusal = _smith_refusal(big, small, det_big, det_small)
     if refusal:
         return _falsified(check, **refusal)
     return Verdict(check, True)
@@ -335,9 +377,9 @@ def verify_strong(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
     The reversal grade is the pencil's block count (the grade the pencil
     represents P at), and the check compares Smith forms.
     """
-    rev_p = _padded_monomial_reversal(p, pencil.block_count)
-    return _smith_check("strong", pencil.reversed_pencil().as_polymatrix(),
-                        matrix_poly_as_polymatrix(rev_p))
+    big = pencil.reversed_pencil().as_polymatrix()
+    small = matrix_poly_as_polymatrix(_padded_monomial_reversal(p, pencil.block_count))
+    return _smith_check("strong", big, small, polymatrix_det(big), polymatrix_det(small))
 
 
 def smith_equivalence_check(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
@@ -345,19 +387,15 @@ def smith_equivalence_check(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
 
     Works for singular values and nonregular P.
     """
-    return _smith_check("smith-equivalence", pencil.as_polymatrix(),
-                        matrix_poly_as_polymatrix(p))
+    return _smith_check("smith-equivalence", *_companion_pair(pencil, p))
 
 
 def verify_reversal_equivalence(re: ReversalEquivalence, p: MatrixPolynomial) -> Verdict:
     """Recompute both defining identities of the Bernstein reversal map."""
     if not isinstance(p.basis, Bernstein):
         return _falsified("reversal", reason="not a Bernstein polynomial")
-    L = p.grade
-    n = p.n
-    d = bernstein_reversal_coeffs(list(p.coeffs))
     pen_y = build_bernstein_pencil(p)
-    pen_d = build_bernstein_pencil(MatrixPolynomial(n, Bernstein(L), tuple(d)))
+    pen_d = build_bernstein_pencil(from_monomial(_shifted_reversal(p), p.basis))
     a_mat, b_mat = pen_y.c0, pen_y.c1
     if re.u @ pen_d.c0 != (b_mat - a_mat) @ re.winv:
         return _falsified("reversal", reason="first identity failed")
@@ -371,18 +409,14 @@ def verify_reversal_equivalence(re: ReversalEquivalence, p: MatrixPolynomial) ->
 
 def verify_bernstein_reversal_pencil(p: MatrixPolynomial) -> Verdict:
     """The pencil pair (A, B-A) must linearize the Bernstein-adapted
-    reversal (z+1)^L P(1/(z+1)) whose coefficients are the d_k."""
+    reversal (z+1)^L P(1/(z+1))."""
     if not isinstance(p.basis, Bernstein):
         return _falsified("bernstein-reversal-pencil", reason="not Bernstein")
-    L = p.grade
-    n = p.n
     pen = build_bernstein_pencil(p)
     a_mat, b_mat = pen.c0, pen.c1
-    rev = Pencil(a_mat, b_mat - a_mat, n, pen.block_count, "bernstein-new-reversal")
-    d = bernstein_reversal_coeffs(list(p.coeffs))
-    rev_p = MatrixPolynomial(n, Bernstein(L), tuple(d))
+    rev = Pencil(a_mat, b_mat - a_mat, pen.n, pen.block_count, "bernstein-new-reversal")
     big = rev.as_polymatrix()
-    small = matrix_poly_as_polymatrix(rev_p)
+    small = matrix_poly_as_polymatrix(_shifted_reversal(p))
     det_l, det_p = polymatrix_det(big), polymatrix_det(small)
     refusal = _smith_refusal(big, small, det_l, det_p)
     if refusal:

@@ -10,7 +10,7 @@ import pytest
 from polylin.cli import main
 from polylin import bases, equivalence, pencils, serialize, verify
 from polylin.bases import Bernstein, Lagrange, MatrixPolynomial, Monomial, Recurrence
-from polylin.exact import ConstMatrix
+from polylin.exact import ConstMatrix, PolyMatrix
 
 
 def write_json(path, obj):
@@ -239,6 +239,47 @@ class TestSweepCommand:
         assert code == 1
         assert json.loads(out.read_text())["counterexample"]["check"] == check
 
+    def test_smith_checks_take_each_determinant_once(self, tmp_path, monkeypatch):
+        # smith_equivalence_check reuses the det L and det P that
+        # verify_companion took, so --smith-checks adds only verify_strong's two
+        real = verify.polymatrix_det
+        calls = []
+        monkeypatch.setattr(verify, "polymatrix_det", lambda m: calls.append(m) or real(m))
+        args = ["sweep", "--count", "3", "--nmax", "2", "--lmax", "3", "--seed", "1",
+                "--out", str(tmp_path / "r.json")]
+        draws = 3 * 4
+        assert main(args) == 0
+        assert len(calls) == 2 * draws
+        calls.clear()
+        assert main(args + ["--smith-checks"]) == 0
+        assert len(calls) == 4 * draws
+
+    @pytest.mark.parametrize("kind, refusal", [
+        ("recurrence", '"check": "linearization"'),
+        ("bernstein", "ConjectureFailure: triangular factor U^(-1) is not unimodular"),
+        ("lagrange", "ConjectureFailure: triangular factor U^(-1) is not unimodular"),
+    ])
+    def test_wrong_triangular_column_exit1(self, kind, refusal, tmp_path, capsys,
+                                           monkeypatch):
+        """A wrong closed form for Uinv's last block column is refused by
+        verify_linearization or, when Uinv is no longer unimodular, by
+        assemble_cofactors; never skipped as a precondition."""
+        real = equivalence._triangular
+
+        def wrong_last(pencil, last, h_col, corner_factor):
+            eye = PolyMatrix.identity(pencil.n)
+            last = [eye if last[0] is None else last[0] + eye] + list(last[1:])
+            return real(pencil, last, h_col, corner_factor)
+
+        monkeypatch.setattr(equivalence, "_triangular", wrong_last)
+        infile = tmp_path / "p.json"
+        write_json(infile, serialize.matrix_polynomial_obj(_golden_instances()[kind]))
+        for argv in (["equiv", "--in", str(infile), "--mode", "cofactors"],
+                     ["sweep", "--count", "3", "--seed", "1", "--bases", kind]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert refusal in captured.out + captured.err
+
 
 def _mono_text(entry: str) -> str:
     """A 1x1 grade-1 monomial polynomial whose first coefficient is `entry`,
@@ -283,6 +324,8 @@ EXIT2_CASES = [
     ("nf rows true", '{"rows": true, "entries": [[["1", "2"]]]}', ["nf", "--kind", "mask"]),
     ("nf cols float", '{"cols": 1.0, "entries": [[["1", "2"]]]}', ["nf", "--kind", "mask"]),
     ("nested json", "[" * 200000 + "]" * 200000, ["nf", "--kind", "mask"]),
+    ("deep list for a rational", '{"entries": %s}' % ("[" * 900 + "]" * 900),
+     ["nf", "--kind", "hermite"]),
     ("nested inline basis", _mono_text('"1"'),
      ["convert", "--basis", '{"kind": %s}' % ("[" * 5000 + "]" * 5000)]),
     ("sweep bases comma", None, ["sweep", "--bases", ","]),
@@ -300,6 +343,7 @@ def test_input_contract_exit2(text, argv, tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: ")
+    assert len(captured.err) < 250, "the message quotes at most 40 characters of a bad value"
 
 
 class TestJsonRoundTrips:
@@ -473,11 +517,8 @@ GOLDEN_FALSIFIED = [
 ]
 
 
-@pytest.mark.parametrize("name, mode, constructor, digest", GOLDEN_FALSIFIED,
-                         ids=[f"{n} {m}" for n, m, _, _ in GOLDEN_FALSIFIED])
-def test_golden_falsified_bytes(name, mode, constructor, digest, tmp_path,
-                                capsys, monkeypatch):
-    """A constructor that swaps its two factors must be caught, exit 1."""
+def _swap_factors(monkeypatch, constructor):
+    """Make equivalence.<constructor> return its two factors swapped."""
     original = getattr(equivalence, constructor)
 
     def swapped(*args):
@@ -486,8 +527,33 @@ def test_golden_falsified_bytes(name, mode, constructor, digest, tmp_path,
         return type(cert)(second, first)
 
     monkeypatch.setattr(equivalence, constructor, swapped)
+
+
+@pytest.mark.parametrize("name, mode, constructor, digest", GOLDEN_FALSIFIED,
+                         ids=[f"{n} {m}" for n, m, _, _ in GOLDEN_FALSIFIED])
+def test_golden_falsified_bytes(name, mode, constructor, digest, tmp_path,
+                                capsys, monkeypatch):
+    """A constructor that swaps its two factors must be caught, exit 1."""
+    _swap_factors(monkeypatch, constructor)
     infile = tmp_path / "p.json"
     write_json(infile, serialize.matrix_polynomial_obj(_golden_instances()[name]))
     code = main(["equiv", "--in", str(infile), "--mode", mode])
     assert code == 1
     assert _digest(code, capsys) == digest
+
+
+@pytest.mark.parametrize("kind, constructor, check", [
+    ("monomial", "monomial_cofactors", "linearization"),
+    ("bernstein", "bernstein_strict_equivalence", "strict"),
+    ("lagrange", "lagrange_strict_equivalence", "strict"),
+    ("bernstein", "bernstein_reversal_equivalence", "reversal"),
+])
+def test_sweep_names_the_verifier_that_refused(kind, constructor, check, tmp_path,
+                                               monkeypatch):
+    """sweep checks each certificate only through `verify`: a constructor
+    that swaps its two factors is refused there, under that check's name."""
+    _swap_factors(monkeypatch, constructor)
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--count", "2", "--nmax", "2", "--lmax", "3", "--seed", "1",
+                 "--bases", kind, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["counterexample"]["check"] == check

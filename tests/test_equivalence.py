@@ -36,7 +36,6 @@ from polylin.equivalence import (
     bernstein_reversal_equivalence,
     bernstein_strict_equivalence,
     lagrange_hermite_factors,
-    lagrange_monomial_target,
     lagrange_strict_equivalence,
     monomial_cofactors,
     recurrence_hermite_analogue,
@@ -49,6 +48,7 @@ from polylin.errors import (
     SingularNodeValue,
 )
 from polylin.exact import polymatrix_det, polymatrix_inverse_unimodular, polymatrix_mul
+from polylin.normalforms import hermite_form
 from polylin.pencils import (
     build_bernstein_pencil,
     build_lagrange_pencil,
@@ -433,9 +433,7 @@ class TestBernsteinStrict:
             y = [rand_fraction(rng) for _ in range(grade + 1)]
             p = scalar_mp(Bernstein(grade), y)
             se = bernstein_strict_equivalence(p)
-            source = build_bernstein_pencil(p)
-            target = build_monomial_pencil(to_monomial(p))
-            assert verify_strict(se, source, target).ok
+            assert verify_strict(se, build_bernstein_pencil(p), p).ok
 
     def test_works_with_singular_value_at_one(self):
         rng = random.Random(54)
@@ -443,17 +441,13 @@ class TestBernsteinStrict:
             y = [rand_fraction(rng) for _ in range(grade)] + [F(0)]
             p = scalar_mp(Bernstein(grade), y)
             se = bernstein_strict_equivalence(p)
-            source = build_bernstein_pencil(p)
-            target = build_monomial_pencil(to_monomial(p))
-            assert verify_strict(se, source, target).ok
+            assert verify_strict(se, build_bernstein_pencil(p), p).ok
 
     def test_matrix_blocks(self):
         rng = random.Random(55)
         p = rand_matrix_polynomial(rng, Bernstein(3), 2)
         se = bernstein_strict_equivalence(p)
-        source = build_bernstein_pencil(p)
-        target = build_monomial_pencil(to_monomial(p))
-        assert verify_strict(se, source, target).ok
+        assert verify_strict(se, build_bernstein_pencil(p), p).ok
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +561,7 @@ class TestLagrangeStrict:
     def test_spec_example(self):
         p = scalar_mp(Lagrange(1, (0, 1)), [0, 1])  # p = z
         se = lagrange_strict_equivalence(p)
-        source = build_lagrange_pencil(p)
-        target = build_monomial_pencil(lagrange_monomial_target(p))
-        assert verify_strict(se, source, target).ok
+        assert verify_strict(se, build_lagrange_pencil(p), p).ok
 
     def test_det_u_formula(self):
         rng = random.Random(64)
@@ -618,8 +610,7 @@ class TestLagrangeStrict:
         coeffs[1] = ConstMatrix.zeros(2, 2)
         p = MatrixPolynomial(2, Lagrange(3, nodes), tuple(coeffs))
         se = lagrange_strict_equivalence(p)
-        assert verify_strict(se, build_lagrange_pencil(p),
-                             build_monomial_pencil(lagrange_monomial_target(p))).ok
+        assert verify_strict(se, build_lagrange_pencil(p), p).ok
         # nonregular: duplicate rows in every value make det P identically 0
         vals = []
         for _ in range(4):
@@ -628,8 +619,7 @@ class TestLagrangeStrict:
         p2 = MatrixPolynomial(2, Lagrange(3, nodes), tuple(vals))
         assert polymatrix_det(matrix_poly_as_polymatrix(p2)).is_zero
         se2 = lagrange_strict_equivalence(p2)
-        assert verify_strict(se2, build_lagrange_pencil(p2),
-                             build_monomial_pencil(lagrange_monomial_target(p2))).ok
+        assert verify_strict(se2, build_lagrange_pencil(p2), p2).ok
 
     def test_all_sizes(self):
         rng = random.Random(66)
@@ -638,9 +628,7 @@ class TestLagrangeStrict:
                 nodes = rand_nodes(rng, grade + 1)
                 p = rand_matrix_polynomial(rng, Lagrange(grade, nodes), n)
                 se = lagrange_strict_equivalence(p)
-                assert verify_strict(
-                    se, build_lagrange_pencil(p),
-                    build_monomial_pencil(lagrange_monomial_target(p))).ok
+                assert verify_strict(se, build_lagrange_pencil(p), p).ok
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +636,10 @@ class TestLagrangeStrict:
 
 
 class TestConstructionChecks:
+    """The constructors check nothing: wrong data yields a certificate, and
+    the verifier the CLI runs on it must refuse it.  ConjectureFailure is
+    left only where construction cannot go on."""
+
     @pytest.mark.parametrize("kind, build", [
         ("recurrence", recurrence_hermite_analogue),
         ("bernstein", bernstein_hermite_analogue),
@@ -658,26 +650,43 @@ class TestConstructionChecks:
         basis = rand_basis(rng, kind, 3)
         p = rand_matrix_polynomial(rng, basis, 2)
         other = build_pencil(rand_matrix_polynomial(rng, basis, 2))
-        with pytest.raises(ConjectureFailure, match="failed at block row 0"):
-            build(p, other)
+        verdict = verify_hermite_analogue(build(p, other), other)
+        assert not verdict.ok
+        assert verdict.counterexample == {"reason": "Uinv @ H != L"}
 
-    def test_lagrange_strict_rejects_another_target(self, monkeypatch):
+    def test_lagrange_strict_rejects_another_target(self):
         rng = random.Random(71)
         basis = Lagrange(3, rand_nodes(rng, 4))
         p = rand_matrix_polynomial(rng, basis, 2)
-        target = lagrange_monomial_target(rand_matrix_polynomial(rng, basis, 2))
-        monkeypatch.setattr(equivalence, "lagrange_monomial_target", lambda _: target)
-        with pytest.raises(ConjectureFailure, match="strict-equivalence identities failed"):
-            lagrange_strict_equivalence(p)
+        q = rand_matrix_polynomial(rng, basis, 2)
+        se = lagrange_strict_equivalence(p)
+        assert verify_strict(se, build_lagrange_pencil(p), p).ok
+        verdict = verify_strict(se, build_lagrange_pencil(p), q)
+        assert not verdict.ok
+        assert verdict.counterexample == {"reason": "constant-coefficient identity failed"}
 
     def test_reversal_rejects_perturbed_entry(self, monkeypatch):
         rng = random.Random(72)
         y = [rand_const_matrix(rng, 2) for _ in range(4)]
+        p = MatrixPolynomial(2, Bernstein(3), tuple(y))
         exact_entry = equivalence.reversal_u_entry
         monkeypatch.setattr(equivalence, "reversal_u_entry", lambda g, i, j:
                             exact_entry(g, i, j) + (1 if (i, j) == (2, 2) else 0))
-        with pytest.raises(ConjectureFailure, match="reversal identities failed at grade 3"):
-            bernstein_reversal_equivalence(y)
+        verdict = verify_reversal_equivalence(bernstein_reversal_equivalence(y), p)
+        assert not verdict.ok
+        assert verdict.counterexample == {"reason": "first identity failed"}
+
+    def test_reversal_rejects_wrong_shared_coeffs(self, monkeypatch):
+        # the verifier recomputes d from monomial coefficients, so a wrong
+        # d map in the constructor cannot confirm itself
+        rng = random.Random(75)
+        y = [rand_const_matrix(rng, 2) for _ in range(4)]
+        p = MatrixPolynomial(2, Bernstein(3), tuple(y))
+        monkeypatch.setattr(equivalence, "bernstein_reversal_coeffs",
+                            equivalence.standard_reversal_coeffs)
+        verdict = verify_reversal_equivalence(bernstein_reversal_equivalence(y), p)
+        assert not verdict.ok
+        assert verdict.counterexample == {"reason": "first identity failed"}
 
     def test_bernstein_strict_rejects_perturbed_w(self, monkeypatch):
         rng = random.Random(73)
@@ -690,12 +699,12 @@ class TestConstructionChecks:
             return ConstMatrix.from_rows(rows)
 
         monkeypatch.setattr(equivalence, "_bernstein_binomial_w", perturbed)
-        with pytest.raises(ConjectureFailure):
+        with pytest.raises(ConjectureFailure, match="no first row solves the grade-3 system"):
             bernstein_strict_equivalence(p)
 
     @pytest.mark.parametrize("zero, message", [
-        (False, "strict-equivalence identities failed at grade 3"),
-        (True, r"U\^\(-1\) singular at grade 3"),
+        (False, "strict: z-coefficient identity failed"),  # refused by verify_strict
+        (True, r"U\^\(-1\) singular at grade 3"),  # construction cannot go on
     ])
     def test_bernstein_strict_rejects_wrong_first_row(self, monkeypatch, zero, message):
         rng = random.Random(74)
@@ -711,8 +720,13 @@ class TestConstructionChecks:
             return ConstMatrix.from_rows(rows)
 
         monkeypatch.setattr(equivalence, "solve_exact", wrong_solve)
-        with pytest.raises(ConjectureFailure, match=message):
-            bernstein_strict_equivalence(p)
+        if zero:
+            with pytest.raises(ConjectureFailure, match=message):
+                bernstein_strict_equivalence(p)
+            return
+        verdict = verify_strict(bernstein_strict_equivalence(p), build_bernstein_pencil(p), p)
+        assert not verdict.ok
+        assert f"{verdict.check}: {verdict.counterexample['reason']}" == message
 
 
 # ---------------------------------------------------------------------------
@@ -804,3 +818,35 @@ def test_certificate_values_and_grades_digest():
     # PolyQ equality ignores grades, but the CLI pads each entry to its
     # grade: this pins both over every basis and shape
     assert certificate_digest() == CERTIFICATE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the paper's discovery method as an oracle
+
+
+@pytest.mark.parametrize("kind", sorted(TRIANGULAR))
+def test_scalar_triangular_h_is_the_hermite_form(kind):
+    """The paper finds its factorizations from the Hermite form of the
+    scalar companion pencil, so for n = 1 a route's H, with its corner made
+    monic and the entries above the corner reduced modulo it, is
+    hermite_form(L).h; the reduction changes only the Lagrange grade-1 top
+    entry G = (z - tau_0)/beta_0, of the corner's degree."""
+    rng = random.Random(80)
+    checked = 0
+    for grade in range(1, 7):
+        for _ in range(3):
+            p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), 1)
+            try:
+                pen = build_pencil(p)
+                ha = TRIANGULAR[kind](p, pen)
+            except PreconditionError:
+                continue  # grade below the pencil's minimum, or a singular value
+            m = pen.block_count
+            rows = ha.h.to_rows()
+            corner = rows[m - 1][m - 1].monic()
+            for row in rows[:m - 1]:
+                row[m - 1] = row[m - 1] % corner
+            rows[m - 1][m - 1] = corner
+            assert PolyMatrix.from_rows(rows) == hermite_form(pen.as_polymatrix()).h, grade
+            checked += 1
+    assert checked >= 12
