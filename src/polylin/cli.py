@@ -15,7 +15,7 @@ import random
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import InputError, PolylinError, PreconditionError
+from .errors import ConjectureFailure, InputError, PolylinError, PreconditionError
 from .exact import ConstMatrix
 from . import bases, equivalence, normalforms, pencils, randgen, serialize, verify
 
@@ -203,7 +203,8 @@ def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int,
     """Run every applicable constructor+verifier on one random instance,
     then, with smith_checks, verify_strong and smith_equivalence_check.
 
-    Returns None on success or a counterexample description.
+    Returns None on success or a counterexample description; a
+    constructor's ConjectureFailure is one, with its message as "error".
     """
     route = ROUTES[kind]
     grade = rng.randint(route.min_grade, max(route.min_grade, lmax))
@@ -236,6 +237,8 @@ def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int,
             if mode != "cofactors":
                 raise
             continue  # singular leading block / value: documented restriction
+        except ConjectureFailure as exc:
+            return {**fail(mode), "error": f"ConjectureFailure: {exc}"}
         if not verdict.ok:
             return fail(verdict.check)
     if smith_checks:

@@ -351,16 +351,57 @@ def sub_mul(a: PolyQ, q: PolyQ, b: PolyQ) -> PolyQ:
     return _poly_from_ints(out, den, grade)
 
 
-def _det_fraction_rows(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a rational matrix: each row is scaled to integers
-    once and the integer matrix goes through `_bareiss_int`."""
-    scale = 1
-    m = []
-    for r in rows:
-        ints, den = _integer_row(r)
-        scale *= den
-        m.append(ints)
-    return Fraction(_bareiss_int(m), scale)
+def _reduce_rows(rows: list[list[int]], ncols: int, jordan: bool) -> tuple[list[int], int, int]:
+    """Fraction-free row reduction of integer rows, in place, over their
+    first ncols columns.
+
+    The pivot of column c is the first nonzero entry at or below row r.  A
+    row whose entry f in that column is zero is not touched; any other row
+    below the pivot row (and above it too if jordan) becomes
+    (a*row - b*pivot_row) / content, with a = pv/gcd(pv, f), b = f/gcd(pv, f)
+    and content the gcd of the new entries.  A reduced row is then the
+    primitive multiple of the row Bareiss elimination would hold, so no
+    entry outgrows the minors of the input (its Hadamard bound).
+
+    Returns the pivot columns and (num, den): with jordan False and a
+    square input, det(input) = num/den * the product of the pivots.
+    """
+    m = len(rows)
+    pivots = []
+    num = den = 1
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            num = -num
+        pr = rows[r]
+        pv = pr[c]
+        support = [(j, y) for j, y in enumerate(pr) if y]
+        for i in range(0 if jordan else r + 1, m):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = math.gcd(pv, f)
+            a, b = pv // g, f // g
+            if a != 1:
+                row = [a * x for x in row]
+                den *= a
+            for j, y in support:
+                row[j] -= b * y
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+                num *= g
+            rows[i] = row
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, num, den
 
 
 class _Matrix:
@@ -515,13 +556,23 @@ class ConstMatrix(_Matrix):
 
     def scale(self, c) -> "ConstMatrix":
         c = as_fraction(c)
-        return ConstMatrix(self.rows, self.cols, [c * a for a in self.entries])
+        return ConstMatrix(self.rows, self.cols, [c * a if a else ZERO for a in self.entries])
 
     # -- linear algebra -------------------------------------------------
     def det(self) -> Fraction:
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
-        return _det_fraction_rows(self.to_rows())
+        rows, scale = [], 1
+        for i in range(self.rows):
+            ints, den = _integer_row(self.row(i))
+            rows.append(ints)
+            scale *= den
+        pivots, num, den = _reduce_rows(rows, self.cols, jordan=False)
+        if len(pivots) < self.rows:
+            return ZERO
+        for i in range(self.rows):
+            num *= rows[i][i]
+        return Fraction(num, den * scale)
 
     def try_inverse(self) -> "ConstMatrix | None":
         """Exact inverse, or None when singular."""
@@ -542,46 +593,23 @@ def solve_exact(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
 
     Works for rectangular (including overdetermined) systems; free
     variables are set to zero.  Each augmented row [a | b] is scaled to
-    integers once and reduced by fraction-free (Bareiss one-step)
-    Gauss-Jordan elimination: with pivot pv and previous pivot prev, every
-    other row becomes (pv*row - f*pivot_row) // prev, an exact division.
-    Afterwards every pivot row holds the last pivot value, so each entry of
-    the solution is divided once.
+    integers once and reduced by `_reduce_rows` (Gauss-Jordan), so each
+    pivot row is left with zeros in the other pivot columns and each entry
+    of the solution is divided once, by its own row's pivot.
     """
     if a.rows != b.rows:
         raise DimensionMismatch("solve_exact: row counts differ")
     m, n, k = a.rows, a.cols, b.cols
     aug = [_integer_row(a.row(i) + b.row(i))[0] for i in range(m)]
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        pv = pr[c]
-        for i in range(m):
-            if i == r:
-                continue
-            f = aug[i][c]
-            if f:
-                aug[i] = [(pv * x - f * y) // prev for x, y in zip(aug[i], pr)]
-            elif pv != prev:
-                # still rescaled, so that later divisions stay exact
-                aug[i] = [pv * x // prev for x in aug[i]]
-        prev = pv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
+    pivots = _reduce_rows(aug, n, jordan=True)[0]
+    for i in range(len(pivots), m):
         if any(aug[i][n:]):
             return None
     out = [ZERO] * (n * k)
     for idx, c in enumerate(pivots):
-        out[c * k:(c + 1) * k] = [Fraction(x, prev) if x else ZERO for x in aug[idx][n:]]
+        row = aug[idx]
+        pv = row[c]
+        out[c * k:(c + 1) * k] = [Fraction(x, pv) if x else ZERO for x in row[n:]]
     return ConstMatrix(n, k, out)
 
 

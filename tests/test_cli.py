@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from polylin.cli import main
+from polylin.errors import ConjectureFailure
 from polylin import bases, equivalence, pencils, serialize, verify
 from polylin.bases import Bernstein, Lagrange, MatrixPolynomial, Monomial, Recurrence
 from polylin.exact import ConstMatrix, PolyMatrix
@@ -253,6 +254,32 @@ class TestSweepCommand:
         calls.clear()
         assert main(args + ["--smith-checks"]) == 0
         assert len(calls) == 4 * draws
+
+    def test_conjecture_failure_is_a_counterexample(self, tmp_path, monkeypatch):
+        # a constructor that gives up on the second draw: the report keeps
+        # the draw, its basis and the counts passed so far
+        real = equivalence.bernstein_strict_equivalence
+        calls = []
+
+        def fails_second(p):
+            calls.append(p)
+            if len(calls) == 2:
+                raise ConjectureFailure("no first row solves the grade-2 system")
+            return real(p)
+
+        monkeypatch.setattr(equivalence, "bernstein_strict_equivalence", fails_second)
+        out = tmp_path / "r.json"
+        code = main(["sweep", "--count", "3", "--nmax", "2", "--lmax", "3", "--seed", "1",
+                     "--bases", "monomial,bernstein", "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["ok"] is False
+        assert report["bases"] == {"monomial": {"passed": 3, "of": 3},
+                                   "bernstein": {"passed": 1, "of": 3}}
+        bad = report["counterexample"]
+        assert bad["check"] == "strict" and bad["basis"] == "bernstein"
+        assert bad["error"] == "ConjectureFailure: no first row solves the grade-2 system"
+        assert serialize.parse_matrix_polynomial(bad["instance"]) == calls[1]
 
     @pytest.mark.parametrize("kind, refusal", [
         ("recurrence", '"check": "linearization"'),

@@ -1,6 +1,7 @@
 """Exact scalar, polynomial, and polynomial-matrix arithmetic."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -37,6 +38,7 @@ from polylin.pencils import (
     build_bernstein_pencil,
     build_lagrange_pencil,
     build_monomial_pencil,
+    build_pencil,
     build_recurrence_pencil,
 )
 from polylin import exact
@@ -133,6 +135,70 @@ def fraction_solve(a, b):
     for idx, c in enumerate(pivots):
         rows[c] = aug[idx][n:]
     return ConstMatrix(n, k, [x for row in rows for x in row])
+
+
+def integer_rows(m):
+    """Each row of m times its common denominator, as ints, and the
+    product of the denominators."""
+    rows, scale = [], 1
+    for r in m.to_rows():
+        pairs = [x.as_integer_ratio() for x in r]
+        den = math.lcm(*(d for _, d in pairs))
+        rows.append([p * (den // d) for p, d in pairs])
+        scale *= den
+    return rows, scale
+
+
+def bareiss_det(m):
+    """The integer Bareiss determinant ConstMatrix.det once was: rows
+    scaled to integers once, then one-step Bareiss elimination with every
+    row rescaled at every pivot (Math. Comp. 22, 1968)."""
+    rows, scale = integer_rows(m)
+    n = len(rows)
+    if n == 0:
+        return F(1)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pivot is None:
+                return F(0)
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pk = rows[k][k]
+        for i in range(k + 1, n):
+            mik = rows[i][k]
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * pk - mik * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = pk
+    return F(sign * rows[n - 1][n - 1], scale)
+
+
+def kron_draws(rng):
+    """s (x) I_n for n = 2-5, the shape of the strict maps."""
+    return [rand_const(rng, size, size, zero_share).kron_identity(n)
+            for n in range(2, 6) for size in (2, 3, 5) for zero_share in (0.0, 0.5)]
+
+
+def companion_draws(rng):
+    """C1, C0 and C1*x + C0 of the companion pencils of every basis."""
+    draws = []
+    for kind in ("monomial", "recurrence", "bernstein", "lagrange"):
+        for grade, n in ((2, 1), (3, 2), (4, 3)):
+            pen = build_pencil(rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), n))
+            draws += [pen.c1, pen.c0, pen.c1.scale(rand_fraction(rng)) + pen.c0]
+    return draws
+
+
+def hadamard_bound_sq(rows):
+    """The square of a bound on every minor of the integer rows: the
+    product of their squared norms, each at least 1."""
+    bound = 1
+    for r in rows:
+        bound *= max(1, sum(x * x for x in r))
+    return bound
 
 
 def rand_const(rng, rows, cols, zero_share=0.3):
@@ -602,6 +668,70 @@ class TestConstKernels:
             for zero_share in (0.0, 0.6):
                 m = rand_const(rng, n, n, zero_share)
                 assert m.try_inverse() == fraction_solve(m, ConstMatrix.identity(n))
+
+    def test_det_matches_bareiss(self):
+        rng = random.Random(24)
+        draws = [rand_const(rng, n, n, zero_share)
+                 for n in range(11) for zero_share in (0.0, 0.6, 0.9) for _ in range(3)]
+        # singular by construction: X @ Y of rank below n
+        draws += [fraction_matmul(rand_const(rng, n, rank), rand_const(rng, rank, n))
+                  for n in range(1, 9) for rank in range(n)]
+        # a zero row, a zero column
+        for n in range(1, 7):
+            m = rand_const(rng, n, n, 0.0).to_rows()
+            k = rng.randrange(n)
+            draws.append(ConstMatrix.from_rows(m[:k] + [[0] * n] + m[k + 1:]))
+            draws.append(ConstMatrix.from_rows([r[:k] + [0] + r[k + 1:] for r in m]))
+        draws += kron_draws(rng) + companion_draws(rng)
+        singular = 0
+        for m in draws:
+            got = m.det()
+            assert got == bareiss_det(m)
+            singular += got == 0
+        assert singular > 40
+
+    def test_solve_structured_matches_fraction_elimination(self):
+        rng = random.Random(25)
+        for m in kron_draws(rng) + companion_draws(rng):
+            assert m.try_inverse() == fraction_solve(m, ConstMatrix.identity(m.rows))
+            b = rand_const(rng, m.rows, 2)
+            assert exact.solve_exact(m, b) == fraction_solve(m, b)
+
+    def test_overdetermined_strict_system(self):
+        # [C1^T; C0^T] of a monomial pencil, 2N x N as in the Bernstein strict
+        # map: a consistent right-hand side is solved, a random one refused
+        rng = random.Random(26)
+        outcomes = {"solved": 0, "none": 0}
+        for grade, n in ((2, 1), (2, 2), (3, 2), (4, 3), (5, 2)):
+            p = rand_matrix_polynomial(rng, Monomial(grade), n)
+            pen = build_monomial_pencil(p)
+            a = ConstMatrix.from_rows(pen.c1.transpose().to_rows()
+                                      + pen.c0.transpose().to_rows())
+            for b in (fraction_matmul(a, rand_const(rng, a.cols, n)),
+                      rand_const(rng, a.rows, n)):
+                got = exact.solve_exact(a, b)
+                assert got == fraction_solve(a, b)
+                if got is None:
+                    outcomes["none"] += 1
+                else:
+                    outcomes["solved"] += 1
+                    assert fraction_matmul(a, got) == b
+        assert outcomes == {"solved": 5, "none": 5}
+
+    @pytest.mark.parametrize("jordan", [False, True])
+    def test_reduction_stays_within_hadamard_bound(self, jordan):
+        # every reduced row is the primitive multiple of a row of minors, so
+        # no entry outgrows the Hadamard bound of the integer-scaled input
+        rng = random.Random(27)
+        draws = [rand_const(rng, rows, cols, zero_share)
+                 for rows, cols in ((6, 6), (10, 10), (12, 7), (7, 12))
+                 for zero_share in (0.0, 0.5)]
+        draws += kron_draws(rng)[-6:] + companion_draws(rng)[-6:]
+        for m in draws:
+            rows = integer_rows(m)[0]
+            bound = hadamard_bound_sq(rows)
+            exact._reduce_rows(rows, m.cols, jordan)
+            assert max(x * x for r in rows for x in r) <= bound
 
     def test_transpose(self):
         m = ConstMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
