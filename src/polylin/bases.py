@@ -231,45 +231,56 @@ def _stacked_blocks(blocks) -> ConstMatrix:
     return ConstMatrix.from_rows([blk.entries for blk in blocks])
 
 
+def _cut_blocks(m: ConstMatrix, n: int) -> tuple[ConstMatrix, ...]:
+    """Row i of m as an n-by-n block, the inverse of `_stacked_blocks`."""
+    return tuple(ConstMatrix(n, n, m.row(i)) for i in range(m.rows))
+
+
+def transform_blocks(t: ConstMatrix, blocks) -> tuple[ConstMatrix, ...]:
+    """Blocks b_i = sum_k t[i][k] * blocks[k], all n-by-n.
+
+    Every change of coefficient blocks (a basis change, an evaluation, a
+    reversal) is a scalar matrix t acting on them, so the result is the
+    rows of one product t @ Y, with row k of Y the entries of block k.
+    """
+    return _cut_blocks(t @ _stacked_blocks(blocks), blocks[0].rows)
+
+
 def to_monomial(p: MatrixPolynomial) -> MatrixPolynomial:
     """Rewrite p with monomial coefficients at the same grade; exact.
 
-    Monomial block i is sum_k [z^i] phi_k * block k, so all blocks are
-    the rows of one product Phi @ Y, cut back into n-by-n blocks.
+    Monomial block i is sum_k [z^i] phi_k * block k, one transform by Phi.
     """
     if isinstance(p.basis, Monomial):
         return p
-    n = p.n
-    prod = _phi_matrix(p.basis) @ _stacked_blocks(p.coeffs)
-    blocks = tuple(ConstMatrix(n, n, prod.row(i)) for i in range(p.grade + 1))
-    return MatrixPolynomial(n, Monomial(p.grade), blocks)
+    return MatrixPolynomial(p.n, Monomial(p.grade),
+                            transform_blocks(_phi_matrix(p.basis), p.coeffs))
 
 
 def from_monomial(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
     """Rewrite a monomial-basis p in the target basis; exact.
 
-    The target grade may exceed the source grade (zero padding); it must
-    not be smaller than the degree of p.
+    The target grade may be anything from the degree of p up: zero blocks
+    are added above the grade of p or dropped above its degree.
     """
     if not isinstance(p.basis, Monomial):
         raise WrongBasis("from_monomial expects a monomial-basis input")
     n = p.n
+    g = target.grade
     src_deg = max((k for k, c in enumerate(p.coeffs) if not c.is_zero), default=0)
-    if target.grade < src_deg:
-        raise GradeTooSmall(f"target grade {target.grade} below degree {src_deg}")
-    padded = list(p.coeffs) + [ConstMatrix.zeros(n, n)] * (target.grade - p.grade)
+    if g < src_deg:
+        raise GradeTooSmall(f"target grade {g} below degree {src_deg}")
+    padded = (list(p.coeffs) + [ConstMatrix.zeros(n, n)] * (g - p.grade))[:g + 1]
     if isinstance(target, Monomial):
         return MatrixPolynomial(n, target, tuple(padded))
     if isinstance(target, Lagrange):
-        src = MatrixPolynomial(n, Monomial(target.grade), tuple(padded))
-        values = tuple(matrix_poly_value(src, t) for t in target.nodes)
-        return MatrixPolynomial(n, target, values)
+        vander = ConstMatrix.from_rows([[t ** k for k in range(g + 1)] for t in target.nodes])
+        return MatrixPolynomial(n, target, transform_blocks(vander, padded))
     # recurrence and Bernstein: solve the change-of-basis system exactly
     sol = solve_exact(_phi_matrix(target), _stacked_blocks(padded))
     if sol is None:
         raise WrongBasis("basis polynomials do not span the target space")
-    blocks = tuple(ConstMatrix(n, n, sol.row(k)) for k in range(target.grade + 1))
-    return MatrixPolynomial(n, target, blocks)
+    return MatrixPolynomial(n, target, _cut_blocks(sol, n))
 
 
 def convert(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
@@ -286,18 +297,12 @@ def degree_elevate(p: MatrixPolynomial) -> MatrixPolynomial:
     if not isinstance(p.basis, Bernstein):
         raise WrongBasis("degree_elevate expects the Bernstein basis")
     L = p.grade
-    n = p.n
-    zero = ConstMatrix.zeros(n, n)
-    old = list(p.coeffs)
-    blocks = []
-    for k in range(L + 2):
-        acc = zero
-        if 1 <= k <= L + 1:
-            acc = acc + old[k - 1].scale(Fraction(k, L + 1))
-        if k <= L:
-            acc = acc + old[k].scale(Fraction(L + 1 - k, L + 1))
-        blocks.append(acc)
-    return MatrixPolynomial(n, Bernstein(L + 1), tuple(blocks))
+    t = [[0] * (L + 1) for _ in range(L + 2)]
+    for k in range(L + 1):
+        t[k][k] = Fraction(L + 1 - k, L + 1)
+        t[k + 1][k] = Fraction(k + 1, L + 1)
+    blocks = transform_blocks(ConstMatrix.from_rows(t), p.coeffs)
+    return MatrixPolynomial(p.n, Bernstein(L + 1), blocks)
 
 
 def basis_values_at(basis: BasisSpec, x) -> list[Fraction]:
@@ -307,20 +312,9 @@ def basis_values_at(basis: BasisSpec, x) -> list[Fraction]:
 
 def matrix_poly_value(p: MatrixPolynomial, x) -> ConstMatrix:
     """P(x) as a constant matrix."""
-    vals = basis_values_at(p.basis, x)
-    acc = ConstMatrix.zeros(p.n, p.n)
-    for v, block in zip(vals, p.coeffs):
-        if v:
-            acc = acc + block.scale(v)
-    return acc
+    return transform_blocks(ConstMatrix.from_rows([basis_values_at(p.basis, x)]), p.coeffs)[0]
 
 
 def matrix_poly_as_polymatrix(p: MatrixPolynomial) -> PolyMatrix:
     """P(z) as an n-by-n polynomial matrix (monomial coefficients)."""
-    mono = to_monomial(p)
-    n = p.n
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            entries.append(PolyQ([blk.get(i, j) for blk in mono.coeffs], grade=p.grade))
-    return PolyMatrix(n, n, entries)
+    return PolyMatrix.from_coeffs(to_monomial(p).coeffs, p.grade)

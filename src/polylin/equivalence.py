@@ -45,6 +45,7 @@ from .bases import (
     recurrence_basis_polys,
     to_monomial,
     from_monomial,
+    transform_blocks,
 )
 from .pencils import (
     Pencil,
@@ -396,27 +397,17 @@ def bernstein_reversal_coeffs(y: list[ConstMatrix]) -> list[ConstMatrix]:
     """Coefficients d of rev p(z) = (z+1)^grade p(1/(z+1)) in the same
     Bernstein basis, grade = len(y) - 1: d_k = sum_j C(k, j) y_{grade-j}."""
     grade = len(y) - 1
-    out = []
-    for k in range(grade + 1):
-        acc = y[grade].scale(math.comb(k, 0))
-        for j in range(1, k + 1):
-            acc = acc + y[grade - j].scale(math.comb(k, j))
-        out.append(acc)
-    return out
+    t = [[math.comb(k, grade - i) for i in range(grade + 1)] for k in range(grade + 1)]
+    return list(transform_blocks(ConstMatrix.from_rows(t), y))
 
 
 def standard_reversal_coeffs(y: list[ConstMatrix]) -> list[ConstMatrix]:
     """Coefficients e of z^grade p(1/z) in the same Bernstein basis,
     grade = len(y) - 1: e_k = sum_m (-1)^m C(grade-k, m) y_{grade-m}."""
     grade = len(y) - 1
-    out = []
-    for k in range(grade + 1):
-        acc = None
-        for m_ in range(grade - k + 1):
-            term = y[grade - m_].scale(Fraction((-1) ** m_ * math.comb(grade - k, m_)))
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    t = [[(-1) ** (grade - i) * math.comb(grade - k, grade - i) for i in range(grade + 1)]
+         for k in range(grade + 1)]
+    return list(transform_blocks(ConstMatrix.from_rows(t), y))
 
 
 def reversal_u_entry(grade: int, i: int, j: int) -> Fraction:

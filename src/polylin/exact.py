@@ -632,8 +632,15 @@ class PolyMatrix(_Matrix):
         return f"PolyMatrix({[[str(e) for e in r] for r in self.to_rows()]})"
 
     @classmethod
+    def from_coeffs(cls, blocks, grade: int | None = None) -> "PolyMatrix":
+        """sum_k blocks[k] z^k for equally shaped constant blocks; every
+        entry gets the stated grade, or by default its degree."""
+        rows, cols = blocks[0].rows, blocks[0].cols
+        return cls(rows, cols, [PolyQ(cs, grade) for cs in zip(*(b.entries for b in blocks))])
+
+    @classmethod
     def from_const(cls, m: ConstMatrix) -> "PolyMatrix":
-        return cls(m.rows, m.cols, [PolyQ((x,)) for x in m.entries])
+        return cls.from_coeffs([m])
 
     def evaluate(self, x) -> ConstMatrix:
         x = as_fraction(x)
@@ -865,8 +872,7 @@ def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
         zero_run = zero_run + 1 if lifted[-1].is_zero else 0
         if zero_run == d:
             break
-    result = PolyMatrix(n, n, [PolyQ([x.entries[i] for x in lifted])
-                               for i in range(n * n)])
+    result = PolyMatrix.from_coeffs(lifted)
     if polymatrix_mul(m, result) != PolyMatrix.identity(n):
         raise NotUnimodular("matrix is not unimodular: m @ inverse != I")
     return result

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GradeTooSmall, WrongBasis
-from .exact import ConstMatrix, PolyMatrix, PolyQ
+from .exact import ConstMatrix, PolyMatrix
 from .bases import (
     Bernstein,
     Lagrange,
@@ -33,11 +33,7 @@ class Pencil:
 
     def as_polymatrix(self) -> PolyMatrix:
         """L(z) with grade-1 entries."""
-        entries = []
-        for i in range(self.size):
-            for j in range(self.size):
-                entries.append(PolyQ((-self.c0.get(i, j), self.c1.get(i, j)), grade=1))
-        return PolyMatrix(self.size, self.size, entries)
+        return PolyMatrix.from_coeffs([-self.c0, self.c1], grade=1)
 
     def reversed_pencil(self) -> "Pencil":
         """-z*L(1/z) = z*C0 - C1, the pencil of the reversed problem."""

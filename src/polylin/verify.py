@@ -31,6 +31,7 @@ from .bases import (
     from_monomial,
     matrix_poly_as_polymatrix,
     to_monomial,
+    transform_blocks,
 )
 from .equivalence import (
     CofactorPair,
@@ -175,9 +176,7 @@ def verify_hermite_analogue(ha: HermiteAnalogue, pencil: Pencil) -> Verdict:
 
 def _padded_monomial(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
     """P in monomial coefficients at the stated grade (zero blocks on top)."""
-    mono = to_monomial(p)
-    blocks = mono.coeffs + (ConstMatrix.zeros(p.n, p.n),) * (grade - p.grade)
-    return MatrixPolynomial(p.n, Monomial(grade), blocks)
+    return from_monomial(to_monomial(p), Monomial(grade))
 
 
 def _padded_monomial_reversal(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
@@ -189,14 +188,8 @@ def _shifted_reversal(p: MatrixPolynomial) -> MatrixPolynomial:
     """(z+1)^L P(1/(z+1)) = sum_j A_j (z+1)^(L-j) in monomial coefficients,
     from the monomial coefficients A_j of P at its grade L."""
     L = p.grade
-    a = to_monomial(p).coeffs
-    blocks = []
-    for i in range(L + 1):
-        acc = ConstMatrix.zeros(p.n, p.n)
-        for j in range(L - i + 1):
-            acc = acc + a[j].scale(math.comb(L - j, i))
-        blocks.append(acc)
-    return MatrixPolynomial(p.n, Monomial(L), tuple(blocks))
+    t = ConstMatrix.from_rows([[math.comb(L - j, i) for j in range(L + 1)] for i in range(L + 1)])
+    return MatrixPolynomial(p.n, Monomial(L), transform_blocks(t, to_monomial(p).coeffs))
 
 
 def _low_unit_inverse(u: PolyQ, modulus: PolyQ | None) -> PolyQ | None:

@@ -7,6 +7,7 @@ import pytest
 
 from polylin import (
     Bernstein,
+    ConstMatrix,
     Lagrange,
     MatrixPolynomial,
     Monomial,
@@ -19,9 +20,11 @@ from polylin import (
 from polylin.bases import (
     barycentric_weights,
     basis_polys,
+    basis_values_at,
     degree_elevate,
     matrix_poly_value,
     recurrence_basis_polys,
+    transform_blocks,
 )
 from polylin.errors import DuplicateNodes, GradeTooSmall, ZeroAlpha
 from polylin.randgen import (
@@ -233,3 +236,122 @@ class TestEvaluation:
         for k, t in enumerate(spec.nodes):
             for j, u in enumerate(spec.nodes):
                 assert polys[k](u) == (1 if j == k else 0)
+
+
+def loop_transform(t, blocks):
+    """sum_k t[i][k] * blocks[k], entry by entry."""
+    n = blocks[0].rows
+    return tuple(ConstMatrix(n, n, [sum((t.get(i, k) * blk.entries[e]
+                                         for k, blk in enumerate(blocks)), F(0))
+                                    for e in range(n * n)])
+                 for i in range(t.rows))
+
+
+def loop_degree_elevate(p):
+    """The scale-and-add loop degree_elevate once was."""
+    L, n = p.grade, p.n
+    blocks = []
+    for k in range(L + 2):
+        acc = ConstMatrix.zeros(n, n)
+        if 1 <= k <= L + 1:
+            acc = acc + p.coeffs[k - 1].scale(F(k, L + 1))
+        if k <= L:
+            acc = acc + p.coeffs[k].scale(F(L + 1 - k, L + 1))
+        blocks.append(acc)
+    return tuple(blocks)
+
+
+def loop_matrix_poly_value(p, x):
+    """The scale-and-add loop matrix_poly_value once was."""
+    acc = ConstMatrix.zeros(p.n, p.n)
+    for v, block in zip(basis_values_at(p.basis, x), p.coeffs):
+        if v:
+            acc = acc + block.scale(v)
+    return acc
+
+
+def loop_to_lagrange(mono, target):
+    """The Lagrange branch from_monomial once was: the padded monomial
+    polynomial evaluated at each node by the loop above."""
+    zero = ConstMatrix.zeros(mono.n, mono.n)
+    padded = mono.coeffs + (zero,) * (target.grade - mono.grade)
+    src = MatrixPolynomial(mono.n, Monomial(target.grade), padded)
+    return tuple(loop_matrix_poly_value(src, t) for t in target.nodes)
+
+
+def rand_blocks(rng, count, n, zero_share=0.2):
+    return [ConstMatrix.zeros(n, n) if rng.random() < zero_share else
+            ConstMatrix(n, n, [rand_fraction(rng) for _ in range(n * n)])
+            for _ in range(count)]
+
+
+class TestTransformBlocks:
+    """transform_blocks(t, Y): block i is sum_k t[i][k] * Y[k]."""
+
+    def test_rectangular_degree_elevation_matrix(self):
+        rng = random.Random(21)
+        for n in (1, 2, 3):
+            for L in range(1, 6):
+                t = ConstMatrix.from_rows(
+                    [[F(k, L + 1) if j == k - 1 else F(L + 1 - k, L + 1) if j == k else 0
+                      for j in range(L + 1)] for k in range(L + 2)])
+                blocks = rand_blocks(rng, L + 1, n)
+                got = transform_blocks(t, blocks)
+                assert len(got) == L + 2
+                assert got == loop_transform(t, blocks)
+
+    def test_one_row_is_an_evaluation(self):
+        rng = random.Random(22)
+        for n in (1, 2, 3):
+            blocks = rand_blocks(rng, 4, n)
+            x = rand_fraction(rng)
+            t = ConstMatrix.from_rows([[x ** k for k in range(4)]])
+            (got,) = transform_blocks(t, blocks)
+            p = MatrixPolynomial(n, Monomial(3), tuple(blocks))
+            assert got == loop_matrix_poly_value(p, x)
+
+    def test_zero_blocks_and_zero_rows(self):
+        rng = random.Random(23)
+        for n in (1, 2, 3):
+            zeros = [ConstMatrix.zeros(n, n)] * 3
+            t = ConstMatrix(2, 3, [rand_fraction(rng, nonzero=True) for _ in range(6)])
+            assert all(b.is_zero for b in transform_blocks(t, zeros))
+            got = transform_blocks(ConstMatrix.zeros(2, 3), rand_blocks(rng, 3, n))
+            assert got == (ConstMatrix.zeros(n, n),) * 2
+            assert all(type(x) is F for b in got for x in b.entries)
+
+    def test_random_shapes(self):
+        rng = random.Random(24)
+        for _ in range(30):
+            n, rows, cols = rng.randint(1, 3), rng.randint(1, 5), rng.randint(1, 5)
+            t = ConstMatrix(rows, cols, [rand_fraction(rng) for _ in range(rows * cols)])
+            blocks = rand_blocks(rng, cols, n)
+            assert transform_blocks(t, blocks) == loop_transform(t, blocks)
+
+
+class TestTransformsMatchTheirLoops:
+    """Every rewritten block map against the scale-and-add loop it was,
+    at grades 1-10."""
+
+    def test_degree_elevate(self):
+        rng = random.Random(25)
+        for grade in range(1, 11):
+            p = rand_matrix_polynomial(rng, Bernstein(grade), rng.randint(1, 3))
+            assert degree_elevate(p).coeffs == loop_degree_elevate(p)
+
+    def test_matrix_poly_value(self):
+        rng = random.Random(26)
+        for kind in ("monomial", "recurrence", "bernstein", "lagrange"):
+            for grade in range(1, 11):
+                p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), rng.randint(1, 3))
+                for x in (F(0), F(1), rand_fraction(rng)):
+                    assert matrix_poly_value(p, x) == loop_matrix_poly_value(p, x)
+
+    def test_from_monomial_to_lagrange(self):
+        rng = random.Random(27)
+        for grade in range(1, 11):
+            mono = rand_matrix_polynomial(rng, Monomial(grade), rng.randint(1, 3))
+            for extra in (0, 2):
+                target = Lagrange(grade + extra, rand_nodes(rng, grade + extra + 1))
+                got = from_monomial(mono, target).coeffs
+                assert got == loop_to_lagrange(mono, target)

@@ -85,6 +85,27 @@ class TestConvertCommand:
         q = serialize.parse_matrix_polynomial(json.loads(outfile.read_text()))
         assert [c.get(0, 0) for c in q.coeffs] == [2, 0, 0]  # p at 0, 1, 2
 
+    @pytest.mark.parametrize("make_basis", [
+        Monomial, Recurrence.chebyshev, Bernstein,
+        lambda grade: Lagrange(grade, tuple(range(grade + 1)))],
+        ids=["monomial", "recurrence", "bernstein", "lagrange"])
+    def test_target_grade_between_degree_and_grade(self, make_basis, tmp_path):
+        """P of grade 3 and degree 2 converts to any basis at grade 2 and
+        back; a target grade below the degree is a precondition violation."""
+        p = MatrixPolynomial.scalar(Monomial(3), [1, 2, 3, 0])
+        infile, mid, back = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "r.json"
+        write_json(infile, serialize.matrix_polynomial_obj(p))
+
+        def convert(src, basis, out):
+            return main(["convert", "--in", str(src), "--basis",
+                         json.dumps(serialize.basis_obj(basis)), "--out", str(out)])
+
+        assert convert(infile, make_basis(2), mid) == 0
+        assert serialize.parse_matrix_polynomial(json.loads(mid.read_text())).grade == 2
+        assert convert(mid, Monomial(3), back) == 0
+        assert serialize.parse_matrix_polynomial(json.loads(back.read_text())) == p
+        assert convert(infile, make_basis(1), mid) == 3
+
 
 class TestEquivCommand:
     def test_cofactors_monomial(self, tmp_path):

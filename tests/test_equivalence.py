@@ -7,6 +7,7 @@ a random draw proves agreement for symbolic coefficients.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -39,6 +40,7 @@ from polylin.equivalence import (
     lagrange_strict_equivalence,
     monomial_cofactors,
     recurrence_hermite_analogue,
+    standard_reversal_coeffs,
 )
 from polylin.errors import (
     ConjectureFailure,
@@ -454,7 +456,41 @@ class TestBernsteinStrict:
 # Bernstein reversals
 
 
+def loop_bernstein_reversal_coeffs(y):
+    """The scale-and-add loop bernstein_reversal_coeffs once was."""
+    grade = len(y) - 1
+    out = []
+    for k in range(grade + 1):
+        acc = y[grade].scale(math.comb(k, 0))
+        for j in range(1, k + 1):
+            acc = acc + y[grade - j].scale(math.comb(k, j))
+        out.append(acc)
+    return out
+
+
+def loop_standard_reversal_coeffs(y):
+    """The scale-and-add loop standard_reversal_coeffs once was."""
+    grade = len(y) - 1
+    out = []
+    for k in range(grade + 1):
+        acc = None
+        for m_ in range(grade - k + 1):
+            term = y[grade - m_].scale(F((-1) ** m_ * math.comb(grade - k, m_)))
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
 class TestReversalCoeffs:
+    def test_both_maps_match_their_loops(self):
+        rng = random.Random(61)
+        for grade in range(1, 11):
+            n = rng.randint(1, 3)
+            y = list(rand_matrix_polynomial(rng, Bernstein(grade), n).coeffs)
+            y[rng.randrange(grade + 1)] = ConstMatrix.zeros(n, n)
+            assert bernstein_reversal_coeffs(y) == loop_bernstein_reversal_coeffs(y)
+            assert standard_reversal_coeffs(y) == loop_standard_reversal_coeffs(y)
+
     def test_grade1_closed_form(self):
         rng = random.Random(56)
         y = [ConstMatrix(1, 1, [rand_fraction(rng)]) for _ in range(2)]
@@ -486,8 +522,6 @@ class TestReversalCoeffs:
             p = scalar_mp(Bernstein(grade), y)
             mono = [c.get(0, 0) for c in to_monomial(p).coeffs]
             want = standard_reversal_monomial(mono, grade)
-            from polylin.equivalence import standard_reversal_coeffs
-
             e = standard_reversal_coeffs(list(p.coeffs))
             e_poly = scalar_mp(Bernstein(grade), [blk.get(0, 0) for blk in e])
             got = PolyQ([c.get(0, 0) for c in to_monomial(e_poly).coeffs])
@@ -503,8 +537,6 @@ class TestReversalCoeffs:
         one = ConstMatrix(1, 1, [1])
         zero = ConstMatrix(1, 1, [0])
         grade = 4
-        from polylin.equivalence import standard_reversal_coeffs
-
         for j in range(grade + 1):
             y = [one if k == j else zero for k in range(grade + 1)]
             d = bernstein_reversal_coeffs(y)

@@ -42,7 +42,7 @@ from polylin.pencils import (
     build_recurrence_pencil,
 )
 from polylin import exact
-from polylin.bases import basis_polys, to_monomial
+from polylin.bases import basis_polys, matrix_poly_as_polymatrix, to_monomial
 from polylin.randgen import (
     rand_basis,
     rand_fraction,
@@ -619,6 +619,84 @@ class TestBlockAssembly:
             with pytest.raises(DimensionMismatch):
                 ConstMatrix.from_blocks(grid, 2)
 
+
+def loop_pencil_polymatrix(pencil):
+    """The entry loop Pencil.as_polymatrix once was."""
+    entries = [PolyQ((-pencil.c0.get(i, j), pencil.c1.get(i, j)), grade=1)
+               for i in range(pencil.size) for j in range(pencil.size)]
+    return PolyMatrix(pencil.size, pencil.size, entries)
+
+
+def loop_poly_as_polymatrix(mono, grade):
+    """The entry loop bases.matrix_poly_as_polymatrix once was, on the
+    monomial blocks of P."""
+    n = mono.n
+    return PolyMatrix(n, n, [PolyQ([blk.get(i, j) for blk in mono.coeffs], grade=grade)
+                             for i in range(n) for j in range(n)])
+
+
+class TestFromCoeffs:
+    """PolyMatrix.from_coeffs(blocks, grade) is sum_k blocks[k] z^k; the
+    grade of each entry is part of the output (serialize pads to it)."""
+
+    def test_zero_entries_keep_the_grade(self):
+        blocks = [ConstMatrix.from_rows([[1, 0], [0, 0]]),
+                  ConstMatrix.from_rows([[0, 0], [2, 0]]),
+                  ConstMatrix.zeros(2, 2)]
+        m = PolyMatrix.from_coeffs(blocks, grade=4)
+        assert [e.grade for e in m.entries] == [4, 4, 4, 4]
+        assert [e.coeffs for e in m.entries] == [(1,), (), (0, 2), ()]
+        # without a grade each entry takes its degree (0 for zero entries)
+        assert [e.grade for e in PolyMatrix.from_coeffs(blocks).entries] == [0, 0, 1, 0]
+
+    def test_rectangular_and_const(self):
+        a = ConstMatrix.from_rows([[1, F(1, 2), 0]])
+        b = ConstMatrix.from_rows([[0, 3, F(-2, 7)]])
+        m = PolyMatrix.from_coeffs([a, b])
+        assert (m.rows, m.cols) == (1, 3)
+        assert m.entries == (PolyQ([1]), PolyQ([F(1, 2), 3]), PolyQ([0, F(-2, 7)]))
+        assert PolyMatrix.from_const(a) == PolyMatrix.from_coeffs([a])
+        with pytest.raises(ValueError):
+            PolyMatrix.from_coeffs([a, b], grade=0)
+
+    def test_pencils_match_the_entry_loop(self):
+        rng = random.Random(81)
+        for kind in ("monomial", "recurrence", "bernstein", "lagrange"):
+            for grade in range(2, 11):
+                p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), rng.randint(1, 3))
+                pen = build_pencil(p)
+                got, want = pen.as_polymatrix(), loop_pencil_polymatrix(pen)
+                assert all(same_poly(x, y) for x, y in zip(got.entries, want.entries))
+                assert got.entries and len(got.entries) == len(want.entries)
+
+    def test_matrix_polynomials_match_the_entry_loop(self):
+        rng = random.Random(82)
+        for kind in ("monomial", "recurrence", "bernstein", "lagrange"):
+            for grade in range(1, 11):
+                p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), rng.randint(1, 3))
+                if rng.random() < 0.3:  # zero top blocks: entries below the grade
+                    zero = ConstMatrix.zeros(p.n, p.n)
+                    p = MatrixPolynomial(p.n, p.basis, p.coeffs[:1] + (zero,) * grade)
+                got = matrix_poly_as_polymatrix(p)
+                want = loop_poly_as_polymatrix(to_monomial(p), grade)
+                assert all(same_poly(x, y) for x, y in zip(got.entries, want.entries))
+                assert len(got.entries) == p.n * p.n
+
+    def test_lifted_inverse_matches_the_entry_loop(self):
+        """The inverse's entries have their degrees as grades, as the
+        per-entry PolyQ(list) assembly gave them."""
+        rng = random.Random(83)
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            lo = PolyMatrix(n, n, [POLY_ONE if i == j else
+                                   (rand_polymatrix(rng, 1, 2).entries[0] if i > j else PolyQ.zero())
+                                   for i in range(n) for j in range(n)])
+            m = polymatrix_mul(lo, lo.transpose())
+            inv = polymatrix_inverse_unimodular(m)
+            assert polymatrix_mul(m, inv) == PolyMatrix.identity(n)
+            assert all(e.grade == max(e.degree, 0) for e in inv.entries)
+
+
 class TestConstKernels:
     """The integer product and fraction-free solve against the Fraction
     loops they replaced."""
@@ -820,7 +898,7 @@ class TestPolyKernels:
     @pytest.mark.parametrize("kind", ["recurrence", "bernstein", "lagrange"])
     def test_to_monomial_matches_block_loop(self, kind):
         rng = random.Random(f"to-monomial/{kind}")
-        for grade in range(1, 6):
+        for grade in range(1, 11):
             for n in (1, 2, 3):
                 basis = rand_basis(rng, kind, grade)
                 p = rand_matrix_polynomial(rng, basis, n)

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -50,6 +51,41 @@ def perturb_entry(m: ConstMatrix, i=0, j=0, delta=1) -> ConstMatrix:
     entries = list(m.entries)
     entries[i * m.cols + j] += delta
     return ConstMatrix(m.rows, m.cols, entries)
+
+
+def loop_shifted_reversal(p):
+    """The scale-and-add loop verify._shifted_reversal once was."""
+    L = p.grade
+    a = to_monomial(p).coeffs
+    blocks = []
+    for i in range(L + 1):
+        acc = ConstMatrix.zeros(p.n, p.n)
+        for j in range(L - i + 1):
+            acc = acc + a[j].scale(math.comb(L - j, i))
+        blocks.append(acc)
+    return tuple(blocks)
+
+
+def test_shifted_reversal_matches_its_loop():
+    rng = random.Random(90)
+    for kind in ("monomial", "bernstein"):
+        for grade in range(1, 11):
+            p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), rng.randint(1, 3))
+            got = verify._shifted_reversal(p)
+            assert got.basis == Monomial(grade)
+            assert got.coeffs == loop_shifted_reversal(p)
+
+
+def test_padded_monomial_pads_with_zero_blocks():
+    rng = random.Random(91)
+    for kind in ("monomial", "recurrence", "bernstein", "lagrange"):
+        for grade in range(1, 6):
+            p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), rng.randint(1, 3))
+            for extra in (0, 2):
+                got = verify._padded_monomial(p, grade + extra)
+                zero = ConstMatrix.zeros(p.n, p.n)
+                assert got.basis == Monomial(grade + extra)
+                assert got.coeffs == to_monomial(p).coeffs + (zero,) * extra
 
 
 class TestCompanion:
