@@ -64,13 +64,12 @@ class CofactorPair:
 
 @dataclass(frozen=True)
 class HermiteAnalogue:
-    """Factorization L = Uinv @ H with H equal to the identity outside one
-    block column and P(z) (up to the constant left factor corner_factor)
-    in the corner of that column."""
+    """Factorization L = Uinv @ H with H equal to the identity outside its
+    last block column and P(z) (up to the constant left factor
+    corner_factor) in the corner of that column."""
 
     uinv: PolyMatrix
     h: PolyMatrix
-    corner_index: int
     corner_factor: ConstMatrix
 
 
@@ -114,7 +113,7 @@ def _triangular(pencil: Pencil, last: list[PolyMatrix | None], h_col: list[PolyM
         [[lz.block(i, j, n) for j in range(m - 1)] + [last[i]] for i in range(m)], n)
     h = PolyMatrix.from_blocks(
         [[eye if i == j else None for j in range(m - 1)] + [h_col[i]] for i in range(m)], n)
-    return HermiteAnalogue(uinv, h, m - 1, corner_factor)
+    return HermiteAnalogue(uinv, h, corner_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +307,11 @@ def lagrange_hermite_factors(p: MatrixPolynomial, pencil: Pencil) -> HermiteAnal
 # assembling cofactors from a triangular factorization
 
 
-def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil,
-                       p: MatrixPolynomial) -> CofactorPair:
+def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil) -> CofactorPair:
     """Turn L = Uinv @ H into unimodular E, F with E @ L @ F = diag(P, I, ...).
 
     E = diag(corner_factor, I, ..., I) @ SIP @ Uinv^{-1}; F first clears the
-    off-corner entries of H's designated column, then applies the SIP block
+    off-corner entries of H's last block column, then applies the SIP block
     permutation that moves the corner to position (1, 1).
     """
     n = pencil.n
@@ -328,7 +326,7 @@ def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil,
         top = polymatrix_mul(PolyMatrix.from_const(ha.corner_factor), top)
         e_grid[0] = [top.block(0, j, n) for j in range(m)]
     eye = PolyMatrix.identity(n)
-    f_col = [-ha.h.block(i, ha.corner_index, n) for i in range(m - 1)] + [eye]
+    f_col = [-ha.h.block(i, m - 1, n) for i in range(m - 1)] + [eye]
     f_grid = [[f_col[i]] + [eye if i + j == m - 1 else None for j in range(1, m)]
               for i in range(m)]
     return CofactorPair(PolyMatrix.from_blocks(e_grid, n), PolyMatrix.from_blocks(f_grid, n))

@@ -152,7 +152,7 @@ def test_criterion_2_recurrence():
         p = MatrixPolynomial.scalar(Recurrence.chebyshev(5), a)
         pen = build_recurrence_pencil(p)
         ha = recurrence_hermite_analogue(p, pen)
-        cof = assemble_cofactors(ha, pen, p)
+        cof = assemble_cofactors(ha, pen)
         einv = polymatrix_inverse_unimodular(cof.e)
         assert einv.row(0) == expected_chebyshev_einv_row(a)
         finv = polymatrix_inverse_unimodular(cof.f)
@@ -172,7 +172,7 @@ def test_criterion_2_recurrence():
         pen = build_recurrence_pencil(p)
         ha = recurrence_hermite_analogue(p, pen)
         assert verify_hermite_analogue(ha, pen).ok
-        cof = assemble_cofactors(ha, pen, p)
+        cof = assemble_cofactors(ha, pen)
         assert verify_linearization(pen, p, cof).ok
         done += 1
 
@@ -198,7 +198,7 @@ def test_criterion_3_bernstein():
         pen = build_bernstein_pencil(p)
         ha = bernstein_hermite_analogue(p, pen)
         assert verify_hermite_analogue(ha, pen).ok
-        cof = assemble_cofactors(ha, pen, p)
+        cof = assemble_cofactors(ha, pen)
         assert verify_linearization(pen, p, cof).ok
         done += 1
 
@@ -279,7 +279,7 @@ def test_criterion_5_lagrange():
                                     for r in range(n) for c in range(n)])
             acc = acc + polymatrix_mul(PolyMatrix.from_const(coeffs[k]), h_k)
         assert acc == PolyMatrix.from_const(coeffs[0])
-        cof = assemble_cofactors(ha, pen, p)
+        cof = assemble_cofactors(ha, pen)
         assert verify_linearization(pen, p, cof).ok
         done += 1
 

@@ -23,6 +23,24 @@ def mono_p_obj():
     return serialize.matrix_polynomial_obj(p)
 
 
+def _inject_fault(monkeypatch):
+    """Make the first pencils.build_pencil call return its pencil with C0
+    entry (0, 0) raised by 1, and later calls the true pencil."""
+    real = pencils.build_pencil
+    built = []
+
+    def faulty(p):
+        pen = real(p)
+        built.append(pen)
+        if len(built) > 1:
+            return pen
+        bad = list(pen.c0.entries)
+        bad[0] += 1
+        return dataclasses.replace(pen, c0=ConstMatrix(pen.c0.rows, pen.c0.cols, bad))
+
+    monkeypatch.setattr(pencils, "build_pencil", faulty)
+
+
 class TestPencilCommand:
     def test_roundtrip(self, tmp_path):
         infile = tmp_path / "p.json"
@@ -230,24 +248,24 @@ class TestSweepCommand:
         assert set(report["bases"]) == {"monomial", "recurrence", "bernstein",
                                         "lagrange"}
 
-    def test_injected_fault_exit1(self, tmp_path):
+    def test_injected_fault_exit1(self, tmp_path, monkeypatch):
+        _inject_fault(monkeypatch)
         out = tmp_path / "r.json"
         code = main(["sweep", "--count", "1", "--nmax", "1", "--lmax", "2",
-                     "--seed", "3", "--bases", "monomial", "--inject-fault",
-                     "--out", str(out)])
+                     "--seed", "3", "--bases", "monomial", "--out", str(out)])
         assert code == 1
         report = json.loads(out.read_text())
         assert report["ok"] is False
-        assert report["counterexample"]["check"] == "companion"
+        assert report["counterexample"]["check"] == "smith-equivalence"
 
-    def test_smith_checks_opt_in(self, tmp_path):
-        args = ["sweep", "--count", "2", "--nmax", "2", "--lmax", "3", "--seed", "7"]
-        plain, checked = tmp_path / "plain.json", tmp_path / "checked.json"
-        assert main(args + ["--out", str(plain)]) == 0
-        assert main(args + ["--smith-checks", "--out", str(checked)]) == 0
-        report = json.loads(checked.read_text())
-        assert report.pop("smith_checks") is True
-        assert report == json.loads(plain.read_text())
+    @pytest.mark.parametrize("flag", ["--smith-checks", "--inject-fault"])
+    def test_removed_flags_exit2(self, flag, capsys):
+        """Every sweep runs the Smith checks, and faults are injected only
+        by tests, so neither flag exists."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--count", "1", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("function, check", [
         ("verify_strong", "strong"),
@@ -257,23 +275,19 @@ class TestSweepCommand:
         monkeypatch.setattr(verify, function, lambda pen, p: verify.Verdict(check, False))
         out = tmp_path / "r.json"
         code = main(["sweep", "--count", "1", "--nmax", "1", "--lmax", "2", "--seed", "3",
-                     "--bases", "monomial", "--smith-checks", "--out", str(out)])
+                     "--bases", "monomial", "--out", str(out)])
         assert code == 1
         assert json.loads(out.read_text())["counterexample"]["check"] == check
 
     def test_smith_checks_take_each_determinant_once(self, tmp_path, monkeypatch):
-        # smith_equivalence_check reuses the det L and det P that
-        # verify_companion took, so --smith-checks adds only verify_strong's two
+        # per draw: det L and det P in smith_equivalence_check, which runs in
+        # place of verify_companion, and the two reversals' in verify_strong
         real = verify.polymatrix_det
         calls = []
         monkeypatch.setattr(verify, "polymatrix_det", lambda m: calls.append(m) or real(m))
-        args = ["sweep", "--count", "3", "--nmax", "2", "--lmax", "3", "--seed", "1",
-                "--out", str(tmp_path / "r.json")]
+        assert main(["sweep", "--count", "3", "--nmax", "2", "--lmax", "3", "--seed", "1",
+                     "--out", str(tmp_path / "r.json")]) == 0
         draws = 3 * 4
-        assert main(args) == 0
-        assert len(calls) == 2 * draws
-        calls.clear()
-        assert main(args + ["--smith-checks"]) == 0
         assert len(calls) == 4 * draws
 
     def test_conjecture_failure_is_a_counterexample(self, tmp_path, monkeypatch):
@@ -378,12 +392,19 @@ EXIT2_CASES = [
      ["convert", "--basis", '{"kind": %s}' % ("[" * 5000 + "]" * 5000)]),
     ("sweep bases comma", None, ["sweep", "--bases", ","]),
     ("sweep bases empty", None, ["sweep", "--bases", ""]),
+    # {dir} stands for an existing directory
+    ("in is a directory", None, ["pencil", "--in", "{dir}"]),
+    ("basis is a directory", _mono_text('"1"'), ["convert", "--basis", "{dir}"]),
+    ("out in a missing directory", _mono_text('"1"'),
+     ["pencil", "--out", "{dir}/missing/x.json"]),
+    ("out is a directory", _mono_text('"1"'), ["pencil", "--out", "{dir}"]),
 ]
 
 
 @pytest.mark.parametrize("text, argv", [c[1:] for c in EXIT2_CASES],
                          ids=[c[0] for c in EXIT2_CASES])
 def test_input_contract_exit2(text, argv, tmp_path, capsys):
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
     if text is not None:
         infile = tmp_path / "in.json"
         infile.write_text(text)
@@ -509,20 +530,21 @@ GOLDEN = [
      "2a3b3351a9dc7697f78565c6faacb9a5e8f1b0b31ae3f9670c344928c027ea74"),
     (["sweep", "--count", "3", "--seed", "0"],
      "aaaf65a022cf3b638b7f34f524987975401c1b37913ae555642184a6776bab08"),
+    # "--inject-fault" marks a run whose first pencil is corrupted (_inject_fault)
     (["sweep", "--count", "3", "--seed", "0", "--inject-fault"],
-     "5f5c0871a8c9818606ae7c96abbe481fa58c71c21172d689c905bf6009820264"),
+     "65f58e755d3cd374095131390ca52e208957e48aae2bad7482f242c116b01055"),
     # a falsified sweep prints the instance it drew, which pins the draws
     (["sweep", "--count", "3", "--seed", "0", "--inject-fault", "--bases", "recurrence"],
-     "3e4694228c8b0e48a24b56d5e1e4269cef962c22f2bb589490a37abf32c2fabb"),
+     "ff89e2ff4d4226fa297a225cb8fa574248bcf2dd674e051484908ee9e1f9d95d"),
     (["sweep", "--count", "3", "--seed", "0", "--inject-fault", "--bases", "bernstein"],
-     "ed7c0c10cb0c3b352b54db0ca602dd17b74cd1e970c40eb492491f71e7d8fa5f"),
+     "74923ae4b56d62deb4ce8ae9fb47c174878b59c7a42a218b60c8e03bd642e5c7"),
     (["sweep", "--count", "3", "--seed", "0", "--inject-fault", "--bases", "lagrange"],
-     "b5e505d0e9b32ac5f84906acb9817f57b395ecf775216180c408560703f81dc2"),
+     "4be3676f821615565cb4a6550f531cd650e36415d4cbe4f55871fba4885143d0"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_golden_output_bytes(argv, digest, tmp_path, capsys):
+def test_golden_output_bytes(argv, digest, tmp_path, capsys, monkeypatch):
     if argv[0] == "equiv":
         _, name, mode = argv
         infile = tmp_path / "p.json"
@@ -533,6 +555,9 @@ def test_golden_output_bytes(argv, digest, tmp_path, capsys):
         infile = tmp_path / "m.json"
         write_json(infile, _golden_nf_input(name, on))
         argv = ["nf", "--in", str(infile), "--kind", kind]
+    elif "--inject-fault" in argv:  # not a CLI option: corrupt the first pencil built
+        argv = [a for a in argv if a != "--inject-fault"]
+        _inject_fault(monkeypatch)
     assert _digest(main(argv), capsys) == digest
 
 

@@ -226,7 +226,7 @@ class TestRecurrenceHermite:
             p = scalar_mp(Recurrence.chebyshev(5), a)
             pen = build_recurrence_pencil(p)
             ha = recurrence_hermite_analogue(p, pen)
-            cof = assemble_cofactors(ha, pen, p)
+            cof = assemble_cofactors(ha, pen)
             einv = polymatrix_inverse_unimodular(cof.e)
             finv = polymatrix_inverse_unimodular(cof.f)
             assert einv == PolyMatrix.from_rows(
@@ -240,7 +240,7 @@ class TestRecurrenceHermite:
         p_rec = scalar_mp(Recurrence.monomial_like(5), a)
         pen = build_recurrence_pencil(p_rec)
         ha = recurrence_hermite_analogue(p_rec, pen)
-        cof = assemble_cofactors(ha, pen, p_rec)
+        cof = assemble_cofactors(ha, pen)
         _, _, f_want = expected_grade5_monomial(a)
         assert cof.f == f_want
         assert verify_linearization(pen, p_rec, cof).ok
@@ -263,7 +263,7 @@ class TestRecurrenceHermite:
             pen = build_recurrence_pencil(p)
             ha = recurrence_hermite_analogue(p, pen)
             assert verify_hermite_analogue(ha, pen).ok
-            cof = assemble_cofactors(ha, pen, p)
+            cof = assemble_cofactors(ha, pen)
             assert verify_linearization(pen, p, cof).ok
             done += 1
 
@@ -313,7 +313,7 @@ class TestBernsteinHermite:
         pen = build_bernstein_pencil(p)
         ha = bernstein_hermite_analogue(p, pen)
         assert verify_hermite_analogue(ha, pen).ok
-        cof = assemble_cofactors(ha, pen, p)
+        cof = assemble_cofactors(ha, pen)
         assert verify_linearization(pen, p, cof).ok
 
     def test_singular_at_one_raises(self):
@@ -334,7 +334,7 @@ class TestBernsteinHermite:
             pen = build_bernstein_pencil(p)
             ha = bernstein_hermite_analogue(p, pen)
             assert verify_hermite_analogue(ha, pen).ok
-            cof = assemble_cofactors(ha, pen, p)
+            cof = assemble_cofactors(ha, pen)
             assert verify_linearization(pen, p, cof).ok
             done += 1
 
@@ -349,7 +349,7 @@ class TestLagrangeHermite:
         pen = build_lagrange_pencil(p)
         ha = lagrange_hermite_factors(p, pen)
         assert verify_hermite_analogue(ha, pen).ok
-        cof = assemble_cofactors(ha, pen, p)
+        cof = assemble_cofactors(ha, pen)
         assert verify_linearization(pen, p, cof).ok
 
     def test_value_sum_identity(self):
@@ -781,7 +781,7 @@ def _certificate_matrices(kind, p):
             return {"E": cof.e, "F": cof.f}
         pen = build_pencil(p)
         ha = TRIANGULAR[kind](p, pen)
-        cof = assemble_cofactors(ha, pen, p)
+        cof = assemble_cofactors(ha, pen)
         return {"Uinv": ha.uinv, "H": ha.h, "corner": ha.corner_factor,
                 "E": cof.e, "F": cof.f}
 
@@ -862,7 +862,10 @@ def test_scalar_triangular_h_is_the_hermite_form(kind):
     scalar companion pencil, so for n = 1 a route's H, with its corner made
     monic and the entries above the corner reduced modulo it, is
     hermite_form(L).h; the reduction changes only the Lagrange grade-1 top
-    entry G = (z - tau_0)/beta_0, of the corner's degree."""
+    entry G = (z - tau_0)/beta_0, of the corner's degree.  The Hermite
+    form's U then undoes the route's Uinv up to diag(1, ..., 1, 1/c), c the
+    corner's leading coefficient; at Lagrange grade 1 the reduction of G
+    leaves U @ Uinv constant but not diagonal."""
     rng = random.Random(80)
     checked = 0
     for grade in range(1, 7):
@@ -874,11 +877,19 @@ def test_scalar_triangular_h_is_the_hermite_form(kind):
             except PreconditionError:
                 continue  # grade below the pencil's minimum, or a singular value
             m = pen.block_count
+            hnf = hermite_form(pen.as_polymatrix())
             rows = ha.h.to_rows()
             corner = rows[m - 1][m - 1].monic()
             for row in rows[:m - 1]:
                 row[m - 1] = row[m - 1] % corner
             rows[m - 1][m - 1] = corner
-            assert PolyMatrix.from_rows(rows) == hermite_form(pen.as_polymatrix()).h, grade
+            assert PolyMatrix.from_rows(rows) == hnf.h, grade
+            undone = polymatrix_mul(hnf.u, ha.uinv)
+            if kind == "lagrange" and grade == 1:
+                assert all(e.degree <= 0 for e in undone.entries)
+            else:
+                diag = [[PolyQ([1 if i == j else 0]) for j in range(m)] for i in range(m)]
+                diag[m - 1][m - 1] = PolyQ([1 / ha.h.get(m - 1, m - 1).lead])
+                assert undone == PolyMatrix.from_rows(diag), grade
             checked += 1
     assert checked >= 12

@@ -371,8 +371,7 @@ class TestRemainingNegativeControls:
         ha = recurrence_hermite_analogue(p, pen)
         rows = ha.uinv.to_rows()
         rows[1][0] = rows[1][0] + PolyQ([1])
-        bad = HermiteAnalogue(PolyMatrix.from_rows(rows), ha.h,
-                              ha.corner_index, ha.corner_factor)
+        bad = HermiteAnalogue(PolyMatrix.from_rows(rows), ha.h, ha.corner_factor)
         assert not verify_hermite_analogue(bad, pen).ok
 
     def test_reversal_equivalence_perturbed(self):
