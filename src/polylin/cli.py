@@ -276,9 +276,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_FALSIFIED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError (exit 2 from
+    `main`) instead of SystemExit; its subparsers are of the same class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polylin",
         description="Exact companion pencils, equivalences, and normal forms over Q[z].",
     )
@@ -320,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Exact scalar, polynomial, and polynomial-matrix arithmetic over Q.
 
 Every value is immutable after construction and every operation is a pure
-function, so all of this is safe to call concurrently.
+function, so all of this is safe to call concurrently.  (A ConstMatrix may
+fill in its entries or its row form on first read; either is a function of
+the other, so a second thread that makes it too makes the same value.)
 """
 
 from __future__ import annotations
@@ -310,6 +312,27 @@ def _integer_row(xs) -> tuple[list[int], int]:
     return [p * (den // d) for p, d in pairs], den
 
 
+def _row_form(xs) -> tuple[int, list[tuple[int, int]]]:
+    """The row form of a row of Fractions: its nonzero entries times their
+    lcm d as (column, int) pairs, and d.  gcd(d, ints) = 1 since each
+    entry is in lowest terms.  Most zeros are the shared ZERO, which the
+    identity test skips without a call to Fraction.__bool__."""
+    pairs = [(j, x.as_integer_ratio()) for j, x in enumerate(xs) if x is not ZERO and x]
+    den = math.lcm(*(d for _, (_, d) in pairs))
+    return den, [(j, p * (den // d)) for j, (p, d) in pairs]
+
+
+def _canonical(den: int, ints: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """The row form of the row ints / den (den nonzero)."""
+    pairs = [(j, x) for j, x in enumerate(ints) if x]
+    g = math.gcd(den, *(x for _, x in pairs))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, pairs
+    return den // g, [(j, x // g) for j, x in pairs]
+
+
 def _convolve(xs: list[int], ys: list[int]) -> list[int]:
     """Coefficients of the product of two nonempty integer polynomials."""
     out = [0] * (len(xs) + len(ys) - 1)
@@ -511,9 +534,18 @@ class _Matrix:
 
 
 class ConstMatrix(_Matrix):
-    """Immutable rectangular matrix of rationals."""
+    """Immutable rectangular matrix of rationals.
 
-    __slots__ = ()
+    Its integer representation is its row form: row i is (d, pairs), the
+    row's nonzero entries as (column, int) pairs over d > 0 with
+    gcd(d, ints) = 1.  The form is canonical, so matrices are equal exactly
+    when their row forms are.  Products, solves and determinants work on
+    row forms and build their results as row forms; entries (Fractions)
+    and row form are each made from the other on first use, by
+    `__getattr__`, and then kept.
+    """
+
+    __slots__ = ("_form",)
     _zero = ZERO
     _one = ONE
 
@@ -523,36 +555,65 @@ class ConstMatrix(_Matrix):
             return tuple(as_fraction(x) for x in entries)
         return entries
 
+    @classmethod
+    def _from_form(cls, rows: int, cols: int, form: list) -> "ConstMatrix":
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_form", form)
+        return m
+
+    def __getattr__(self, name):
+        # reached only while the slot `name` is unset
+        if name == "_form":
+            c = self.cols
+            value = [_row_form(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+        elif name == "entries":
+            value = [ZERO] * (self.rows * self.cols)
+            for i, (den, pairs) in enumerate(self._form):
+                for j, x in pairs:
+                    value[i * self.cols + j] = Fraction(x, den)
+            value = tuple(value)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._form) == (other.rows, other.cols, other._form)
+
+    __hash__ = _Matrix.__hash__  # entry-based: equal matrices have equal entries
+
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(pairs for _, pairs in self._form)
 
     def __repr__(self):
         return f"ConstMatrix({self.to_rows()})"
 
     # -- arithmetic ---------------------------------------------------
     def __matmul__(self, other: "ConstMatrix") -> "ConstMatrix":
-        """Exact product: each row of self and each column of other is
-        scaled to integers once, the products accumulate on ints over the
-        nonzero entries of other's rows, and each entry is divided once."""
+        """Exact product on the row forms: with row i of self (da, x) and
+        row k of other (d_k, y_k), output row i is sum_k x_k (l/d_k) y_k
+        over da*l, l the lcm of the d_k that row i touches, brought to its
+        row form by one gcd.  No Fraction is made."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         oc = other.cols
-        bcols = [_integer_row(other.entries[j::oc]) for j in range(oc)]
-        bdens = [db for _, db in bcols]
-        # row k of other as its nonzero (j, int) pairs
-        brows = [[(j, y) for j, y in enumerate(ys) if y]
-                 for ys in zip(*(ys for ys, _ in bcols))]
-        out = []
-        for i in range(self.rows):
-            xs, da = _integer_row(self.row(i))
+        brows = other._form
+        form = []
+        for da, xs in self._form:
+            ell = math.lcm(*(brows[k][0] for k, _ in xs))
             acc = [0] * oc
-            for x, brow in zip(xs, brows):
-                if x:
-                    for j, y in brow:
-                        acc[j] += x * y
-            out.extend(Fraction(c, da * db) if c else ZERO for c, db in zip(acc, bdens))
-        return ConstMatrix(self.rows, oc, out)
+            for k, x in xs:
+                db, ys = brows[k]
+                x *= ell // db
+                for j, y in ys:
+                    acc[j] += x * y
+            form.append(_canonical(da * ell, acc))
+        return ConstMatrix._from_form(self.rows, oc, form)
 
     def scale(self, c) -> "ConstMatrix":
         c = as_fraction(c)
@@ -562,17 +623,16 @@ class ConstMatrix(_Matrix):
     def det(self) -> Fraction:
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
-        rows, scale = [], 1
-        for i in range(self.rows):
-            ints, den = _integer_row(self.row(i))
-            rows.append(ints)
-            scale *= den
+        rows = [[0] * self.cols for _ in range(self.rows)]
+        for row, (_, pairs) in zip(rows, self._form):
+            for j, x in pairs:
+                row[j] = x
         pivots, num, den = _reduce_rows(rows, self.cols, jordan=False)
         if len(pivots) < self.rows:
             return ZERO
         for i in range(self.rows):
             num *= rows[i][i]
-        return Fraction(num, den * scale)
+        return Fraction(num, den * math.prod(d for d, _ in self._form))
 
     def try_inverse(self) -> "ConstMatrix | None":
         """Exact inverse, or None when singular."""
@@ -581,36 +641,43 @@ class ConstMatrix(_Matrix):
         return solve_exact(self, ConstMatrix.identity(self.rows))
 
     def kron_identity(self, n: int) -> "ConstMatrix":
-        """Tensor product self (x) I_n: each scalar entry becomes a scalar
-        multiple of the n-by-n identity block."""
-        eye = ConstMatrix.identity(n)
-        return ConstMatrix.from_blocks(
-            [[eye.scale(a) if a else None for a in self.row(i)] for i in range(self.rows)], n)
+        """Tensor product self (x) I_n: row (i, r) is row i of self moved to
+        the columns j*n + r, over the same denominator."""
+        return ConstMatrix._from_form(
+            self.rows * n, self.cols * n,
+            [(d, [(j * n + r, x) for j, x in pairs]) for d, pairs in self._form for r in range(n)])
 
 
 def solve_exact(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
     """Solve a @ x = b exactly; None when inconsistent.
 
     Works for rectangular (including overdetermined) systems; free
-    variables are set to zero.  Each augmented row [a | b] is scaled to
-    integers once and reduced by `_reduce_rows` (Gauss-Jordan), so each
-    pivot row is left with zeros in the other pivot columns and each entry
-    of the solution is divided once, by its own row's pivot.
+    variables are set to zero.  Each augmented row [a | b] is put over one
+    denominator from the two row forms and reduced by `_reduce_rows`
+    (Gauss-Jordan), so each pivot row is left with zeros in the other
+    pivot columns and each row of the solution is its own row's right-hand
+    side over the pivot, built as a row form.
     """
     if a.rows != b.rows:
         raise DimensionMismatch("solve_exact: row counts differ")
     m, n, k = a.rows, a.cols, b.cols
-    aug = [_integer_row(a.row(i) + b.row(i))[0] for i in range(m)]
+    aug = []
+    for (da, xs), (db, ys) in zip(a._form, b._form):
+        den = math.lcm(da, db)
+        row = [0] * (n + k)
+        for j, x in xs:
+            row[j] = x * (den // da)
+        for j, y in ys:
+            row[n + j] = y * (den // db)
+        aug.append(row)
     pivots = _reduce_rows(aug, n, jordan=True)[0]
     for i in range(len(pivots), m):
         if any(aug[i][n:]):
             return None
-    out = [ZERO] * (n * k)
+    form = [(1, [])] * n
     for idx, c in enumerate(pivots):
-        row = aug[idx]
-        pv = row[c]
-        out[c * k:(c + 1) * k] = [Fraction(x, pv) if x else ZERO for x in row[n:]]
-    return ConstMatrix(n, k, out)
+        form[c] = _canonical(aug[idx][c], aug[idx][n:])
+    return ConstMatrix._from_form(n, k, form)
 
 
 class PolyMatrix(_Matrix):

@@ -12,6 +12,7 @@ from .exact import (
     PolyQ,
     _convolve,
     _integer_coeffs,
+    _integer_row,
     _poly_from_ints,
     _pseudo_divide,
     sub_mul,
@@ -213,10 +214,13 @@ def smith_form(m: PolyMatrix) -> SmithResult:
                     break
             if restart:
                 continue
+            # s[t][t] divides s[i][j] when their integer pseudo-remainder is
+            # zero (a nonzero dividend of lower degree is its own remainder)
             offender = None
+            pivot = _integer_row(s[t][t].coeffs)[0]
             for i in range(t + 1, n):
                 for j in range(t + 1, n):
-                    if not (s[i][j] % s[t][t]).is_zero:
+                    if any(_pseudo_divide(_integer_row(s[i][j].coeffs)[0], pivot)[1]):
                         offender = i
                         break
                 if offender is not None:

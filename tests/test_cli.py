@@ -262,10 +262,8 @@ class TestSweepCommand:
     def test_removed_flags_exit2(self, flag, capsys):
         """Every sweep runs the Smith checks, and faults are injected only
         by tests, so neither flag exists."""
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--count", "1", flag])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["sweep", "--count", "1", flag]) == 2
+        assert capsys.readouterr().err == f"input error: unrecognized arguments: {flag}\n"
 
     @pytest.mark.parametrize("function, check", [
         ("verify_strong", "strong"),
@@ -398,6 +396,10 @@ EXIT2_CASES = [
     ("out in a missing directory", _mono_text('"1"'),
      ["pencil", "--out", "{dir}/missing/x.json"]),
     ("out is a directory", _mono_text('"1"'), ["pencil", "--out", "{dir}"]),
+    # usage errors
+    ("unknown option", None, ["sweep", "--smith-checks"]),
+    ("sweep count not an integer", None, ["sweep", "--count", "two"]),
+    ("missing --in", None, ["pencil"]),
 ]
 
 
@@ -413,6 +415,14 @@ def test_input_contract_exit2(text, argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: ")
     assert len(captured.err) < 250, "the message quotes at most 40 characters of a bad value"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polylin")
 
 
 class TestJsonRoundTrips:

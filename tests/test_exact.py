@@ -709,12 +709,13 @@ class TestConstKernels:
             for zero_share in (0.0, 0.5, 0.9):
                 a = rand_const(rng, rows, inner, zero_share)
                 b = rand_const(rng, inner, cols, zero_share)
-                assert a @ b == fraction_matmul(a, b)
+                got, want = a @ b, fraction_matmul(a, b)
+                assert got == want and got.entries == want.entries
         # an all-zero row of a and an all-zero column of b
         a = ConstMatrix.from_rows([[F(1, 2), F(-3, 7)], [0, 0], [5, F(1, 10)]])
         b = ConstMatrix.from_rows([[F(2, 3), 0, 4], [F(-1, 12), 0, F(7, 2)]])
         got = a @ b
-        assert got == fraction_matmul(a, b)
+        assert got == fraction_matmul(a, b) and got.entries == fraction_matmul(a, b).entries
         assert got.row(1) == [0, 0, 0] and [got.get(i, 1) for i in range(3)] == [0, 0, 0]
 
     def test_solve_matches_fraction_elimination(self):
@@ -815,6 +816,122 @@ class TestConstKernels:
         m = ConstMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.transpose() == ConstMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
         assert ConstMatrix.zeros(0, 3).transpose() == ConstMatrix.zeros(3, 0)
+
+
+class TestRowForm:
+    """ConstMatrix keeps one canonical integer row form; products are built
+    from it alone and their entries made when read.  Each test reads its
+    products through `unread_product`, which checks the form."""
+
+    SHAPES = [(1, 1, 1), (3, 4, 2), (5, 5, 5), (4, 7, 6), (2, 0, 3), (0, 3, 2), (3, 2, 0)]
+
+    @staticmethod
+    def materialized(m):
+        """Whether m's entries exist yet (the slot read without __getattr__)."""
+        try:
+            exact._Matrix.entries.__get__(m)
+        except AttributeError:
+            return False
+        return True
+
+    @staticmethod
+    def assert_canonical(m):
+        """Every row is (d, pairs) with d > 0, increasing columns, nonzero
+        ints and gcd(d, ints) = 1."""
+        assert len(m._form) == m.rows
+        for den, pairs in m._form:
+            cols = [j for j, _ in pairs]
+            assert den > 0 and cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+            assert all(x for _, x in pairs)
+            assert math.gcd(den, *(x for _, x in pairs)) == 1
+
+    def unread_product(self, a, b):
+        """a @ b, checked canonical and not yet materialized."""
+        p = a @ b
+        assert not self.materialized(p)
+        self.assert_canonical(p)
+        return p
+
+    def draws(self, rng):
+        """Mixed denominators, dense to mostly zero, with all-zero rows."""
+        for rows, inner, cols in self.SHAPES:
+            for zero_share in (0.0, 0.5, 0.9):
+                yield (rand_const(rng, rows, inner, zero_share),
+                       rand_const(rng, inner, cols, zero_share))
+        a = ConstMatrix.from_rows([[F(1, 2), F(-3, 7)], [0, 0], [5, F(1, 10)]])
+        b = ConstMatrix.from_rows([[F(2, 3), 0, 4], [F(-1, 12), 0, F(7, 2)]])
+        yield a, b
+        # row 0 of the product cancels to zero, row 1 to content 6
+        yield (ConstMatrix.from_rows([[1, -1], [3, 3]]),
+               ConstMatrix.from_rows([[F(1, 2), F(2, 3)], [F(1, 2), F(2, 3)]]))
+
+    def test_chained_products_match_fraction_loop(self):
+        # the middle factor a @ b is never materialized
+        rng = random.Random(42)
+        for a, b in self.draws(rng):
+            c = rand_const(rng, b.cols, 3, 0.4)
+            ab = self.unread_product(a, b)
+            abc = self.unread_product(ab, c)
+            assert not self.materialized(ab)
+            assert abc.entries == fraction_matmul(fraction_matmul(a, b), c).entries
+            assert self.materialized(abc) and not self.materialized(ab)
+
+    def test_equality_and_hash_against_a_copy(self):
+        rng = random.Random(43)
+        for a, b in self.draws(rng):
+            got = self.unread_product(a, b)
+            want = fraction_matmul(a, b)
+            copy = ConstMatrix.from_rows(want.to_rows()) if want.rows else want
+            assert got == want and want == got
+            assert got == copy and copy == got
+            assert not self.materialized(got)
+            assert hash(got) == hash(copy)
+            if want.rows and want.cols:
+                i, j = rng.randrange(want.rows), rng.randrange(want.cols)
+                rows = want.to_rows()
+                rows[i][j] += F(1, 7)
+                other = ConstMatrix.from_rows(rows)
+                assert got != other and other != got
+        assert ConstMatrix.zeros(2, 3) != ConstMatrix.zeros(3, 2)
+        assert (ConstMatrix.zeros(2, 0) @ ConstMatrix.zeros(0, 3)).is_zero
+
+    def test_det_inverse_and_solve_of_unread_products(self):
+        rng = random.Random(44)
+        invertible = 0
+        for n in range(1, 8):
+            for inner in (n - 1, n, n + 2):
+                for zero_share in (0.0, 0.5):
+                    a = rand_const(rng, n, inner, zero_share)
+                    b = rand_const(rng, inner, n, zero_share)
+                    c = rand_const(rng, inner, 2, zero_share)
+                    m, rhs = self.unread_product(a, b), self.unread_product(a, c)
+                    want = fraction_matmul(a, b)
+                    assert m.det() == bareiss_det(want)
+                    inv = m.try_inverse()
+                    assert inv == fraction_solve(want, ConstMatrix.identity(n))
+                    sol = exact.solve_exact(m, rhs)
+                    assert sol == fraction_solve(want, fraction_matmul(a, c))
+                    assert not self.materialized(m) and not self.materialized(rhs)
+                    for x in (inv, sol):
+                        if x is not None:
+                            self.assert_canonical(x)
+                    invertible += inv is not None
+        assert invertible > 10
+
+    def test_from_rows_and_kron_are_canonical(self):
+        rng = random.Random(45)
+        for rows, cols, _ in self.SHAPES:
+            for zero_share in (0.0, 0.5, 1.0):
+                m = rand_const(rng, rows, cols, zero_share)
+                self.assert_canonical(m)
+                assert m.is_zero == all(x == 0 for x in m.entries)
+                for n in (1, 3):
+                    k = m.kron_identity(n)
+                    self.assert_canonical(k)
+                    want = [[m.get(i, j) if r == s else F(0)
+                             for j in range(cols) for s in range(n)]
+                            for i in range(rows) for r in range(n)]
+                    assert k.to_rows() == want
 
 
 class TestPolyKernels:

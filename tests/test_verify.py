@@ -10,6 +10,8 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from polylin import (
     Bernstein,
     ConstMatrix,
@@ -26,6 +28,7 @@ from polylin.equivalence import (
     CofactorPair,
     StrictEquivalence,
     bernstein_strict_equivalence,
+    lagrange_strict_equivalence,
     monomial_cofactors,
 )
 from polylin.pencils import (
@@ -51,6 +54,26 @@ def perturb_entry(m: ConstMatrix, i=0, j=0, delta=1) -> ConstMatrix:
     entries = list(m.entries)
     entries[i * m.cols + j] += delta
     return ConstMatrix(m.rows, m.cols, entries)
+
+
+def same_lcm(x):
+    """x plus 1: the same denominator, so its row's lcm is unchanged."""
+    return x + 1
+
+
+def new_denominator(x):
+    """p/q as p/(q(|p|+1)): the numerator kept, only the denominator
+    changed."""
+    p, q = x.as_integer_ratio()
+    return F(p, q * (abs(p) + 1))
+
+
+def perturb_in_row_form(m: ConstMatrix, i: int, change) -> ConstMatrix:
+    """m with its last nonzero entry of row i changed."""
+    j = max(j for j in range(m.cols) if m.get(i, j))
+    rows = m.to_rows()
+    rows[i][j] = change(rows[i][j])
+    return ConstMatrix.from_rows(rows)
 
 
 def loop_shifted_reversal(p):
@@ -158,6 +181,30 @@ class TestStrict:
         assert not verify_strict(bad, source, p).ok
         bad2 = StrictEquivalence(perturb_entry(se.u), se.w)
         assert not verify_strict(bad2, source, p).ok
+
+    @pytest.mark.parametrize("change", [same_lcm, new_denominator])
+    def test_one_entry_of_u_changed(self, change):
+        # the identities compare row forms: a changed numerator over the
+        # same lcm and a changed denominator are both refused
+        rng = random.Random(93)
+        for p in (rand_matrix_polynomial(rng, Bernstein(3), 2),
+                  rand_matrix_polynomial(rng, Lagrange(3, rand_nodes(rng, 4)), 2)):
+            se = (bernstein_strict_equivalence(p) if isinstance(p.basis, Bernstein)
+                  else lagrange_strict_equivalence(p))
+            source = build_pencil(p)
+            assert verify_strict(se, source, p).ok
+            refused_by_identity = 0
+            for i in range(se.u.rows):
+                bad = StrictEquivalence(perturb_in_row_form(se.u, i, change), se.w)
+                verdict = verify_strict(bad, source, p)
+                assert not verdict.ok
+                if bad.u.det() == 0:
+                    assert verdict.counterexample["reason"] == "transform singular"
+                    continue
+                assert verdict.counterexample["reason"] in (
+                    "z-coefficient identity failed", "constant-coefficient identity failed")
+                refused_by_identity += 1
+            assert refused_by_identity >= se.u.rows // 2
 
 
 class TestStrong:
@@ -387,6 +434,25 @@ class TestRemainingNegativeControls:
         re = bernstein_reversal_equivalence(y)
         bad = ReversalEquivalence(perturb_entry(re.u), re.winv)
         assert not verify_reversal_equivalence(bad, p).ok
+
+    @pytest.mark.parametrize("change", [same_lcm, new_denominator])
+    def test_one_entry_of_winv_changed(self, change):
+        from polylin.equivalence import (
+            ReversalEquivalence,
+            bernstein_reversal_equivalence,
+        )
+        from polylin.verify import verify_reversal_equivalence
+
+        rng = random.Random(94)
+        p = rand_matrix_polynomial(rng, Bernstein(3), 2)
+        re = bernstein_reversal_equivalence(list(p.coeffs))
+        assert verify_reversal_equivalence(re, p).ok
+        for i in range(re.winv.rows):
+            bad = ReversalEquivalence(re.u, perturb_in_row_form(re.winv, i, change))
+            verdict = verify_reversal_equivalence(bad, p)
+            assert not verdict.ok
+            assert verdict.counterexample["reason"] in ("first identity failed",
+                                                        "second identity failed")
 
 
 def test_verify_imports_only_certificate_types_from_equivalence():
