@@ -248,9 +248,11 @@ def cmd_sweep(args) -> int:
     kinds = [k.strip() for k in args.bases.split(",") if k.strip()]
     if not kinds:
         raise InputError("--bases names no basis kind")
-    for k in kinds:
+    for i, k in enumerate(kinds):
         if k not in ROUTES:
             raise InputError(f"unknown basis kind {k!r}")
+        if k in kinds[:i]:
+            raise InputError(f"basis kind {k!r} named twice")
     for name in ("nmax", "lmax", "count"):
         if getattr(args, name) < 1:
             raise InputError(f"--{name} must be at least 1")

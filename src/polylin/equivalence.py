@@ -320,16 +320,17 @@ def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil) -> CofactorPair:
         u = polymatrix_inverse_unimodular(ha.uinv)
     except NotUnimodular:  # a wrong closed form for Uinv's last block column
         raise ConjectureFailure("triangular factor U^(-1) is not unimodular") from None
-    e_grid = [[u.block(i, j, n) for j in range(m)] for i in reversed(range(m))]
+    u_rows = u.to_rows()  # SIP @ U is U with its block rows in reverse order
+    e_rows = [row for i in reversed(range(m)) for row in u_rows[i * n:(i + 1) * n]]
     if ha.corner_factor != ConstMatrix.identity(n):
-        top = PolyMatrix.from_blocks(e_grid[:1], n)
-        top = polymatrix_mul(PolyMatrix.from_const(ha.corner_factor), top)
-        e_grid[0] = [top.block(0, j, n) for j in range(m)]
+        top = polymatrix_mul(PolyMatrix.from_const(ha.corner_factor),
+                             PolyMatrix.from_rows(e_rows[:n]))
+        e_rows[:n] = top.to_rows()
     eye = PolyMatrix.identity(n)
     f_col = [-ha.h.block(i, m - 1, n) for i in range(m - 1)] + [eye]
     f_grid = [[f_col[i]] + [eye if i + j == m - 1 else None for j in range(1, m)]
               for i in range(m)]
-    return CofactorPair(PolyMatrix.from_blocks(e_grid, n), PolyMatrix.from_blocks(f_grid, n))
+    return CofactorPair(PolyMatrix.from_rows(e_rows), PolyMatrix.from_blocks(f_grid, n))
 
 
 # ---------------------------------------------------------------------------

@@ -912,34 +912,34 @@ def is_unimodular(m: PolyMatrix) -> tuple[bool, Fraction | None]:
 def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
     """Exact inverse of a unimodular polynomial matrix, by z-adic lifting.
 
-    With m = sum_j M_j z^j of degree d and X0 = m(0)^-1, the coefficients of
-    the inverse are X_k = -X0 sum_{1<=j<=d} M_j X_{k-j}.  Each term depends
-    on the d before it only, so d zero terms in a row end the series, and
-    lifting stops there or at `_det_degree_bound(m)`, which also bounds the
-    adjugate (`_assignment_bound` does not: [[1, z^5], [0, 1]] has
-    assignment bound 0 and an inverse of degree 5).  A singular m(0) refutes
-    unimodularity; otherwise the product m @ inverse == I is the proof.
+    With m = sum_j M_j z^j of degree d, X0 = M_0^-1 and N_j = -X0 M_j, the
+    inverse's terms are X_k = sum_{1<=j<=min(k,d)} N_j X_{k-j}, one product
+    of [N_1 | ... | N_d] with the last d terms stacked.  So once d terms in
+    a row are zero every later one is, and the lifted series is the exact
+    inverse: the zero run is the proof.  The inverse of a unimodular m has
+    degree at most `_det_degree_bound(m)`, which bounds the adjugate
+    (`_assignment_bound` does not: [[1, z^5], [0, 1]] has assignment bound
+    0 and an inverse of degree 5), so the run ends by term bound + d.  A
+    singular M_0, or no run by then, refutes unimodularity.
     """
     if not m.is_square:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    x0 = m.evaluate(0).try_inverse()
+    d = max(m.max_degree(), 0)
+    x0 = ConstMatrix(n, n, [e.coeff(0) for e in m.entries]).try_inverse()
     if x0 is None:
         raise NotUnimodular("matrix is not unimodular: m(0) is singular")
-    coeffs = [ConstMatrix(n, n, [e.coeff(k) for e in m.entries])
-              for k in range(m.max_degree() + 1)]
-    d = len(coeffs) - 1
-    lifted = [x0]
-    zero_run = 0
-    for k in range(1, _det_degree_bound(m) + 1):
-        acc = ConstMatrix.zeros(n, n)
-        for j in range(1, min(k, d) + 1):
-            acc = acc + coeffs[j] @ lifted[k - j]
-        lifted.append(-(x0 @ acc))
-        zero_run = zero_run + 1 if lifted[-1].is_zero else 0
+    if d == 0:
+        return PolyMatrix.from_const(x0)
+    step = x0 @ ConstMatrix(n, n * d, [-m.get(i, c).coeff(j) for i in range(n)
+                                       for j in range(1, d + 1) for c in range(n)])
+    lifted, zero_run = [x0], 0
+    window = x0._form + [(1, [])] * (n * (d - 1))  # row forms of X_{k-1}, ..., X_{k-d}
+    for _ in range(_det_degree_bound(m) + d):
+        x = step @ ConstMatrix._from_form(n * d, n, window)
+        lifted.append(x)
+        zero_run = zero_run + 1 if x.is_zero else 0
         if zero_run == d:
-            break
-    result = PolyMatrix.from_coeffs(lifted)
-    if polymatrix_mul(m, result) != PolyMatrix.identity(n):
-        raise NotUnimodular("matrix is not unimodular: m @ inverse != I")
-    return result
+            return PolyMatrix.from_coeffs(lifted[:-d])
+        window = x._form + window[:-n]
+    raise NotUnimodular("matrix is not unimodular: no deg m zero terms in a row by the bound")

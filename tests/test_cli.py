@@ -390,6 +390,7 @@ EXIT2_CASES = [
      ["convert", "--basis", '{"kind": %s}' % ("[" * 5000 + "]" * 5000)]),
     ("sweep bases comma", None, ["sweep", "--bases", ","]),
     ("sweep bases empty", None, ["sweep", "--bases", ""]),
+    ("sweep bases repeated", None, ["sweep", "--bases", "monomial,monomial"]),
     # {dir} stands for an existing directory
     ("in is a directory", None, ["pencil", "--in", "{dir}"]),
     ("basis is a directory", _mono_text('"1"'), ["convert", "--basis", "{dir}"]),

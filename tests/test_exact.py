@@ -23,7 +23,7 @@ from polylin.equivalence import (
     lagrange_hermite_factors,
     recurrence_hermite_analogue,
 )
-from polylin.errors import DimensionMismatch, NotUnimodular
+from polylin.errors import DimensionMismatch, NotUnimodular, PreconditionError
 from polylin.exact import (
     POLY_ONE,
     _assignment_bound,
@@ -135,6 +135,33 @@ def fraction_solve(a, b):
     for idx, c in enumerate(pivots):
         rows[c] = aug[idx][n:]
     return ConstMatrix(n, k, [x for row in rows for x in row])
+
+
+def product_checked_inverse(m):
+    """The lifting polymatrix_inverse_unimodular once was: a zero
+    accumulator per term, lifting to the adjugate bound or a run of deg m
+    zero terms, then the product m @ inverse == I as the proof."""
+    n = m.rows
+    x0 = m.evaluate(0).try_inverse()
+    if x0 is None:
+        raise NotUnimodular("m(0) is singular")
+    coeffs = [ConstMatrix(n, n, [e.coeff(k) for e in m.entries])
+              for k in range(m.max_degree() + 1)]
+    d = len(coeffs) - 1
+    lifted = [x0]
+    zero_run = 0
+    for k in range(1, _det_degree_bound(m) + 1):
+        acc = ConstMatrix.zeros(n, n)
+        for j in range(1, min(k, d) + 1):
+            acc = acc + coeffs[j] @ lifted[k - j]
+        lifted.append(-(x0 @ acc))
+        zero_run = zero_run + 1 if lifted[-1].is_zero else 0
+        if zero_run == d:
+            break
+    result = PolyMatrix.from_coeffs(lifted)
+    if polymatrix_mul(m, result) != PolyMatrix.identity(n):
+        raise NotUnimodular("m @ inverse != I")
+    return result
 
 
 def integer_rows(m):
@@ -491,9 +518,15 @@ class TestUnimodular:
     def test_not_unimodular_raises(self):
         singular_at_zero = PolyMatrix.from_rows([[PolyQ([0, 1]), PolyQ.zero()],
                                                  [PolyQ.zero(), PolyQ([1])]])
-        # m(0) = [[1]] is invertible; only the product check refuses it
+        # m(0) = [[1]] is invertible, but the lifted terms (-1)^k are never zero
         invertible_at_zero = PolyMatrix.from_rows([[PolyQ([1, 1])]])
-        for m in (singular_at_zero, invertible_at_zero):
+        # 1/(1 + z^2) = 1 - z^2 + z^4 - ...: every odd term is zero, but a
+        # run of one zero term is shorter than deg m = 2
+        isolated_zeros = PolyMatrix.from_rows([[PolyQ([1, 0, 1])]])
+        zero_row = PolyMatrix.from_rows([[PolyQ([1, 1]), PolyQ.monomial(2)],
+                                         [PolyQ.zero(), PolyQ.zero()]])
+        for m in (singular_at_zero, invertible_at_zero, isolated_zeros, zero_row,
+                  PolyMatrix.zeros(1, 1), PolyMatrix.zeros(3, 3)):
             with pytest.raises(NotUnimodular):
                 polymatrix_inverse_unimodular(m)
 
@@ -501,14 +534,79 @@ class TestUnimodular:
         with pytest.raises(DimensionMismatch):
             polymatrix_inverse_unimodular(PolyMatrix.zeros(2, 3))
 
+    def test_inverse_never_multiplies_back(self, monkeypatch):
+        def no_product(a, b):
+            raise AssertionError("polymatrix_mul called")
+
+        rng = random.Random(29)
+        p = rand_matrix_polynomial(rng, Bernstein(3), 2)
+        uinv = bernstein_hermite_analogue(p, build_bernstein_pencil(p)).uinv
+        want = polymatrix_inverse_unimodular(uinv)
+        monkeypatch.setattr(exact, "polymatrix_mul", no_product)
+        assert polymatrix_inverse_unimodular(uinv) == want
+        with pytest.raises(NotUnimodular):
+            polymatrix_inverse_unimodular(PolyMatrix.from_rows([[PolyQ([1, 1])]]))
+
+    def test_matches_the_product_checked_lifting(self):
+        """Same values, grades and refusals as lifting with a closing
+        product check, on the Uinv of each triangular route, Hermite
+        transforms, products of unit-triangular matrices (unimodular), those
+        products with a row times 1 + c z^k (m(0) invertible, not
+        unimodular) and random matrices."""
+        rng = random.Random(37)
+        factors = {"recurrence": recurrence_hermite_analogue,
+                   "bernstein": bernstein_hermite_analogue,
+                   "lagrange": lagrange_hermite_factors}
+        matrices = []
+        for kind, factor in factors.items():
+            for grade in range(1 if kind == "lagrange" else 2, 7):
+                for n in (1, 2, 3):
+                    p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), n)
+                    try:
+                        matrices.append(factor(p, build_pencil(p)).uinv)
+                    except PreconditionError:
+                        continue
+        for grade in (1, 2, 3):
+            p = rand_matrix_polynomial(rng, Monomial(grade), 2)
+            matrices.append(hermite_form(build_monomial_pencil(p).as_polymatrix()).u)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            unit = [PolyMatrix.identity(n).to_rows() for _ in range(2)]
+            for i, j in itertools.permutations(range(n), 2):
+                unit[i < j][i][j] = rand_poly(rng, 3)
+            m = polymatrix_mul(*map(PolyMatrix.from_rows, unit))
+            matrices.append(m)
+            bent = m.to_rows()
+            bent[0] = [PolyQ.monomial(rng.randint(1, 3), rand_fraction(rng, True)) * e
+                       + e for e in bent[0]]
+            matrices.append(PolyMatrix.from_rows(bent))
+            matrices.append(rand_polymatrix(rng, n, rng.randint(1, 3)))
+        outcomes = set()
+        for m in matrices:
+            try:
+                want = product_checked_inverse(m)
+            except NotUnimodular:
+                with pytest.raises(NotUnimodular):
+                    polymatrix_inverse_unimodular(m)
+                outcomes.add("m(0) singular" if m.evaluate(0).try_inverse() is None else "refused")
+                continue
+            got = polymatrix_inverse_unimodular(m)
+            assert got == want
+            assert [e.grade for e in got.entries] == [e.grade for e in want.entries]
+            outcomes.add("inverted")
+        assert outcomes == {"inverted", "refused", "m(0) singular"}
+
     def test_lifting_runs_to_the_adjugate_bound(self):
         # the assignment bound of det is 0 here, but the inverse has degree 5:
         # lifting must run to _det_degree_bound, which bounds the adjugate
         z5 = PolyQ.monomial(5)
         m = PolyMatrix.from_rows([[POLY_ONE, z5], [PolyQ.zero(), POLY_ONE]])
         assert _assignment_bound(m) == 0
-        assert polymatrix_inverse_unimodular(m) == \
-            PolyMatrix.from_rows([[POLY_ONE, -z5], [PolyQ.zero(), POLY_ONE]])
+        inv = polymatrix_inverse_unimodular(m)
+        assert inv == PolyMatrix.from_rows([[POLY_ONE, -z5], [PolyQ.zero(), POLY_ONE]])
+        # the inverse's degree is the bound itself, so its zero run ends
+        # past the bound: lifting must run to bound + deg m
+        assert inv.max_degree() == _det_degree_bound(m) == 5
 
     def test_lifting_does_not_stop_at_the_first_zero_term(self):
         # X_1 = 0 but X_2 = -z^2's coefficient: for a degree-2 m, lifting
