@@ -209,7 +209,7 @@ def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int) -> dict | No
     constructor's ConjectureFailure is one, with its message as "error".
     """
     route = ROUTES[kind]
-    grade = rng.randint(route.min_grade, max(route.min_grade, lmax))
+    grade = rng.randint(route.min_grade, lmax)
     n = rng.randint(1, nmax)
     basis = randgen.rand_basis(rng, kind, grade)
     p = randgen.rand_matrix_polynomial(rng, basis, n)
@@ -256,6 +256,10 @@ def cmd_sweep(args) -> int:
     for name in ("nmax", "lmax", "count"):
         if getattr(args, name) < 1:
             raise InputError(f"--{name} must be at least 1")
+    for k in kinds:
+        if args.lmax < ROUTES[k].min_grade:
+            raise InputError(f"--lmax {args.lmax} is below the smallest grade "
+                             f"{k} draws ({ROUTES[k].min_grade})")
     rng = random.Random(args.seed)
     report = {"seed": args.seed, "count": args.count, "nmax": args.nmax,
               "lmax": args.lmax, "bases": {}, "ok": True}

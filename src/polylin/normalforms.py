@@ -127,54 +127,61 @@ def hermite_form(m: PolyMatrix) -> HermiteResult:
     )
 
 
+def _transposed(rows: list[list]) -> list[list]:
+    return [list(col) for col in zip(*rows)]
+
+
 def smith_form(m: PolyMatrix) -> SmithResult:
     """Smith normal form over Q[z] with accumulated unimodular E, F.
 
-    Alternating row/column gcd reduction brings the matrix to diagonal
-    form; a divisibility fix-up merges offending entries into the pivot
-    until s_i | s_{i+1} holds along the whole chain.
+    A minimum-degree pivot is moved to (t, t), then one clearing step
+    clears column t of a matrix below the pivot, with every row operation
+    on it compensated in a second matrix.  The row pass runs it on (S, E);
+    the column pass runs it on (S^T, F^T), since a column operation on S is
+    a row operation on S^T and F's compensating row update is a column
+    update of F^T.  A remainder swaps in a lower-degree pivot and both
+    passes start again.  A divisibility fix-up then merges offending
+    entries into the pivot until s_i | s_{i+1} holds along the chain.
     """
     if not m.is_square:
         raise DimensionMismatch("smith_form expects a square matrix")
     n = m.rows
     s = m.to_rows()
     e = PolyMatrix.identity(n).to_rows()
-    f = PolyMatrix.identity(n).to_rows()
+    ft = PolyMatrix.identity(n).to_rows()
 
-    # invariant: original = E @ S @ F throughout
-    def row_swap(i, k):
-        s[i], s[k] = s[k], s[i]
-        for row in e:
+    # invariant: original = E @ S @ F throughout, with F kept as ft = F^T
+    def swap(a, comp, i, k):
+        a[i], a[k] = a[k], a[i]
+        for row in comp:
             row[i], row[k] = row[k], row[i]
 
-    def col_swap(j, k):
-        for row in s:
-            row[j], row[k] = row[k], row[j]
-        f[j], f[k] = f[k], f[j]
-
-    def row_sub(i, k, q: PolyQ):
-        # S_i -= q * S_k, compensated by E col_k += q * E col_i
+    def sub(a, comp, i, k, q: PolyQ):
+        # a_i -= q * a_k, compensated by comp col_k += q * comp col_i
         if q.is_zero:
             return
-        s[i] = [sub_mul(a, q, b) for a, b in zip(s[i], s[k])]
+        a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[k])]
         neg = -q
-        for row in e:
+        for row in comp:
             row[k] = sub_mul(row[k], neg, row[i])
-
-    def col_sub(j, k, q: PolyQ):
-        # S col_j -= q * S col_k, compensated by F row_k += q * F row_j
-        if q.is_zero:
-            return
-        for row in s:
-            row[j] = sub_mul(row[j], q, row[k])
-        neg = -q
-        f[k] = [sub_mul(a, neg, b) for a, b in zip(f[k], f[j])]
 
     def row_scale(i, c):
         s[i] = [a.scale(c) for a in s[i]]
         inv = 1 / c
         for row in e:
             row[i] = row[i].scale(inv)
+
+    def clear(a, comp, t) -> bool:
+        # True when a nonzero remainder swapped in a lower-degree pivot
+        for i in range(t + 1, n):
+            if a[i][t].is_zero:
+                continue
+            q, rem = divmod(a[i][t], a[t][t])
+            sub(a, comp, i, t, q)
+            if not rem.is_zero:
+                swap(a, comp, t, i)
+                return True
+        return False
 
     for t in range(n):
         # locate a minimum-degree nonzero entry in the trailing submatrix
@@ -187,32 +194,18 @@ def smith_form(m: PolyMatrix) -> SmithResult:
         if best is None:
             break
         if best[0] != t:
-            row_swap(t, best[0])
+            swap(s, e, t, best[0])
         if best[1] != t:
-            col_swap(t, best[1])
+            st = _transposed(s)
+            swap(st, ft, t, best[1])
+            s = _transposed(st)
         while True:
-            restart = False
-            for i in range(t + 1, n):
-                if s[i][t].is_zero:
-                    continue
-                q, rem = divmod(s[i][t], s[t][t])
-                row_sub(i, t, q)
-                if not rem.is_zero:
-                    row_swap(t, i)  # smaller-degree pivot
-                    restart = True
-                    break
-            if restart:
+            if clear(s, e, t):
                 continue
-            for j in range(t + 1, n):
-                if s[t][j].is_zero:
-                    continue
-                q, rem = divmod(s[t][j], s[t][t])
-                col_sub(j, t, q)
-                if not rem.is_zero:
-                    col_swap(t, j)
-                    restart = True
-                    break
-            if restart:
+            st = _transposed(s)
+            swapped = clear(st, ft, t)
+            s = _transposed(st)
+            if swapped:
                 continue
             # s[t][t] divides s[i][j] when their integer pseudo-remainder is
             # zero (a nonzero dividend of lower degree is its own remainder)
@@ -227,7 +220,7 @@ def smith_form(m: PolyMatrix) -> SmithResult:
                     break
             if offender is None:
                 break
-            row_sub(t, offender, PolyQ((-1,)))  # add the offending row
+            sub(s, e, t, offender, PolyQ((-1,)))  # add the offending row
         if not s[t][t].is_zero and s[t][t].lead != 1:
             row_scale(t, 1 / s[t][t].lead)
 
@@ -235,7 +228,7 @@ def smith_form(m: PolyMatrix) -> SmithResult:
     return SmithResult(
         PolyMatrix.from_rows(s),
         PolyMatrix.from_rows(e),
-        PolyMatrix.from_rows(f),
+        PolyMatrix.from_rows(_transposed(ft)),
         factors,
     )
 

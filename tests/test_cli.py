@@ -258,6 +258,18 @@ class TestSweepCommand:
         assert report["ok"] is False
         assert report["counterexample"]["check"] == "smith-equivalence"
 
+    def test_lmax_below_a_kinds_smallest_grade(self, tmp_path, capsys):
+        """--lmax 1 suits the kinds that draw grade 1 and refuses the others,
+        which would draw above it."""
+        out = tmp_path / "r.json"
+        assert main(["sweep", "--count", "2", "--seed", "1", "--lmax", "1",
+                     "--bases", "monomial,lagrange", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"] is True
+        assert main(["sweep", "--count", "2", "--seed", "1", "--lmax", "1",
+                     "--bases", "monomial,recurrence"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: --lmax 1 is below the smallest grade recurrence draws (2)\n")
+
     @pytest.mark.parametrize("flag", ["--smith-checks", "--inject-fault"])
     def test_removed_flags_exit2(self, flag, capsys):
         """Every sweep runs the Smith checks, and faults are injected only
@@ -374,6 +386,7 @@ EXIT2_CASES = [
     ("empty nf row", '{"entries": [[]]}', ["nf", "--kind", "hermite"]),
     ("sweep nmax 0", None, ["sweep", "--nmax", "0"]),
     ("sweep lmax 0", None, ["sweep", "--lmax", "0"]),
+    ("sweep lmax below recurrence grade", None, ["sweep", "--lmax", "1", "--bases", "recurrence"]),
     ("sweep count -1", None, ["sweep", "--count", "-1"]),
     ("sweep unknown basis", None, ["sweep", "--bases", "monomial,chebyshev"]),
     ("lagrange one node", _lagrange_text('["0"]'), ["pencil"]),

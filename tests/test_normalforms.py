@@ -1,7 +1,11 @@
 """Hermite and Smith normal forms over Q[z]."""
 
+import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
@@ -16,11 +20,15 @@ from polylin import (
     poly_gcd,
     smith_form,
 )
+from polylin import serialize
+from polylin.bases import matrix_poly_as_polymatrix
 from polylin.exact import is_unimodular, polymatrix_det, polymatrix_mul, sub_mul
 from polylin.normalforms import mask
-from polylin.pencils import build_lagrange_pencil, build_recurrence_pencil
+from polylin.pencils import build_lagrange_pencil, build_pencil, build_recurrence_pencil
 from polylin.randgen import rand_fraction
 from polylin.verify import smith_invariants
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def rand_polymatrix(rng, n, max_deg):
@@ -142,14 +150,14 @@ def fraction_hermite(m: PolyMatrix):
     return PolyMatrix.from_rows(h), PolyMatrix.from_rows(u), tuple(pivots), r < n
 
 
-def hermite_draw(rng):
-    """n 1-6 and degrees 0-4 (n times the degree at most 12, which keeps the
-    old loop fast); mixed denominators and leads, so pivots are rarely
-    monic; declared grades up to 2 above the degree and zero entries of
+def hermite_draw(rng, nmax=6, dmax=4):
+    """n 1-nmax and degrees 0-dmax (n times the degree at most 12, which
+    keeps the old loops fast); mixed denominators and leads, so pivots are
+    rarely monic; declared grades up to 2 above the degree and zero entries of
     grade up to 2; sometimes a zero row, a zero column or a duplicate (or
     scaled) row, which makes the matrix rank deficient."""
-    n = rng.randint(1, 6)
-    max_deg = rng.randint(0, min(4, 12 // n))
+    n = rng.randint(1, nmax)
+    max_deg = rng.randint(0, min(dmax, 12 // n))
 
     def entry():
         if rng.random() < 0.2:
@@ -340,6 +348,154 @@ def diagonal(entries):
     n = len(entries)
     return PolyMatrix.from_rows([[entries[i] if i == j else PolyQ.zero() for j in range(n)]
                                  for i in range(n)])
+
+
+def reference_smith_form(m: PolyMatrix, counts: Counter):
+    """smith_form as it was written with a row and a column version of each
+    step: row_swap/row_sub compensated in E's columns, col_swap/col_sub in
+    F's rows, and divisibility tested by PolyQ %.  Returns S, E, F and
+    counts each column-pass swap and each divisibility fix-up in `counts`."""
+    n = m.rows
+    s = m.to_rows()
+    e = PolyMatrix.identity(n).to_rows()
+    f = PolyMatrix.identity(n).to_rows()
+
+    def row_swap(i, k):
+        s[i], s[k] = s[k], s[i]
+        for row in e:
+            row[i], row[k] = row[k], row[i]
+
+    def col_swap(j, k):
+        for row in s:
+            row[j], row[k] = row[k], row[j]
+        f[j], f[k] = f[k], f[j]
+
+    def row_sub(i, k, q):
+        if q.is_zero:
+            return
+        s[i] = [sub_mul(a, q, b) for a, b in zip(s[i], s[k])]
+        neg = -q
+        for row in e:
+            row[k] = sub_mul(row[k], neg, row[i])
+
+    def col_sub(j, k, q):
+        if q.is_zero:
+            return
+        for row in s:
+            row[j] = sub_mul(row[j], q, row[k])
+        neg = -q
+        f[k] = [sub_mul(a, neg, b) for a, b in zip(f[k], f[j])]
+
+    for t in range(n):
+        best = None
+        for i in range(t, n):
+            for j in range(t, n):
+                if not s[i][j].is_zero:
+                    if best is None or s[i][j].degree < s[best[0]][best[1]].degree:
+                        best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            row_swap(t, best[0])
+        if best[1] != t:
+            col_swap(t, best[1])
+        while True:
+            restart = False
+            for i in range(t + 1, n):
+                if s[i][t].is_zero:
+                    continue
+                q, rem = divmod(s[i][t], s[t][t])
+                row_sub(i, t, q)
+                if not rem.is_zero:
+                    row_swap(t, i)
+                    restart = True
+                    break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if s[t][j].is_zero:
+                    continue
+                q, rem = divmod(s[t][j], s[t][t])
+                col_sub(j, t, q)
+                if not rem.is_zero:
+                    col_swap(t, j)
+                    counts["column swap"] += 1
+                    restart = True
+                    break
+            if restart:
+                continue
+            offender = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, n):
+                    if not (s[i][j] % s[t][t]).is_zero:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            counts["fix-up"] += 1
+            row_sub(t, offender, PolyQ((-1,)))
+        if not s[t][t].is_zero and s[t][t].lead != 1:
+            c = 1 / s[t][t].lead
+            s[t] = [a.scale(c) for a in s[t]]
+            for row in e:
+                row[t] = row[t].scale(1 / c)
+    return [PolyMatrix.from_rows(x) for x in (s, e, f)]
+
+
+def catalog_smith_inputs():
+    """L(z) and P(z) of every Smith slot of the normal-forms catalog (one
+    copy of its block), all variants: the inputs of `nf --kind smith`."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import BLOCKS, VARIANTS, instance
+    finally:
+        sys.path.remove(str(BENCH))
+    out = []
+    for i, slot in enumerate(BLOCKS["normal-forms"]):
+        if ("nf", "smith", "L") not in slot.ops:
+            continue
+        for v in range(VARIANTS):
+            obj = json.loads(json.dumps(instance("normal-forms", i, slot, v)))
+            p = serialize.parse_matrix_polynomial(obj)
+            out += [build_pencil(p).as_polymatrix(), matrix_poly_as_polymatrix(p)]
+    return out
+
+
+def non_dividing_chains():
+    """diag(s) and U diag(s) V with s_i not dividing s_(i+1): the fix-up
+    mends such a diagonal."""
+    z = PolyQ([0, 1])
+    chains = [[z, z + PolyQ([1])], [z + PolyQ([1]), z, PolyQ([1])],
+              [z * z, z, PolyQ([-1, 1])], [PolyQ([-2, 1]), PolyQ([3]), z * z, z]]
+    rng = random.Random(80)
+    out = []
+    for s in chains:
+        d = diagonal(s)
+        out += [d, polymatrix_mul(polymatrix_mul(rand_unimodular(rng, len(s)), d),
+                                  rand_unimodular(rng, len(s)))]
+    return out
+
+
+class TestSmithOneClearingStep:
+    """smith_form's one clearing step, run on (S, E) and on (S^T, F^T),
+    against the row-and-column loop it replaced: the same S, E and F,
+    values and grades of every entry."""
+
+    def test_matches_row_and_column_loop(self):
+        rng = random.Random(79)
+        inputs = (catalog_smith_inputs()
+                  + [hermite_draw(rng, nmax=5, dmax=3) for _ in range(60)]
+                  + non_dividing_chains())
+        counts = Counter()
+        for m in inputs:
+            res = smith_form(m)
+            for got, want in zip((res.s, res.e, res.f), reference_smith_form(m, counts)):
+                assert [(e.coeffs, e.grade) for e in got.entries] == \
+                    [(e.coeffs, e.grade) for e in want.entries]
+        assert len(inputs) == 128 + 60 + 8
+        assert counts["column swap"] > 0 and counts["fix-up"] > 0, counts
 
 
 class TestSmithInvariants:
