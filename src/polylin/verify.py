@@ -39,6 +39,7 @@ from .equivalence import (
     ReversalEquivalence,
     StrictEquivalence,
 )
+from .normalforms import _transposed, hermite_form
 from .pencils import Pencil, build_bernstein_pencil, build_monomial_pencil
 
 
@@ -188,99 +189,73 @@ def _low_unit_inverse(u: PolyQ, modulus: PolyQ | None) -> PolyQ | None:
     return None if c.is_zero else q.scale(-1 / (u.lead * c.lead))
 
 
-def _primitive(row: list[PolyQ]) -> list[PolyQ]:
-    """row times the rational that makes its coefficients coprime ints."""
-    cs = [c for e in row for c in e.coeffs]
-    if not cs:
-        return row
-    k = Fraction(math.lcm(*(c.denominator for c in cs)), math.gcd(*(c.numerator for c in cs)))
-    return [e.scale(k) for e in row] if k != 1 else row
-
-
 def _diagonal(m: PolyMatrix, modulus: PolyQ | None) -> list[PolyQ]:
-    """The pivots a_1, a_2, ... (zeros left out) of an elimination that
-    brings m to diagonal form without E and F, where a multiple of
-    `modulus`, when given, may be added to any entry.
+    """The diagonal a_1, ..., a_N of a matrix that row and column
+    operations reach from m, without E and F, where a multiple of
+    `modulus`, when given, may be added to any entry: the unit pivots,
+    then the nonzero entries the alternation leaves, then zeros.
 
     A pivot that is a unit of degree at most 1 modulo `modulus` is taken
     first: with its inverse v, subtracting (a_it v mod `modulus`) times the
     pivot row clears each entry below it.  That is Gaussian elimination, so
     each entry stays a Schur complement of m reduced modulo `modulus`, and
-    coefficients grow slowly.  Otherwise the pivot is a least-degree entry,
-    which row and column division clear around it, with rows kept
-    primitive and not reduced (remainders reduced modulo `modulus`, or
-    units of higher degree with their dense inverses, make coefficients
-    swell); when the pivot does not divide some later entry, that entry's
-    row is added to the pivot row, and the remainder it leaves becomes a
-    pivot of lower degree.  Either way a_t divides every later entry modulo
-    `modulus`.
+    coefficients grow slowly.  When no such pivot is left, alternating
+    Hermite forms (Kannan and Bachem, SIAM J. Comput. 8, 1979) finish the
+    square trailing block: `hermite_form` of the block, transposed and
+    reduced modulo `modulus`, until every row and column holds at most one
+    nonzero entry.  The alternation ends.  After a row pass the (1, 1)
+    entry is the monic gcd of the first column; a column pass replaces it
+    with one of its divisors; reducing modulo `modulus` only lowers
+    degrees.  So its degree falls until a pass leaves it fixed, and then
+    its row and column are clear, the pass before having cleared one and
+    this pass the other.  The trailing block goes the same way, and zero
+    rows and columns, which a Hermite form puts last, stay zero.
     """
     def reduced(e: PolyQ) -> PolyQ:
         return e % modulus if modulus is not None else e
 
     a = [[reduced(e) for e in row] for row in m.to_rows()]
-
-    def swap_in(i: int, j: int):
-        a[t], a[i] = a[i], a[t]
-        for row in a[t:]:
-            row[t], row[j] = row[j], row[t]
-
     n = len(a)
     pivots = []
     for t in range(n):
-        cells = sorted((a[i][j].degree, i, j) for i in range(t, n) for j in range(t, n)
-                       if a[i][j].coeffs)
-        if not cells:
-            break
         inverse = None
-        for degree, i, j in cells:
-            if degree > 1:
-                break
+        for _, i, j in sorted((a[i][j].degree, i, j) for i in range(t, n)
+                              for j in range(t, n) if 0 <= a[i][j].degree <= 1):
             inverse = _low_unit_inverse(a[i][j], modulus)
             if inverse is not None:
                 break
         if inverse is None:
-            _, i, j = cells[0]
-        swap_in(i, j)
-        if inverse is not None:
-            # column operations then clear row t, changing no other row
-            for i in range(t + 1, n):
-                if a[i][t].coeffs:
-                    q = reduced(a[i][t] * inverse)
-                    a[i][t:] = [reduced(sub_mul(x, q, y)) for x, y in zip(a[i][t:], a[t][t:])]
-            pivots.append(a[t][t])
-            continue
-        while True:
-            pivot = a[t][t]
-            swapped = False
-            for i in range(t + 1, n):
-                if a[i][t].coeffs:
-                    q = a[i][t] // pivot
-                    a[i][t:] = _primitive([sub_mul(x, q, y) for x, y in zip(a[i][t:], a[t][t:])])
-                    if a[i][t].coeffs:  # a remainder: a pivot of lower degree
-                        a[t], a[i] = a[i], a[t]
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j].coeffs:  # column t is clear below the pivot
-                    a[t][j] = a[t][j] % pivot
-                    if a[t][j].coeffs:
-                        swap_in(t, j)
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            if pivot.degree == 0:  # a unit divides every entry
-                break
-            offender = next((i for i in range(t + 1, n)
-                             if any((e % pivot).coeffs for e in a[i][t + 1:])), None)
-            if offender is None:
-                break
-            a[t][t + 1:] = a[offender][t + 1:]  # row t was zero beyond the pivot
+            break
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        # column operations then clear row t, changing no other row
+        for i in range(t + 1, n):
+            if a[i][t].coeffs:
+                q = reduced(a[i][t] * inverse)
+                a[i][t:] = [reduced(sub_mul(x, q, y)) for x, y in zip(a[i][t:], a[t][t:])]
         pivots.append(a[t][t])
-    return pivots
+    rest = [row[len(pivots):] for row in a[len(pivots):]]
+    while any(sum(1 for e in line if e.coeffs) > 1 for line in rest + _transposed(rest)):
+        h = hermite_form(PolyMatrix.from_rows(rest)).h
+        rest = [[reduced(e) for e in col] for col in _transposed(h.to_rows())]
+    pivots += [e for row in rest for e in row if e.coeffs]
+    return pivots + [PolyQ.zero()] * (n - len(pivots))
+
+
+def _smith_of_diagonal(d: list[PolyQ]) -> list[PolyQ]:
+    """The Smith form of diag(d): monic entries, each dividing the next,
+    zeros last.  Each pair d_i, d_j with i < j becomes gcd, lcm, which
+    moves the least power of every prime factor to the front; a constant
+    entry divides everything, so its sweep is skipped."""
+    s = sorted((e.monic() for e in d if e.coeffs), key=lambda e: e.degree)
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            if s[i].degree == 0:
+                break
+            g = poly_gcd(s[i], s[j])
+            s[i], s[j] = g, (s[i] * s[j]).exact_div(g)
+    return s + [PolyQ.zero()] * (len(d) - len(s))
 
 
 def smith_invariants(m: PolyMatrix, det: PolyQ) -> list[PolyQ]:
@@ -288,28 +263,32 @@ def smith_invariants(m: PolyMatrix, det: PolyQ) -> list[PolyQ]:
     factors last, as `normalforms.smith_form` lists them, but without E
     and F.  det must be det(m).
 
+    `_diagonal` brings m to a diagonal a_1, ..., a_N by row and column
+    operations, and `_smith_of_diagonal` sorts a diagonal into its Smith
+    form by gcd and lcm.
+
     - det != 0: for i < N, s_i^2 divides det, so s_i divides
       g = gcd(det, det').  The Smith form of [m | g I] is then
       diag(gcd(s_i, g)), whose first N-1 entries are s_1 ... s_(N-1).  Row
       and column operations on m, and adding a multiple of g to an entry
       (a column operation with the g I block, which a row operation turns
       into g R and column operations within the block restore), keep that
-      Smith form, so the elimination may reduce entries modulo g.  On its
-      diagonal a_1, a_2, ..., gcd(a_t, g) divides every later entry and g,
-      so [diag(a) | g I] has the Smith form diag(gcd(a_t, g)), and
-      s_i = gcd(a_i, g) for i < N (a missing pivot counts as 0).  Then
-      s_N = monic det / (s_1 ... s_(N-1)).  A squarefree det gives g = 1,
-      and the factors 1, ..., 1, monic det.
-    - det = 0: the same elimination with no modulus; s_i = monic a_i.
+      Smith form, so the elimination may reduce entries modulo g.  Then
+      [diag(a) | g I] has the Smith form of diag(gcd(a_i, g)), whose first
+      N-1 entries are s_1 ... s_(N-1), and s_N = monic det / (s_1 ...
+      s_(N-1)).  A squarefree det gives g = 1, and the factors 1, ..., 1,
+      monic det, with no elimination.
+    - det = 0: the same elimination with no modulus, and the factors are
+      the Smith form of its diagonal.
     """
     n = m.rows
     if det.is_zero:
-        pivots = [a.monic() for a in _diagonal(m, None)]
-        return pivots + [PolyQ.zero()] * (n - len(pivots))
+        return _smith_of_diagonal(_diagonal(m, None))
     g = poly_gcd(det, det.derivative())
-    # with g = 1 every entry reduces to 0, leaving no pivots
-    head = [poly_gcd(a, g) for a in _diagonal(m, g)][:n - 1] if g.degree else []
-    head += [g] * (n - 1 - len(head))
+    if g.degree:
+        head = _smith_of_diagonal([poly_gcd(a, g) for a in _diagonal(m, g)])[:n - 1]
+    else:
+        head = [g] * (n - 1)
     last = det.monic()
     for s in head:
         last = last.exact_div(s)

@@ -1,6 +1,7 @@
 """Hermite and Smith normal forms over Q[z]."""
 
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -20,13 +21,13 @@ from polylin import (
     poly_gcd,
     smith_form,
 )
-from polylin import serialize
+from polylin import serialize, verify
 from polylin.bases import matrix_poly_as_polymatrix
 from polylin.exact import is_unimodular, polymatrix_det, polymatrix_mul, sub_mul
 from polylin.normalforms import mask
 from polylin.pencils import build_lagrange_pencil, build_pencil, build_recurrence_pencil
 from polylin.randgen import rand_fraction
-from polylin.verify import smith_invariants
+from polylin.verify import _low_unit_inverse, smith_invariants
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -498,19 +499,177 @@ class TestSmithOneClearingStep:
         assert counts["column swap"] > 0 and counts["fix-up"] > 0, counts
 
 
+def reference_smith_invariants(m: PolyMatrix, det: PolyQ) -> list[PolyQ]:
+    """verify.smith_invariants as it was written with a Euclidean fallback:
+    after the unit pivots, a least-degree pivot cleared by row and column
+    division, with rows kept primitive, and a row merge when the pivot
+    does not divide a later entry; singular input eliminated with no
+    modulus."""
+    def primitive(row):
+        cs = [c for e in row for c in e.coeffs]
+        if not cs:
+            return row
+        k = F(math.lcm(*(c.denominator for c in cs)), math.gcd(*(c.numerator for c in cs)))
+        return [e.scale(k) for e in row] if k != 1 else row
+
+    def diagonal_pivots(modulus):
+        def reduced(e):
+            return e % modulus if modulus is not None else e
+
+        a = [[reduced(e) for e in row] for row in m.to_rows()]
+
+        def swap_in(i, j):
+            a[t], a[i] = a[i], a[t]
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+
+        n = len(a)
+        pivots = []
+        for t in range(n):
+            cells = sorted((a[i][j].degree, i, j) for i in range(t, n) for j in range(t, n)
+                           if a[i][j].coeffs)
+            if not cells:
+                break
+            inverse = None
+            for degree, i, j in cells:
+                if degree > 1:
+                    break
+                inverse = _low_unit_inverse(a[i][j], modulus)
+                if inverse is not None:
+                    break
+            if inverse is None:
+                _, i, j = cells[0]
+            swap_in(i, j)
+            if inverse is not None:
+                for i in range(t + 1, n):
+                    if a[i][t].coeffs:
+                        q = reduced(a[i][t] * inverse)
+                        a[i][t:] = [reduced(sub_mul(x, q, y)) for x, y in zip(a[i][t:], a[t][t:])]
+                pivots.append(a[t][t])
+                continue
+            while True:
+                pivot = a[t][t]
+                swapped = False
+                for i in range(t + 1, n):
+                    if a[i][t].coeffs:
+                        q = a[i][t] // pivot
+                        a[i][t:] = primitive([sub_mul(x, q, y) for x, y in zip(a[i][t:], a[t][t:])])
+                        if a[i][t].coeffs:
+                            a[t], a[i] = a[i], a[t]
+                            swapped = True
+                            break
+                if swapped:
+                    continue
+                for j in range(t + 1, n):
+                    if a[t][j].coeffs:
+                        a[t][j] = a[t][j] % pivot
+                        if a[t][j].coeffs:
+                            swap_in(t, j)
+                            swapped = True
+                            break
+                if swapped:
+                    continue
+                if pivot.degree == 0:
+                    break
+                offender = next((i for i in range(t + 1, n)
+                                 if any((e % pivot).coeffs for e in a[i][t + 1:])), None)
+                if offender is None:
+                    break
+                a[t][t + 1:] = a[offender][t + 1:]
+            pivots.append(a[t][t])
+        return pivots
+
+    n = m.rows
+    if det.is_zero:
+        pivots = [a.monic() for a in diagonal_pivots(None)]
+        return pivots + [PolyQ.zero()] * (n - len(pivots))
+    g = poly_gcd(det, det.derivative())
+    head = [poly_gcd(a, g) for a in diagonal_pivots(g)][:n - 1] if g.degree else []
+    head += [g] * (n - 1 - len(head))
+    last = det.monic()
+    for s in head:
+        last = last.exact_div(s)
+    return head + [last]
+
+
+def divisor_chain_draws():
+    """80 pairs (U diag(s) V, s) with s a divisor chain, n 2-5, some zero
+    factors last."""
+    rng = random.Random(75)
+    out = []
+    for _ in range(80):
+        n = rng.randint(2, 5)
+        zeros = rng.choice((0, 0, 0, 1, 2)) if n > 2 else 0
+        chain = rand_divisor_chain(rng, n, zeros)
+        m = polymatrix_mul(polymatrix_mul(rand_unimodular(rng, n), diagonal(chain)),
+                           rand_unimodular(rng, n))
+        out.append((m, chain))
+    return out
+
+
+def singular_cases():
+    """Square matrices with det = 0: a zero matrix, repeated rows, and a
+    row twice another beside random entries."""
+    z = PolyQ([0, 1])
+    cases = [
+        PolyMatrix.zeros(3, 3),
+        PolyMatrix.from_rows([[z, z], [z, z]]),
+        PolyMatrix.from_rows([[z, z * z, PolyQ([1])], [z, z * z, PolyQ([1])],
+                              [PolyQ([2]), PolyQ([0, 3]), z]]),
+    ]
+    rng = random.Random(76)
+    for _ in range(6):
+        row = [PolyQ([rand_fraction(rng), rand_fraction(rng)]) for _ in range(3)]
+        other = rand_polymatrix(rng, 3, 1)
+        cases.append(PolyMatrix.from_rows([row, [e.scale(F(2)) for e in row],
+                                           other.row(2)]))
+    return cases
+
+
+def catalog_smith_check_inputs():
+    """(m, det) of every smith_invariants call that the Smith checks of the
+    normal-forms catalog make (big and small matrix of each, all
+    variants)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import VARIANTS, WORKLOADS, instance, ops_of
+    finally:
+        sys.path.remove(str(BENCH))
+    slots = WORKLOADS["normal-forms"]
+    seen = []
+    record = verify.smith_invariants
+
+    def recording(m, det):
+        seen.append((m, det))
+        return record(m, det)
+
+    verify.smith_invariants = recording
+    try:
+        for op in ops_of(slots):
+            if op.kind != "verify":
+                continue
+            check = getattr(verify, op.arg)
+            for v in range(VARIANTS):
+                obj = json.loads(json.dumps(instance("normal-forms", op.slot, slots[op.slot], v)))
+                p = serialize.parse_matrix_polynomial(obj)
+                if op.arg == "verify_bernstein_reversal_pencil":
+                    check(p)
+                else:
+                    check(build_pencil(p), p)
+    finally:
+        verify.smith_invariants = record
+    return seen
+
+
 class TestSmithInvariants:
     """verify.smith_invariants, the Smith checks' E- and F-free invariant
-    factors, against smith_form and the sympy oracle."""
+    factors, against smith_form, the Euclidean fallback it replaced and the
+    sympy oracle."""
 
     def test_divisor_chains(self):
-        rng = random.Random(75)
         repeated = 0
-        for _ in range(80):
-            n = rng.randint(2, 5)
-            zeros = rng.choice((0, 0, 0, 1, 2)) if n > 2 else 0
-            chain = rand_divisor_chain(rng, n, zeros)
-            m = polymatrix_mul(polymatrix_mul(rand_unimodular(rng, n), diagonal(chain)),
-                               rand_unimodular(rng, n))
+        for m, chain in divisor_chain_draws():
+            n = m.rows
             det = polymatrix_det(m)
             assert smith_invariants(m, det) == chain
             if n <= 4:
@@ -521,24 +680,53 @@ class TestSmithInvariants:
         assert repeated > 30
 
     def test_singular(self):
-        z = PolyQ([0, 1])
-        cases = [
-            PolyMatrix.zeros(3, 3),
-            PolyMatrix.from_rows([[z, z], [z, z]]),
-            PolyMatrix.from_rows([[z, z * z, PolyQ([1])], [z, z * z, PolyQ([1])],
-                                  [PolyQ([2]), PolyQ([0, 3]), z]]),
-        ]
-        rng = random.Random(76)
-        for _ in range(6):
-            row = [PolyQ([rand_fraction(rng), rand_fraction(rng)]) for _ in range(3)]
-            other = rand_polymatrix(rng, 3, 1)
-            cases.append(PolyMatrix.from_rows([row, [e.scale(F(2)) for e in row],
-                                               other.row(2)]))
-        for m in cases:
+        for m in singular_cases():
             det = polymatrix_det(m)
             assert det.is_zero
             want = list(smith_form(m).invariant_factors)
             assert smith_invariants(m, det) == want == sympy_factors(m)
+
+    def test_matches_euclidean_fallback(self, monkeypatch):
+        # the alternating Hermite forms must run on modular and on singular
+        # input, and end within two passes each time they run
+        passes = []
+        hermite = verify.hermite_form
+
+        def counted(m):
+            passes[-1] += 1
+            return hermite(m)
+
+        # diag(z, z+1, z(z+1)) has no unit pivot modulo g = z(z+1), and the
+        # fallback leaves it as it is: only the gcd/lcm sort puts 1 first
+        z = PolyQ([0, 1])
+        out_of_order = diagonal([z, z + PolyQ([1]), z * (z + PolyQ([1]))])
+        inputs = (catalog_smith_check_inputs()
+                  + [(m, polymatrix_det(m)) for m, _ in divisor_chain_draws()]
+                  + [(m, polymatrix_det(m)) for m in singular_cases()]
+                  + [(m, polymatrix_det(m)) for m in non_dividing_chains() + [out_of_order]])
+        monkeypatch.setattr(verify, "hermite_form", counted)
+        ran = Counter()
+        for m, det in inputs:
+            passes.append(0)
+            assert smith_invariants(m, det) == reference_smith_invariants(m, det)
+            ran["singular" if det.is_zero else "modular"] += passes[-1] > 0
+        assert len(inputs) == 2 * 456 + 80 + 9 + 8 + 1
+        assert ran["modular"] > 0 and ran["singular"] > 0, ran
+        assert max(passes) <= 2, max(passes)
+
+    def test_smith_of_diagonal(self):
+        z = PolyQ([0, 1])
+        one = PolyQ([1])
+        diagonals = [
+            [z, PolyQ.zero(), z + one, z * z * (z + one), PolyQ([3])],
+            [z * z, z, PolyQ([-1, 1])],
+            [(z + one) * (z + one), (z + one).scale(F(-2)), z * (z + one), z * z * z],
+            [PolyQ.zero(), PolyQ([F(1, 2)]), PolyQ.zero(), z.scale(F(7))],
+            [PolyQ([-2, 1]), PolyQ([3]), z * z, z],
+            [PolyQ.zero(), PolyQ.zero()],
+        ]
+        for d in diagonals:
+            assert verify._smith_of_diagonal(d) == sympy_factors(diagonal(d)), d
 
     def test_squarefree_determinant(self):
         # gcd(det, det') = 1: no elimination, the factors 1 and monic det

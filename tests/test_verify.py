@@ -45,7 +45,13 @@ from polylin.verify import (
     verify_strict,
 )
 from polylin import serialize, verify
-from polylin.randgen import rand_basis, rand_fraction, rand_matrix_polynomial, rand_nodes
+from polylin.randgen import (
+    rand_basis,
+    rand_const_matrix,
+    rand_fraction,
+    rand_matrix_polynomial,
+    rand_nodes,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -280,6 +286,27 @@ def jordan_control():
     return pen, p
 
 
+def bound_coefficient_bits(monkeypatch) -> list:
+    """Make every sub_mul result and every H of hermite_form in verify
+    fail past 1024-bit coefficients; returns the list of those H."""
+    def bounded(e):
+        assert all(max(c.numerator.bit_length(), c.denominator.bit_length()) <= 1024
+                   for c in e.coeffs)
+        return e
+
+    sub_mul, hermite_form = verify.sub_mul, verify.hermite_form
+    forms = []
+
+    def bounded_hermite_form(m):
+        res = hermite_form(m)
+        forms.append([bounded(e) for e in res.h.entries])
+        return res
+
+    monkeypatch.setattr(verify, "sub_mul", lambda x, q, y: bounded(sub_mul(x, q, y)))
+    monkeypatch.setattr(verify, "hermite_form", bounded_hermite_form)
+    return forms
+
+
 class TestSmithChecksFromDeterminants:
     """The determinant ratio and the elimination modulo gcd(d, d') that
     replaced two smith_form calls per check."""
@@ -331,25 +358,39 @@ class TestSmithChecksFromDeterminants:
     def test_lagrange_reversal_in_bounded_time(self, monkeypatch):
         # the reversal at grade L+2 of a Lagrange pencil carries a z^(2n)
         # factor, so it is never squarefree; n=3, L=6 ran over 60 s through
-        # smith_form.  The elimination's coefficients reach 729 bits here;
-        # reducing modulo d' rather than g = gcd(d, d') passes 4096 bits
-        # within a fraction of a second, and takes minutes to finish
-        sub_mul = verify.sub_mul
-
-        def bounded_sub_mul(x, q, y):
-            out = sub_mul(x, q, y)
-            assert all(max(c.numerator.bit_length(), c.denominator.bit_length()) <= 1024
-                       for c in out.coeffs)
-            return out
-
-        monkeypatch.setattr(verify, "sub_mul", bounded_sub_mul)
+        # smith_form.  Coefficients reach 379 bits here, in the Hermite
+        # forms that finish the elimination; reducing modulo d' rather than
+        # g = gcd(d, d') passes 4096 bits within a fraction of a second, and
+        # takes minutes to finish
+        forms = bound_coefficient_bits(monkeypatch)
         rng = random.Random(93)
         p = rand_matrix_polynomial(rng, rand_basis(rng, "lagrange", 6), 3)
         pen = build_lagrange_pencil(p)
         start = time.perf_counter()
         assert verify_strong(pen, p).ok
         assert smith_equivalence_check(pen, p).ok
-        assert time.perf_counter() - start < 5  # about 0.25 s on a 2-vCPU x86-64 host
+        assert time.perf_counter() - start < 5  # about 0.2 s on a 2-vCPU x86-64 host
+        assert forms
+
+    def test_singular_bernstein_in_bounded_time(self, monkeypatch):
+        # a 16x16 Bernstein pencil (n=4, L=4) whose coefficients all have
+        # row 3 = row 0 + row 1: det = 0, so no modulus bounds the
+        # elimination.  The Euclidean fallback took 13.7 s here; the
+        # alternating Hermite forms reach 259 bits
+        forms = bound_coefficient_bits(monkeypatch)
+        rng = random.Random(1)
+        blocks = []
+        for _ in range(5):
+            rows = rand_const_matrix(rng, 4).to_rows()
+            rows[3] = [x + y for x, y in zip(rows[0], rows[1])]
+            blocks.append(ConstMatrix.from_rows(rows))
+        p = MatrixPolynomial(4, Bernstein(4), tuple(blocks))
+        pen = build_bernstein_pencil(p)
+        start = time.perf_counter()
+        assert verify_strong(pen, p).ok
+        assert smith_equivalence_check(pen, p).ok
+        assert time.perf_counter() - start < 5  # about 0.6 s on a 2-vCPU x86-64 host
+        assert forms
 
     def test_catalog_verdicts_match_the_bench_reference(self):
         # bench/reference.json holds the sha256 prefix of every verdict
