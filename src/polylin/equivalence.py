@@ -5,9 +5,8 @@ Sign conventions follow the pencil constructors in `pencils`.  The
 constructors only build: no certificate is checked against its defining
 identity here.  That is the job of the independent verifiers in `verify`,
 which the CLI runs on every certificate it prints.  A constructor fails
-only where construction cannot go on: a linear system without a
-solution, or a factor to invert that is singular (or, for a polynomial
-factor, not unimodular).
+only where construction cannot go on: a factor to invert that is
+singular (or, for a polynomial factor, not unimodular).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .exact import (
     PolyQ,
     polymatrix_inverse_unimodular,
     polymatrix_mul,
-    solve_exact,
 )
 from .bases import (
     Bernstein,
@@ -42,16 +40,11 @@ from .bases import (
     Recurrence,
     barycentric_weights,
     matrix_poly_as_polymatrix,
-    recurrence_basis_polys,
     to_monomial,
     from_monomial,
     transform_blocks,
 )
-from .pencils import (
-    Pencil,
-    build_bernstein_pencil,
-    build_monomial_pencil,
-)
+from .pencils import Pencil
 
 
 @dataclass(frozen=True)
@@ -189,8 +182,7 @@ def recurrence_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteA
         nxt = (POLY_Z - PolyQ.constant(be[k])) * hs[k] - hs[k - 1].scale(ga[k])
         hs[k + 1] = nxt.scale(1 / al[k])
 
-    phis = recurrence_basis_polys(spec)
-    lc = phis[L].lead
+    lc = 1 / math.prod(al)  # each recurrence step divides the lead by alpha_k
     u0 = p.coeffs[L].scale(lc)
     pz = matrix_poly_as_polymatrix(p)
     corner = polymatrix_mul(PolyMatrix.from_const(a_lead_inv.scale(1 / lc)), pz)
@@ -354,10 +346,15 @@ def bernstein_strict_equivalence(p: MatrixPolynomial) -> StrictEquivalence:
     """Constant U, W with U @ L_B(z) @ W = L_M(z).
 
     L_B is the Bernstein pencil of p and L_M the monomial pencil of the
-    same polynomial (same grade).  W comes from the closed binomial form;
-    the unknown first block row of U^{-1} is found by an exact linear
-    solve, the remaining rows being e_1 and the leading part of W.  Works
-    whether or not P(1) is singular.
+    same polynomial (same grade).  Both U^{-1} and W are closed forms:
+
+        W      = W_s (x) I,   W_s(i, j) = (-1)^(i+j) C(L, i) C(i-1, j-1),
+        U^{-1} = [[I, R_1, ..., R_{L-1}], [0, W_s[:L-1, :L-1] (x) I]],
+        R_j    = sum_{k=0}^{L-1-j} (-1)^(L+j+k) C(L, k) C(L-1-k, j) Y_k,
+
+    R being the first block row of C1_B @ W past block column 0.  U^{-1}
+    is block upper triangular with det prod_{i<L} C(L, i)^n, so the map
+    exists for every P: P(1) singular or not, regular or not.
     """
     if not isinstance(p.basis, Bernstein):
         raise WrongBasis("expected a Bernstein-basis polynomial")
@@ -365,27 +362,14 @@ def bernstein_strict_equivalence(p: MatrixPolynomial) -> StrictEquivalence:
     if L < 2:
         raise GradeTooSmall("strict equivalence needs grade >= 2")
     n = p.n
-    lb = build_bernstein_pencil(p)
-    lm = build_monomial_pencil(to_monomial(p))
     w_scalar = _bernstein_binomial_w(L)
-    w = w_scalar.kron_identity(n)
-
-    # x @ [lm.c1 | lm.c0] = the top n rows of [lb.c1 @ w | lb.c0 @ w], transposed
-    a_sys = ConstMatrix.from_rows(lm.c1.transpose().to_rows() + lm.c0.transpose().to_rows())
-    b_rows = (lb.c1 @ w).transpose().to_rows() + (lb.c0 @ w).transpose().to_rows()
-    xt = solve_exact(a_sys, ConstMatrix.from_rows([r[:n] for r in b_rows]))
-    if xt is None:
-        raise ConjectureFailure(f"no first row solves the grade-{L} system")
-    x = xt.transpose()  # n x nL
-
-    # U^{-1}: x over [0 | W_s[:L-1, :L-1]] (x) I
-    lower = ConstMatrix.from_rows(
-        [[0] + w_scalar.row(i)[:L - 1] for i in range(L - 1)]).kron_identity(n)
-    uinv = ConstMatrix.from_rows(x.to_rows() + lower.to_rows())
-    u = uinv.try_inverse()
-    if u is None:
-        raise ConjectureFailure(f"U^(-1) singular at grade {L}")
-    return StrictEquivalence(u, w)
+    t = [[(-1) ** (L + j + k) * math.comb(L, k) * math.comb(L - 1 - k, j) for k in range(L)]
+         + [0] for j in range(1, L)]
+    r = transform_blocks(ConstMatrix.from_rows(t), p.coeffs)
+    eye = ConstMatrix.identity(n)
+    lower = [[None] + [eye.scale(c) for c in w_scalar.row(i)[:L - 1]] for i in range(L - 1)]
+    uinv = ConstMatrix.from_blocks([[eye, *r], *lower], n)
+    return StrictEquivalence(uinv.try_inverse(), w_scalar.kron_identity(n))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ a random draw proves agreement for symbolic coefficients.
 """
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from polylin import (
     Bernstein,
@@ -25,6 +27,7 @@ from polylin import (
     build_pencil,
     to_monomial,
 )
+from polylin import serialize
 from polylin.bases import (
     barycentric_weights,
     matrix_poly_as_polymatrix,
@@ -49,7 +52,14 @@ from polylin.errors import (
     SingularAtOne,
     SingularNodeValue,
 )
-from polylin.exact import polymatrix_det, polymatrix_inverse_unimodular, polymatrix_mul
+from polylin.cli import main
+from polylin.equivalence import StrictEquivalence
+from polylin.exact import (
+    polymatrix_det,
+    polymatrix_inverse_unimodular,
+    polymatrix_mul,
+    solve_exact,
+)
 from polylin.normalforms import hermite_form
 from polylin.pencils import (
     build_bernstein_pencil,
@@ -395,6 +405,31 @@ class TestLagrangeHermite:
 # Bernstein strict equivalence
 
 
+def reference_bernstein_strict(p):
+    """The strict map as an exact solve: W from the binomial closed form,
+    the first block row x of U^{-1} from x @ [C1_M | C0_M] = the first block
+    row of [C1_B @ W | C0_B @ W], the rows below from W.  It gives up
+    (ConjectureFailure) where the solve has no answer or its answer leaves
+    U^{-1} singular, as when the Y_k share a left null vector."""
+    L = p.grade
+    n = p.n
+    lb = build_bernstein_pencil(p)
+    lm = build_monomial_pencil(to_monomial(p))
+    w_scalar = equivalence._bernstein_binomial_w(L)
+    w = w_scalar.kron_identity(n)
+    a_sys = ConstMatrix.from_rows(lm.c1.transpose().to_rows() + lm.c0.transpose().to_rows())
+    b_rows = (lb.c1 @ w).transpose().to_rows() + (lb.c0 @ w).transpose().to_rows()
+    xt = solve_exact(a_sys, ConstMatrix.from_rows([r[:n] for r in b_rows]))
+    if xt is None:
+        raise ConjectureFailure(f"no first row solves the grade-{L} system")
+    lower = ConstMatrix.from_rows(
+        [[0] + w_scalar.row(i)[:L - 1] for i in range(L - 1)]).kron_identity(n)
+    u = ConstMatrix.from_rows(xt.transpose().to_rows() + lower.to_rows()).try_inverse()
+    if u is None:
+        raise ConjectureFailure(f"U^(-1) singular at grade {L}")
+    return StrictEquivalence(u, w)
+
+
 class TestBernsteinStrict:
     def test_w_grade5_integer_matrix(self):
         rng = random.Random(51)
@@ -450,6 +485,84 @@ class TestBernsteinStrict:
         p = rand_matrix_polynomial(rng, Bernstein(3), 2)
         se = bernstein_strict_equivalence(p)
         assert verify_strict(se, build_bernstein_pencil(p), p).ok
+
+    def test_matches_the_solved_map(self):
+        # the closed form is the map the exact solve finds whenever the
+        # solve has one answer: regular P, with or without a singular P(1);
+        # its R is the first block row of C1_B @ W past block column 0
+        rng = random.Random(56)
+        for draw in range(210):  # each run of 18 draws covers n 1-3 by grade 2-7
+            n, grade = 1 + draw % 3, 2 + draw // 3 % 6
+            p = rand_matrix_polynomial(rng, Bernstein(grade), n)
+            if draw // 18 % 3 == 0:  # P(1) = Y_L singular: its last row zeroed
+                top = p.coeffs[grade].to_rows()
+                top[-1] = [0] * n
+                p = MatrixPolynomial(n, p.basis, p.coeffs[:grade] + (ConstMatrix.from_rows(top),))
+            se = bernstein_strict_equivalence(p)
+            ref = reference_bernstein_strict(p)
+            assert (se.u, se.w) == (ref.u, ref.w)
+            first_row = se.u.try_inverse().to_rows()[:n]
+            c1w = (build_bernstein_pencil(p).c1 @ se.w).to_rows()[:n]
+            assert [r[n:] for r in first_row] == [r[n:] for r in c1w]
+
+    @pytest.mark.parametrize("grade", range(2, 9))
+    def test_identity_with_symbolic_coefficients(self, grade):
+        """U^{-1} L_M(z) = L_B(z) W for symbols Y_0..Y_L, with both pencils
+        transcribed from their definitions.  The constructor is affine in
+        the Y_k, so its U^{-1} with symbols is U^{-1}(0) + sum_k Y_k
+        (U^{-1}(e_k) - U^{-1}(0)); the identity is linear in the Y_k, so the
+        scalar case covers every block size n."""
+        L = grade
+        z = sympy.symbols("z")
+        ys = sympy.symbols(f"y0:{L + 1}")
+
+        def as_sym(m):
+            return sympy.Matrix(m.rows, m.cols,
+                                [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+        def uinv_w(values):
+            se = bernstein_strict_equivalence(scalar_mp(Bernstein(L), values))
+            return as_sym(se.u.try_inverse()), as_sym(se.w)
+
+        uinv0, w = uinv_w([0] * (L + 1))
+        uinv = uinv0
+        for k in range(L + 1):
+            uinv += ys[k] * (uinv_w([int(i == k) for i in range(L + 1)])[0] - uinv0)
+
+        pz = sum(ys[k] * math.comb(L, k) * z**k * (1 - z)**(L - k) for k in range(L + 1))
+        a = sympy.Poly(pz, z).all_coeffs()[::-1]  # A_0..A_L; A_L is a nonzero form in the Y_k
+        lm = sympy.zeros(L, L)
+        lm[0, 0] = z * a[L] + a[L - 1]
+        for j in range(1, L):
+            lm[0, j] = a[L - 1 - j]
+            lm[j, j - 1], lm[j, j] = -1, z
+        lb = sympy.zeros(L, L)
+        lb[0, 0] = z / L * ys[L] + (1 - z) * ys[L - 1]
+        for j in range(1, L):
+            lb[0, j] = (1 - z) * ys[L - 1 - j]
+            lb[j, j - 1], lb[j, j] = z - 1, sympy.Rational(j + 1, L - j) * z
+        assert (uinv * lm - lb * w).expand() == sympy.zeros(L, L)
+
+    @pytest.mark.parametrize("grade", [2, 3, 4])
+    @pytest.mark.parametrize("shape", ["zero second row", "equal rows"])
+    def test_nonregular(self, grade, shape, tmp_path):
+        # every block shares a constant left null vector, so det P = 0: the
+        # solved map gave up here, the closed form does not
+        rng = random.Random(57 + grade)
+        blocks = []
+        for _ in range(grade + 1):
+            first = [rand_fraction(rng) for _ in range(2)]
+            blocks.append(ConstMatrix.from_rows(
+                [first, [0, 0] if shape == "zero second row" else first]))
+        p = MatrixPolynomial(2, Bernstein(grade), tuple(blocks))
+        with pytest.raises(ConjectureFailure):
+            reference_bernstein_strict(p)
+        assert verify_strict(bernstein_strict_equivalence(p), build_bernstein_pencil(p), p).ok
+        infile, outfile = tmp_path / "p.json", tmp_path / "cert.json"
+        infile.write_text(json.dumps(serialize.matrix_polynomial_obj(p)))
+        assert main(["equiv", "--in", str(infile), "--mode", "strict",
+                     "--out", str(outfile)]) == 0
+        assert json.loads(outfile.read_text())["verified"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -731,34 +844,25 @@ class TestConstructionChecks:
             return ConstMatrix.from_rows(rows)
 
         monkeypatch.setattr(equivalence, "_bernstein_binomial_w", perturbed)
-        with pytest.raises(ConjectureFailure, match="no first row solves the grade-3 system"):
-            bernstein_strict_equivalence(p)
-
-    @pytest.mark.parametrize("zero, message", [
-        (False, "strict: z-coefficient identity failed"),  # refused by verify_strict
-        (True, r"U\^\(-1\) singular at grade 3"),  # construction cannot go on
-    ])
-    def test_bernstein_strict_rejects_wrong_first_row(self, monkeypatch, zero, message):
-        rng = random.Random(74)
-        p = rand_matrix_polynomial(rng, Bernstein(3), 2)
-        exact_solve = equivalence.solve_exact
-
-        def wrong_solve(a, b):
-            x = exact_solve(a, b)
-            if zero:
-                return ConstMatrix.zeros(x.rows, x.cols)
-            rows = x.to_rows()
-            rows[0][0] += 1
-            return ConstMatrix.from_rows(rows)
-
-        monkeypatch.setattr(equivalence, "solve_exact", wrong_solve)
-        if zero:
-            with pytest.raises(ConjectureFailure, match=message):
-                bernstein_strict_equivalence(p)
-            return
         verdict = verify_strict(bernstein_strict_equivalence(p), build_bernstein_pencil(p), p)
         assert not verdict.ok
-        assert f"{verdict.check}: {verdict.counterexample['reason']}" == message
+        assert verdict.counterexample == {"reason": "z-coefficient identity failed"}
+
+    def test_bernstein_strict_rejects_wrong_first_row(self, monkeypatch):
+        rng = random.Random(74)
+        p = rand_matrix_polynomial(rng, Bernstein(3), 2)
+        exact_transform = equivalence.transform_blocks
+
+        def wrong_r(t, blocks):  # one entry of R_1 off by one
+            r = exact_transform(t, blocks)
+            rows = r[0].to_rows()
+            rows[0][0] += 1
+            return (ConstMatrix.from_rows(rows),) + r[1:]
+
+        monkeypatch.setattr(equivalence, "transform_blocks", wrong_r)
+        verdict = verify_strict(bernstein_strict_equivalence(p), build_bernstein_pencil(p), p)
+        assert not verdict.ok
+        assert verdict.counterexample == {"reason": "z-coefficient identity failed"}
 
 
 # ---------------------------------------------------------------------------
