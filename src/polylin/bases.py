@@ -17,6 +17,7 @@ from .exact import (
     POLY_ONE,
     PolyMatrix,
     PolyQ,
+    _lowest,
     as_fraction,
     solve_exact,
 )
@@ -227,13 +228,28 @@ def _phi_matrix(basis: BasisSpec) -> ConstMatrix:
 
 
 def _stacked_blocks(blocks) -> ConstMatrix:
-    """Row k: the n*n entries of block k, row by row."""
-    return ConstMatrix.from_rows([blk.entries for blk in blocks])
+    """Row k: the entries of block k, row by row; its row form is the
+    block's rows side by side over the lcm of their denominators, canonical
+    as `ConstMatrix.from_blocks` makes it."""
+    c = blocks[0].cols
+    form = []
+    for blk in blocks:
+        den = math.lcm(*(d for d, _ in blk._form))
+        form.append((den, [(r * c + j, x * (den // d))
+                           for r, (d, pairs) in enumerate(blk._form) for j, x in pairs]))
+    return ConstMatrix._from_form(len(blocks), blocks[0].rows * c, form)
 
 
 def _cut_blocks(m: ConstMatrix, n: int) -> tuple[ConstMatrix, ...]:
-    """Row i of m as an n-by-n block, the inverse of `_stacked_blocks`."""
-    return tuple(ConstMatrix(n, n, m.row(i)) for i in range(m.rows))
+    """Row i of m as an n-by-n block, the inverse of `_stacked_blocks`:
+    each n-wide piece of the row over its denominator, in lowest terms."""
+    out = []
+    for den, pairs in m._form:
+        rows = [[] for _ in range(n)]
+        for j, x in pairs:
+            rows[j // n].append((j % n, x))
+        out.append(ConstMatrix._from_form(n, n, [_lowest(den, r) for r in rows]))
+    return tuple(out)
 
 
 def transform_blocks(t: ConstMatrix, blocks) -> tuple[ConstMatrix, ...]:

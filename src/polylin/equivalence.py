@@ -346,15 +346,21 @@ def bernstein_strict_equivalence(p: MatrixPolynomial) -> StrictEquivalence:
     """Constant U, W with U @ L_B(z) @ W = L_M(z).
 
     L_B is the Bernstein pencil of p and L_M the monomial pencil of the
-    same polynomial (same grade).  Both U^{-1} and W are closed forms:
+    same polynomial (same grade).  U^{-1} and W are closed forms:
 
         W      = W_s (x) I,   W_s(i, j) = (-1)^(i+j) C(L, i) C(i-1, j-1),
-        U^{-1} = [[I, R_1, ..., R_{L-1}], [0, W_s[:L-1, :L-1] (x) I]],
+        U^{-1} = [[I, R_1, ..., R_{L-1}], [0, W_l (x) I]],  W_l = W_s[:L-1, :L-1],
         R_j    = sum_{k=0}^{L-1-j} (-1)^(L+j+k) C(L, k) C(L-1-k, j) Y_k,
 
     R being the first block row of C1_B @ W past block column 0.  U^{-1}
     is block upper triangular with det prod_{i<L} C(L, i)^n, so the map
-    exists for every P: P(1) singular or not, regular or not.
+    exists for every P: P(1) singular or not, regular or not.  So is U:
+
+        U = [[I, -R (W_l^{-1} (x) I)], [0, W_l^{-1} (x) I]],
+        W_l^{-1}(i, j) = C(i-1, j-1) / C(L, j),
+
+    the inverse of W_l = S diag(C(L, i)) Pascal S (S = diag((-1)^i)), and
+    the top row is one transform of the Y_k by -W_l^{-T} t.
     """
     if not isinstance(p.basis, Bernstein):
         raise WrongBasis("expected a Bernstein-basis polynomial")
@@ -362,14 +368,16 @@ def bernstein_strict_equivalence(p: MatrixPolynomial) -> StrictEquivalence:
     if L < 2:
         raise GradeTooSmall("strict equivalence needs grade >= 2")
     n = p.n
-    w_scalar = _bernstein_binomial_w(L)
-    t = [[(-1) ** (L + j + k) * math.comb(L, k) * math.comb(L - 1 - k, j) for k in range(L)]
-         + [0] for j in range(1, L)]
-    r = transform_blocks(ConstMatrix.from_rows(t), p.coeffs)
+    t = ConstMatrix.from_rows(
+        [[(-1) ** (L + j + k) * math.comb(L, k) * math.comb(L - 1 - k, j) for k in range(L)] + [0]
+         for j in range(1, L)])
+    wl_inv = ConstMatrix.from_rows(
+        [[Fraction(math.comb(i, j), math.comb(L, j + 1)) for j in range(L - 1)] for i in range(L - 1)])
+    top = transform_blocks(-(wl_inv.transpose() @ t), p.coeffs)
     eye = ConstMatrix.identity(n)
-    lower = [[None] + [eye.scale(c) for c in w_scalar.row(i)[:L - 1]] for i in range(L - 1)]
-    uinv = ConstMatrix.from_blocks([[eye, *r], *lower], n)
-    return StrictEquivalence(uinv.try_inverse(), w_scalar.kron_identity(n))
+    lower = [[None] + [eye.scale(c) for c in wl_inv.row(i)] for i in range(L - 1)]
+    u = ConstMatrix.from_blocks([[eye, *top], *lower], n)
+    return StrictEquivalence(u, _bernstein_binomial_w(L).kron_identity(n))
 
 
 # ---------------------------------------------------------------------------

@@ -322,15 +322,19 @@ def _row_form(xs) -> tuple[int, list[tuple[int, int]]]:
     return den, [(j, p * (den // d)) for j, (p, d) in pairs]
 
 
-def _canonical(den: int, ints: list[int]) -> tuple[int, list[tuple[int, int]]]:
-    """The row form of the row ints / den (den nonzero)."""
-    pairs = [(j, x) for j, x in enumerate(ints) if x]
+def _lowest(den: int, pairs: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """The row form of the (column, int) pairs over den (den nonzero)."""
     g = math.gcd(den, *(x for _, x in pairs))
     if den < 0:
         g = -g
     if g == 1:
         return den, pairs
     return den // g, [(j, x // g) for j, x in pairs]
+
+
+def _canonical(den: int, ints: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """The row form of the row ints / den (den nonzero)."""
+    return _lowest(den, [(j, x) for j, x in enumerate(ints) if x])
 
 
 def _convolve(xs: list[int], ys: list[int]) -> list[int]:
@@ -470,18 +474,15 @@ class _Matrix:
         rows equally long."""
         if any(len(row) != len(grid[0]) for row in grid):
             raise DimensionMismatch("ragged block grid")
-        C = len(grid[0]) * n
-        out = [cls._zero] * (len(grid) * n * C)
-        for bi, row in enumerate(grid):
-            for bj, blk in enumerate(row):
-                if blk is None:
-                    continue
-                if blk.rows != n or blk.cols != n:
-                    raise DimensionMismatch("inconsistent block size")
-                for r in range(n):
-                    start = (bi * n + r) * C + bj * n
-                    out[start:start + n] = blk.entries[r * n:(r + 1) * n]
-        return cls(len(grid) * n, C, out)
+        if any(blk is not None and (blk.rows, blk.cols) != (n, n) for row in grid for blk in row):
+            raise DimensionMismatch("inconsistent block size")
+        return cls._assemble(grid, n)
+
+    @classmethod
+    def _assemble(cls, grid, n: int):
+        zero = cls.zeros(n, n)
+        return cls.from_rows([x for blk in row for x in (blk or zero).row(r)]
+                             for row in grid for r in range(n))
 
     # -- inspection ---------------------------------------------------
     def get(self, i: int, j: int):
@@ -539,10 +540,10 @@ class ConstMatrix(_Matrix):
     Its integer representation is its row form: row i is (d, pairs), the
     row's nonzero entries as (column, int) pairs over d > 0 with
     gcd(d, ints) = 1.  The form is canonical, so matrices are equal exactly
-    when their row forms are.  Products, solves and determinants work on
-    row forms and build their results as row forms; entries (Fractions)
-    and row form are each made from the other on first use, by
-    `__getattr__`, and then kept.
+    when their row forms are.  Products, solves, determinants, sums,
+    scaling and block assembly work on row forms and build their results
+    as row forms; entries (Fractions) and row form are each made from the
+    other on first use, by `__getattr__`, and then kept.
     """
 
     __slots__ = ("_form",)
@@ -586,6 +587,21 @@ class ConstMatrix(_Matrix):
 
     __hash__ = _Matrix.__hash__  # entry-based: equal matrices have equal entries
 
+    @classmethod
+    def _assemble(cls, grid, n: int) -> "ConstMatrix":
+        """Row r of block row bi: row r of each block moved to its block's
+        columns, over the lcm d of those rows' denominators.  A prime that
+        divides d divides some block row's denominator to the full power,
+        and not all of that row's ints, so the row is canonical as made."""
+        form = []
+        for row in grid:
+            parts = [(bj * n, blk._form) for bj, blk in enumerate(row) if blk is not None]
+            for r in range(n):
+                den = math.lcm(*(f[r][0] for _, f in parts))
+                form.append((den, [(off + j, x * (den // f[r][0]))
+                                   for off, f in parts for j, x in f[r][1]]))
+        return cls._from_form(len(grid) * n, len(grid[0]) * n, form)
+
     @property
     def is_zero(self) -> bool:
         return not any(pairs for _, pairs in self._form)
@@ -594,6 +610,28 @@ class ConstMatrix(_Matrix):
         return f"ConstMatrix({self.to_rows()})"
 
     # -- arithmetic ---------------------------------------------------
+    def __add__(self, other: "ConstMatrix", sign: int = 1) -> "ConstMatrix":
+        """self + sign * other, each row over the lcm of the two
+        denominators and brought to its row form by one gcd."""
+        self._same_shape(other)
+        form = []
+        for (da, xs), (db, ys) in zip(self._form, other._form):
+            den = math.lcm(da, db)
+            acc = [0] * self.cols
+            ma, mb = den // da, sign * (den // db)
+            for j, x in xs:
+                acc[j] = ma * x
+            for j, y in ys:
+                acc[j] += mb * y
+            form.append(_canonical(den, acc))
+        return ConstMatrix._from_form(self.rows, self.cols, form)
+
+    def __sub__(self, other: "ConstMatrix") -> "ConstMatrix":
+        return self.__add__(other, -1)
+
+    def __neg__(self) -> "ConstMatrix":
+        return self.scale(-1)
+
     def __matmul__(self, other: "ConstMatrix") -> "ConstMatrix":
         """Exact product on the row forms: with row i of self (da, x) and
         row k of other (d_k, y_k), output row i is sum_k x_k (l/d_k) y_k
@@ -616,8 +654,18 @@ class ConstMatrix(_Matrix):
         return ConstMatrix._from_form(self.rows, oc, form)
 
     def scale(self, c) -> "ConstMatrix":
-        c = as_fraction(c)
-        return ConstMatrix(self.rows, self.cols, [c * a if a else ZERO for a in self.entries])
+        """c * self for c = p/q in lowest terms: row (d, x) becomes
+        (d q / g, p x / g) with g = gcd(p, d) gcd(q, x), which is the whole
+        gcd of the new row since gcd(d, x) = gcd(p, q) = 1."""
+        p, q = as_fraction(c).as_integer_ratio()
+        if not p:
+            return ConstMatrix._from_form(self.rows, self.cols, [(1, [])] * self.rows)
+        form = []
+        for d, pairs in self._form:
+            g, h = math.gcd(p, d), math.gcd(q, *(x for _, x in pairs))
+            a = p // g
+            form.append((d // g * (q // h), [(j, a * (x // h)) for j, x in pairs]))
+        return ConstMatrix._from_form(self.rows, self.cols, form)
 
     # -- linear algebra -------------------------------------------------
     def det(self) -> Fraction:

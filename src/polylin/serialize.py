@@ -7,6 +7,7 @@ signed, and JSON integers, and reject anything else.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -48,7 +49,16 @@ def parse_frac(s) -> Fraction:
 
 
 def const_matrix_obj(m: ConstMatrix) -> list[list[str]]:
-    return [[frac_str(x) for x in row] for row in m.to_rows()]
+    """The rows as strings, each entry x/d of a row form in lowest terms by
+    one gcd; an absent pair is "0"."""
+    out = []
+    for den, pairs in m._form:
+        row = ["0"] * m.cols
+        for j, x in pairs:
+            g = math.gcd(x, den)
+            row[j] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        out.append(row)
+    return out
 
 
 def parse_const_matrix(obj) -> ConstMatrix:

@@ -73,7 +73,7 @@ from polylin.verify import (
     verify_reversal_equivalence,
     verify_strict,
 )
-from polylin import equivalence
+from polylin import equivalence, exact
 from polylin.randgen import (
     rand_basis,
     rand_const_matrix,
@@ -505,6 +505,28 @@ class TestBernsteinStrict:
             c1w = (build_bernstein_pencil(p).c1 @ se.w).to_rows()[:n]
             assert [r[n:] for r in first_row] == [r[n:] for r in c1w]
 
+    def test_u_is_the_inverse_of_the_triangular_uinv(self):
+        # U^{-1} from its definition, not from the constructor: I and the
+        # first block row of C1_B @ W past block column 0 on top, the
+        # leading (L-1)-block square of W below; every fourth draw has all
+        # blocks' last rows zero, so det P = 0
+        rng = random.Random(58)
+        for draw in range(72):
+            n, grade = 1 + draw % 3, 2 + draw // 3 % 6
+            p = rand_matrix_polynomial(rng, Bernstein(grade), n)
+            if draw % 4 == 0:
+                p = MatrixPolynomial(n, p.basis, tuple(
+                    ConstMatrix.from_rows(blk.to_rows()[:-1] + [[0] * n]) for blk in p.coeffs))
+            se = bernstein_strict_equivalence(p)
+            size = grade * n
+            c1w = (build_bernstein_pencil(p).c1 @ se.w).to_rows()
+            w_rows = se.w.to_rows()
+            uinv = ConstMatrix.from_rows(
+                [[int(i == j) for j in range(n)] + c1w[i][n:] for i in range(n)]
+                + [[0] * n + w_rows[i][:size - n] for i in range(size - n)])
+            assert uinv.try_inverse() == se.u
+            assert verify_strict(se, build_bernstein_pencil(p), p).ok
+
     @pytest.mark.parametrize("grade", range(2, 9))
     def test_identity_with_symbolic_coefficients(self, grade):
         """U^{-1} L_M(z) = L_B(z) W for symbols Y_0..Y_L, with both pencils
@@ -696,6 +718,43 @@ class TestReversalEquivalence:
         re = bernstein_reversal_equivalence(y)
         p = MatrixPolynomial(2, Bernstein(3), tuple(y))
         assert verify_reversal_equivalence(re, p).ok
+
+
+class TestStrictPathRowForms:
+    """On a 36-wide Bernstein input (n = 3, L = 12) the pencils, the strict
+    and reversal maps, B - A and every product the two verifiers take stay
+    row forms: no matrix 36 rows or columns wide makes its Fraction entries,
+    through verification and through serialization."""
+
+    def test_no_wide_matrix_makes_entries(self, monkeypatch):
+        made = []
+        build, read = exact._Matrix.__init__, ConstMatrix.__getattr__
+
+        def spy_build(self, rows, cols, entries):
+            if max(rows, cols) >= 36:
+                made.append(("built", rows, cols))
+            build(self, rows, cols, entries)
+
+        def spy_read(self, name):
+            if name == "entries" and max(self.rows, self.cols) >= 36:
+                made.append(("read", self.rows, self.cols))
+            return read(self, name)
+
+        monkeypatch.setattr(ConstMatrix, "__init__", spy_build)
+        monkeypatch.setattr(ConstMatrix, "__getattr__", spy_read)
+        p = rand_matrix_polynomial(random.Random(59), Bernstein(12), 3)
+        pen = build_bernstein_pencil(p)
+        se = bernstein_strict_equivalence(p)
+        re = bernstein_reversal_equivalence(list(p.coeffs))
+        wide = [pen.c0, pen.c1, se.u, se.w, re.u, re.winv, pen.c1 - pen.c0]
+        assert verify_strict(se, pen, p).ok
+        assert verify_reversal_equivalence(re, p).ok
+        texts = [serialize.const_matrix_obj(m) for m in wide]
+        assert [(m.rows, m.cols) for m in wide] == [(36, 36)] * 7
+        assert made == []
+        monkeypatch.undo()
+        assert texts == [[[serialize.frac_str(x) for x in row] for row in m.to_rows()]
+                         for m in wide]
 
 
 # ---------------------------------------------------------------------------

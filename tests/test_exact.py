@@ -1031,6 +1031,92 @@ class TestRowForm:
                             for i in range(rows) for r in range(n)]
                     assert k.to_rows() == want
 
+    def unread(self, m, want):
+        """m is canonical, not materialized, and has the entries of want."""
+        self.assert_canonical(m)
+        assert not self.materialized(m)
+        assert (m.rows, m.cols) == (want.rows, want.cols) and m.to_rows() == want.to_rows()
+
+    def test_sums_differences_and_negation_match_fraction_loop(self):
+        rng = random.Random(46)
+        pairs = [(rand_const(rng, rows, cols, zero_share), rand_const(rng, rows, cols, zero_share))
+                 for rows, cols, _ in self.SHAPES for zero_share in (0.0, 0.5, 0.9)]
+        # a row that cancels to zero, and one that is [3, 9, -9] over 6 before its gcd 3
+        a = ConstMatrix.from_rows([[F(1, 2), F(2, 3), 0], [F(5, 6), F(1, 6), F(1, 2)]])
+        b = ConstMatrix.from_rows([[F(1, 2), F(2, 3), 0], [F(1, 3), F(-4, 3), 2]])
+        pairs += [(a, b), (a, -a), (a @ ConstMatrix.identity(3), b)]
+        for left, right in pairs:
+            for got, op in ((left + right, lambda x, y: x + y), (left - right, lambda x, y: x - y)):
+                want = ConstMatrix(left.rows, left.cols,
+                                   [op(x, y) for x, y in zip(left.entries, right.entries)])
+                self.unread(got, want)
+            self.unread(-right, ConstMatrix(right.rows, right.cols, [-y for y in right.entries]))
+        assert (a - a).is_zero and (a - b)._form[0] == (1, [])
+        assert (a - b)._form[1] == (2, [(0, 1), (1, 3), (2, -3)])
+        with pytest.raises(DimensionMismatch):
+            ConstMatrix.zeros(2, 3) + ConstMatrix.zeros(3, 2)
+
+    def test_scale_matches_fraction_loop(self):
+        # d = 9 and content 2 in row 0: 3/2 cancels a factor from each,
+        # 6/4 is the same scalar, 9/2 takes the whole denominator
+        m = ConstMatrix.from_rows([[F(2, 3), F(4, 9), 0], [0, 0, 0], [F(-5, 7), 1, F(3, 14)]])
+        rng = random.Random(47)
+        draws = [m] + [rand_const(rng, rows, cols, zero_share)
+                       for rows, cols, _ in self.SHAPES for zero_share in (0.0, 0.5)]
+        scalars = [0, 1, -1, F(3, 2), "6/4", F(-9, 2), F(14, 5), F(7, 3), 12]
+        for a in draws:
+            for c in scalars:
+                f = F(c)
+                self.unread(a.scale(c), ConstMatrix(a.rows, a.cols, [f * x for x in a.entries]))
+        assert m.scale(F(3, 2))._form[0] == (3, [(0, 3), (1, 2)])
+        with pytest.raises(TypeError):
+            m.scale(0.5)
+
+    @staticmethod
+    def loop_from_blocks(grid, n):
+        """The entry loop block assembly was, with None as a zero block."""
+        rows = []
+        for row in grid:
+            for r in range(n):
+                rows.append([F(0) if blk is None else blk.get(r, c) for blk in row for c in range(n)])
+        return ConstMatrix.from_rows(rows)
+
+    def test_from_blocks_matches_fraction_loop(self):
+        rng = random.Random(48)
+        for n in (1, 2, 3):
+            for shape in ((1, 1), (2, 3), (3, 2), (4, 4)):
+                grid = [[None if rng.random() < 0.3 else
+                         rand_const(rng, n, n, rng.choice((0.0, 0.5, 1.0)))
+                         for _ in range(shape[1])] for _ in range(shape[0])]
+                got = ConstMatrix.from_blocks(grid, n)
+                self.unread(got, self.loop_from_blocks(grid, n))
+        # mixed denominators side by side, a zero row, an all-None block row
+        a = ConstMatrix.from_rows([[F(1, 4), F(1, 6)], [0, 0]])
+        b = ConstMatrix.from_rows([[F(3, 2), 0], [F(2, 9), 1]])
+        grid = [[a, None, b], [None, None, None], [b.scale(F(3, 5)), -a, a + b]]
+        got = ConstMatrix.from_blocks(grid, 2)
+        self.unread(got, self.loop_from_blocks(grid, 2))
+        assert got._form[0] == (12, [(0, 3), (1, 2), (4, 18)])
+
+    def test_stacked_and_cut_blocks_round_trip(self):
+        from polylin.bases import _cut_blocks, _stacked_blocks
+
+        rng = random.Random(49)
+        for n in (1, 2, 3):
+            for count in (1, 3, 5):
+                blocks = [rand_const(rng, n, n, rng.choice((0.0, 0.5, 1.0))) for _ in range(count)]
+                stacked = _stacked_blocks(blocks)
+                self.unread(stacked, ConstMatrix.from_rows([blk.entries for blk in blocks]))
+                # cut from an unread product, so each block's form is cut from a row form
+                cut = _cut_blocks(ConstMatrix.identity(count) @ stacked, n)
+                for got, want in zip(cut, blocks, strict=True):
+                    self.unread(got, want)
+        # one stacked row over 6 whose pieces are over 2, 3 and 1
+        stacked = _stacked_blocks([ConstMatrix.from_rows([[F(1, 2), F(1, 3)], [2, 4]])])
+        assert stacked._form == [(6, [(0, 3), (1, 2), (2, 12), (3, 24)])]
+        halves = _cut_blocks(ConstMatrix.from_rows([[F(1, 2), 0, F(1, 3), 1]]), 2)
+        assert halves[0]._form == [(2, [(0, 1)]), (3, [(0, 1), (1, 3)])]
+
 
 class TestPolyKernels:
     """The integer product, pseudo-division, fused a - q*b, the primitive

@@ -68,6 +68,32 @@ def through_json(obj):
     return json.loads(json.dumps(obj))
 
 
+@st.composite
+def const_matrices(draw):
+    """A matrix read from entries, or built as a row form by a product, a
+    sum or a scaling, so that no entry exists before it is written."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.lists(fractions | st.just(Fraction(0)), min_size=rows * cols,
+                       max_size=rows * cols)
+    m = ConstMatrix(rows, cols, draw(entries))
+    way = draw(st.sampled_from(["entries", "product", "sum", "scale"]))
+    if way == "product":
+        return ConstMatrix(rows, rows, draw(st.lists(fractions, min_size=rows * rows,
+                                                     max_size=rows * rows))) @ m
+    if way == "sum":
+        return m - ConstMatrix(rows, cols, draw(entries))
+    if way == "scale":
+        return m.scale(draw(fractions))
+    return m
+
+
+@BOUNDED
+@given(const_matrices())
+def test_const_matrix_obj_matches_frac_str(m):
+    got = serialize.const_matrix_obj(m)
+    assert got == [[serialize.frac_str(x) for x in row] for row in m.to_rows()]
+
+
 @pytest.mark.parametrize("kind", ["monomial", "recurrence", "bernstein", "lagrange"])
 @BOUNDED
 @given(data=st.data())

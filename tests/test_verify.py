@@ -31,6 +31,8 @@ from polylin.equivalence import (
     lagrange_strict_equivalence,
     monomial_cofactors,
 )
+from polylin.bases import matrix_poly_as_polymatrix
+from polylin.exact import polymatrix_mul
 from polylin.pencils import (
     Pencil,
     build_bernstein_pencil,
@@ -174,6 +176,20 @@ class TestLinearization:
         ])
         bad = CofactorPair(z_scaled, cof.f)
         assert not verify_linearization(pen, p, bad).ok
+
+    def test_polynomial_e_refused_though_the_identity_holds(self):
+        # E @ L @ F = diag(P, I) with det P != 0 does not force det E to be
+        # constant: with L = 1 (C1 = [0], C0 = [-1]), E = [z - 2] and
+        # F = [1], E @ L @ F = z - 2 = P.  A shortcut that reads the units
+        # off E(0) and F(0) also needs det L = c det P.
+        p = MatrixPolynomial.scalar(Monomial(1), [-2, 1])
+        pen = Pencil(ConstMatrix.from_rows([[0]]), ConstMatrix.from_rows([[-1]]), 1, 1, "monomial")
+        cof = CofactorPair(PolyMatrix.from_rows([[PolyQ([-2, 1])]]), PolyMatrix.identity(1))
+        assert polymatrix_mul(polymatrix_mul(cof.e, pen.as_polymatrix()), cof.f) == \
+            matrix_poly_as_polymatrix(p)
+        verdict = verify_linearization(pen, p, cof)
+        assert not verdict.ok
+        assert verdict.counterexample == {"reason": "E not unimodular"}
 
 
 class TestStrict:
