@@ -5,7 +5,8 @@ The package root re-exports the names the README documents; everything
 else is imported from its module (the exception classes from
 `polylin.errors`)."""
 
-from .exact import ConstMatrix, PolyMatrix, PolyQ, poly_gcd
+from .exact import ConstMatrix, PolyMatrix
+from .poly import PolyQ, poly_gcd
 from .bases import (
     Bernstein,
     Lagrange,

@@ -12,15 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DuplicateNodes, GradeTooSmall, WrongBasis, ZeroAlpha
-from .exact import (
-    ConstMatrix,
-    POLY_ONE,
-    PolyMatrix,
-    PolyQ,
-    _lowest,
-    as_fraction,
-    solve_exact,
-)
+from .exact import ConstMatrix, PolyMatrix, _lowest, solve_exact
+from .poly import POLY_ONE, PolyQ, as_fraction
 
 
 @dataclass(frozen=True)

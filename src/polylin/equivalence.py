@@ -24,14 +24,8 @@ from .errors import (
     SingularNodeValue,
     WrongBasis,
 )
-from .exact import (
-    ConstMatrix,
-    POLY_Z,
-    PolyMatrix,
-    PolyQ,
-    polymatrix_inverse_unimodular,
-    polymatrix_mul,
-)
+from .exact import ConstMatrix, PolyMatrix, polymatrix_inverse_unimodular, polymatrix_mul
+from .poly import POLY_Z, PolyQ
 from .bases import (
     Bernstein,
     Lagrange,

@@ -1,9 +1,11 @@
-"""Exact scalar, polynomial, and polynomial-matrix arithmetic over Q.
+"""Exact constant and polynomial-matrix arithmetic over Q.
 
-Every value is immutable after construction and every operation is a pure
-function, so all of this is safe to call concurrently.  (A ConstMatrix may
-fill in its entries or its row form on first read; either is a function of
-the other, so a second thread that makes it too makes the same value.)
+The scalars and polynomials underneath live in `poly`; its public names
+are re-exported here.  Every value is immutable after construction and
+every operation is a pure function, so all of this is safe to call
+concurrently.  (A ConstMatrix may fill in its entries or its row form on
+first read; either is a function of the other, so a second thread that
+makes it too makes the same value.)
 """
 
 from __future__ import annotations
@@ -12,266 +14,18 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotUnimodular
+from .poly import (  # noqa: F401  (POLY_Z, poly_gcd and sub_mul are re-exported)
+    POLY_ONE,
+    POLY_Z,
+    ZERO,
+    PolyQ,
+    _poly_from_ints,
+    as_fraction,
+    poly_gcd,
+    sub_mul,
+)
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def as_fraction(x) -> Fraction:
-    """Coerce an int, a "p/q" string, or a Fraction to a Fraction.
-
-    Floats are rejected: binary floats would silently corrupt exactness.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-class PolyQ:
-    """Dense univariate polynomial over Q with an explicit grade.
-
-    Coefficient k is the coefficient of z^k.  The grade is a declared
-    degree bound: it is carried through arithmetic and never re-inferred
-    from trailing zeros, so a polynomial can be "of grade 5" while having
-    degree 2.  The degree of the zero polynomial is the sentinel -1.
-    """
-
-    __slots__ = ("coeffs", "grade")
-
-    def __init__(self, coeffs=(), grade: int | None = None):
-        cs = list(coeffs)
-        if set(map(type, cs)) - {Fraction}:
-            cs = [as_fraction(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        degree = len(cs) - 1
-        if grade is None:
-            grade = max(degree, 0)
-        elif grade < degree:
-            raise ValueError(f"grade {grade} smaller than degree {degree}")
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "grade", int(grade))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyQ is immutable")
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls, grade: int = 0) -> "PolyQ":
-        return cls((), grade)
-
-    @classmethod
-    def constant(cls, c, grade: int = 0) -> "PolyQ":
-        return cls((c,), grade)
-
-    @classmethod
-    def monomial(cls, k: int, c=1, grade: int | None = None) -> "PolyQ":
-        return cls((0,) * k + (c,), grade)
-
-    # -- inspection ---------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lead(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else ZERO
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
-
-    def padded(self, grade: int | None = None) -> list[Fraction]:
-        """Coefficient list of length grade+1, trailing zeros included."""
-        if grade is None:
-            grade = self.grade
-        if grade < self.degree:
-            raise ValueError("padding grade smaller than degree")
-        return [self.coeff(k) for k in range(grade + 1)]
-
-    # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self.coeff(k) + other.coeff(k) for k in range(n)]
-        return PolyQ(cs, max(self.grade, other.grade))
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self.coeff(k) - other.coeff(k) for k in range(n)]
-        return PolyQ(cs, max(self.grade, other.grade))
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ([-c for c in self.coeffs], self.grade)
-
-    def __mul__(self, other: "PolyQ") -> "PolyQ":
-        """Exact product of grade self.grade + other.grade.
-
-        Both operands are scaled to integers once, convolved on ints, and
-        each output coefficient is divided once.  A constant operand
-        multiplies the other's Fractions directly, which is cheaper.
-        """
-        grade = self.grade + other.grade
-        a, b = self.coeffs, other.coeffs
-        if not (a and b):
-            return PolyQ.zero(grade)
-        if len(a) == 1 or len(b) == 1:
-            c, xs = (a[0], b) if len(a) == 1 else (b[0], a)
-            return PolyQ([c * x for x in xs], grade)
-        xs, da = _integer_row(a)
-        ys, db = _integer_row(b)
-        return _poly_from_ints(_convolve(xs, ys), da * db, grade)
-
-    def scale(self, c) -> "PolyQ":
-        c = as_fraction(c)
-        return PolyQ([c * x for x in self.coeffs], self.grade)
-
-    def __call__(self, x) -> Fraction:
-        x = as_fraction(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
-        """Quotient and remainder, each of grade equal to its degree.
-
-        With both operands scaled to integers N / dn and D / dv,
-        `_pseudo_divide` finds ints Q, R and s with s * N = Q * D + R; then
-        q = Q * dv / (s * dn) and r = R / (s * dn).
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return PolyQ.zero(), self
-        num, dn = _integer_row(self.coeffs)
-        den, dv = _integer_row(other.coeffs)
-        quot, rem, s = _pseudo_divide(num, den)
-        return (_poly_from_ints([dv * x for x in quot], dn * s),
-                _poly_from_ints(rem, dn * s))
-
-    def __floordiv__(self, other: "PolyQ") -> "PolyQ":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "PolyQ") -> "PolyQ":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "PolyQ") -> "PolyQ":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError(f"inexact polynomial division: remainder {r}")
-        return q
-
-    def monic(self) -> "PolyQ":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.lead)
-
-    def derivative(self) -> "PolyQ":
-        cs = [k * c for k, c in enumerate(self.coeffs)][1:]
-        return PolyQ(cs, max(self.grade - 1, 0))
-
-    def with_grade(self, grade: int) -> "PolyQ":
-        return PolyQ(self.coeffs, grade)
-
-    # -- comparison / output -------------------------------------------
-    def __eq__(self, other) -> bool:
-        # equality of values; the grade is bookkeeping and not compared
-        if not isinstance(other, PolyQ):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                zk = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    body = zk
-                elif c == -1:
-                    body = f"-{zk}"
-                else:
-                    body = f"{c}*{zk}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"PolyQ({self})"
-
-
-POLY_ONE = PolyQ((1,))
-POLY_Z = PolyQ((0, 1))
-
-
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over Q[z]; gcd(0, 0) = 0.
-
-    A primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967; Knuth,
-    TAOCP vol. 2, 4.6.1): both operands are scaled to integers, and each
-    pseudo-remainder is divided by the gcd of its coefficients, so the loop
-    runs on ints that the division keeps small, with no Fraction
-    arithmetic.  The last nonzero remainder is divided by its lead, one
-    Fraction per coefficient.
-    """
-    xs = _integer_row(a.coeffs)[0]
-    ys = _integer_row(b.coeffs)[0]
-    while ys:
-        rem = _pseudo_divide(xs, ys)[1]
-        while rem and not rem[-1]:
-            rem.pop()
-        if rem:
-            c = math.gcd(*rem)
-            rem = [x // c for x in rem]
-        xs, ys = ys, rem
-    return _poly_from_ints(xs, xs[-1]) if xs else PolyQ.zero()
-
-
-def _pseudo_divide(num: list[int], den: list[int]) -> tuple[list[int], list[int], int]:
-    """Ints Q, R and s with s * num = Q * den + R and len(R) < len(den), by
-    integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1); num is overwritten.
-
-    A step whose top coefficient t the lead l of den does not divide first
-    multiplies the partial remainder, the quotient so far and s by
-    l / gcd(t, l), so no step rescales when l is 1.  R may end in zeros.
-    """
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [0] * max(len(num) - dd, 0)
-    s = 1
-    for k in range(len(num) - dd - 1, -1, -1):
-        top = num[dd + k]
-        if not top:
-            continue
-        c, rem = divmod(top, lead)
-        if rem:
-            m = lead // math.gcd(top, lead)
-            num = [m * x for x in num]
-            quot = [m * x for x in quot]
-            s *= m
-            c = top * m // lead
-        quot[k] = c
-        for j, y in enumerate(den, k):
-            num[j] -= c * y
-    return quot, num[:dd], s
 
 
 def _bareiss_int(m: list[list[int]]) -> int:
@@ -305,13 +59,6 @@ def _bareiss_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _integer_row(xs) -> tuple[list[int], int]:
-    """The Fractions xs times their common denominator d, as ints, and d."""
-    pairs = [x.as_integer_ratio() for x in xs]
-    den = math.lcm(*(d for _, d in pairs))
-    return [p * (den // d) for p, d in pairs], den
-
-
 def _row_form(xs) -> tuple[int, list[tuple[int, int]]]:
     """The row form of a row of Fractions: its nonzero entries times their
     lcm d as (column, int) pairs, and d.  gcd(d, ints) = 1 since each
@@ -336,46 +83,6 @@ def _canonical(den: int, ints: list[int]) -> tuple[int, list[tuple[int, int]]]:
     """The row form of the row ints / den (den nonzero)."""
     return _lowest(den, [(j, x) for j, x in enumerate(ints) if x])
 
-
-def _convolve(xs: list[int], ys: list[int]) -> list[int]:
-    """Coefficients of the product of two nonempty integer polynomials."""
-    out = [0] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        if x:
-            for j, y in enumerate(ys, i):
-                out[j] += x * y
-    return out
-
-
-def _poly_from_ints(ints: list[int], den: int, grade: int | None = None) -> PolyQ:
-    """The PolyQ with coefficients ints / den, each divided once."""
-    return PolyQ([Fraction(c, den) if c else ZERO for c in ints], grade)
-
-
-def sub_mul(a: PolyQ, q: PolyQ, b: PolyQ) -> PolyQ:
-    """a - q * b, of grade max(a.grade, q.grade + b.grade) as the two PolyQ
-    operations give, with every coefficient divided once.
-
-    The operands are scaled to integers once; q * b is convolved on ints
-    and subtracted over the least common denominator.
-    """
-    grade = max(a.grade, q.grade + b.grade)
-    if not (q.coeffs and b.coeffs):
-        return a if a.grade == grade else PolyQ(a.coeffs, grade)
-    xs, dq = _integer_row(q.coeffs)
-    ys, db = _integer_row(b.coeffs)
-    prod = _convolve(xs, ys)
-    if not a.coeffs:
-        return _poly_from_ints([-c for c in prod], dq * db, grade)
-    zs, da = _integer_row(a.coeffs)
-    den = math.lcm(da, dq * db)
-    ma, mp = den // da, den // (dq * db)
-    if len(zs) < len(prod):
-        zs.extend([0] * (len(prod) - len(zs)))
-    out = [ma * z for z in zs] if ma != 1 else zs
-    for k, c in enumerate(prod):
-        out[k] -= mp * c
-    return _poly_from_ints(out, den, grade)
 
 
 def _reduce_rows(rows: list[list[int]], ncols: int, jordan: bool) -> tuple[list[int], int, int]:
@@ -737,7 +444,9 @@ class PolyMatrix(_Matrix):
 
     @staticmethod
     def _coerce(entries: tuple) -> tuple:
-        return tuple(e if isinstance(e, PolyQ) else PolyQ((e,)) for e in entries)
+        if set(map(type, entries)) - {PolyQ}:
+            return tuple(e if isinstance(e, PolyQ) else PolyQ((e,)) for e in entries)
+        return entries
 
     @property
     def is_zero(self) -> bool:
@@ -749,17 +458,42 @@ class PolyMatrix(_Matrix):
     @classmethod
     def from_coeffs(cls, blocks, grade: int | None = None) -> "PolyMatrix":
         """sum_k blocks[k] z^k for equally shaped constant blocks; every
-        entry gets the stated grade, or by default its degree."""
+        entry gets the stated grade, or by default its degree.
+
+        Read from the blocks' row forms: row i of every block over the lcm
+        d of their row-i denominators gives each entry of row i its ints
+        over d, brought to canonical form by one gcd.  Entries no block
+        row touches share one zero."""
         rows, cols = blocks[0].rows, blocks[0].cols
-        return cls(rows, cols, [PolyQ(cs, grade) for cs in zip(*(b.entries for b in blocks))])
+        zero = PolyQ.zero(grade or 0)
+        entries = []
+        for i in range(rows):
+            forms = [b._form[i] for b in blocks]
+            den = math.lcm(*(d for d, _ in forms))
+            row = [None] * cols
+            for k, (d, pairs) in enumerate(forms):
+                for j, x in pairs:
+                    if row[j] is None:
+                        row[j] = [0] * len(blocks)
+                    row[j][k] = x * (den // d)
+            entries += [zero if xs is None else _poly_from_ints(xs, den, grade) for xs in row]
+        return cls(rows, cols, entries)
 
     @classmethod
     def from_const(cls, m: ConstMatrix) -> "PolyMatrix":
         return cls.from_coeffs([m])
 
     def evaluate(self, x) -> ConstMatrix:
-        x = as_fraction(x)
-        return ConstMatrix(self.rows, self.cols, [e(x) for e in self.entries])
+        """m(x), built as a row form: each entry's value by integer Horner
+        on its integer form, each row over the lcm of those values'
+        denominators and brought to its row form by one gcd."""
+        u, w = as_fraction(x).as_integer_ratio()
+        form = []
+        for i in range(self.rows):
+            vals = [(j, *e._value(u, w)) for j, e in enumerate(self.row(i)) if e.ints]
+            den = math.lcm(*(d for _, _, d in vals))
+            form.append(_lowest(den, [(j, v * (den // d)) for j, v, d in vals if v]))
+        return ConstMatrix._from_form(self.rows, self.cols, form)
 
     def max_degree(self) -> int:
         return max((e.degree for e in self.entries), default=-1)
@@ -776,45 +510,54 @@ class PolyMatrix(_Matrix):
         return PolyMatrix(self.rows, self.cols, [e.scale(c) for e in self.entries])
 
 
-def _integer_coeffs(polys) -> tuple[list[list[int]], int]:
-    """The coefficient lists of polys times their common denominator d, as
-    ints, and d."""
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
+def _integer_coeffs(polys) -> tuple[list, int]:
+    """The integer forms of polys over their common denominator d (each
+    p.ints times d // p.den), and d."""
+    den = math.lcm(*(p.den for p in polys))
+    return [p.ints if p.den == den else [x * (den // p.den) for x in p.ints]
+            for p in polys], den
 
 
 def polymatrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Exact product of polynomial matrices.
 
-    Each row of a and each column of b is scaled to integers once; the
-    products accumulate on ints and each entry is divided once.  An entry's
-    grade is the largest x.grade + y.grade over its nonzero terms (0 when
-    there are none), as summing the PolyQ products would give.
+    Each row of a and each column of b is put over one denominator once;
+    the products accumulate on ints and each entry is brought to canonical
+    form by one gcd.  An entry's grade is the largest x.grade + y.grade
+    over its nonzero terms (0 when there are none), as summing the PolyQ
+    products would give.
     """
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    arows = [_integer_coeffs(a.row(i)) for i in range(a.rows)]
-    bcols = [_integer_coeffs([b.get(k, j) for k in range(b.rows)]) for j in range(b.cols)]
-    out = []
+    arows = []
     for i in range(a.rows):
-        xs, da = arows[i]
-        for j, (ys, db) in enumerate(bcols):
+        row = a.row(i)
+        ints, den = _integer_coeffs(row)
+        arows.append(([(k, x, e.grade) for k, (x, e) in enumerate(zip(ints, row)) if x], den))
+    bcols = []
+    for j in range(b.cols):
+        col = b.entries[j::b.cols]
+        ints, den = _integer_coeffs(col)
+        bcols.append(([(y, e.grade) for y, e in zip(ints, col)], den))
+    zero = PolyQ.zero()
+    out = []
+    for xs, da in arows:
+        for ys, db in bcols:
             acc = []
             grade = 0
-            for k, x in enumerate(xs):
-                y = ys[k]
-                if not (x and y):
+            for k, x, gx in xs:
+                y, gy = ys[k]
+                if not y:
                     continue
-                grade = max(grade, a.entries[i * a.cols + k].grade
-                            + b.entries[k * b.cols + j].grade)
+                if gx + gy > grade:
+                    grade = gx + gy
                 if len(acc) < len(x) + len(y) - 1:
                     acc.extend([0] * (len(x) + len(y) - 1 - len(acc)))
                 for s, cx in enumerate(x):
                     if cx:
-                        for t, cy in enumerate(y):
-                            acc[s + t] += cx * cy
-            den = da * db
-            out.append(PolyQ([Fraction(c, den) for c in acc], grade))
+                        for t, cy in enumerate(y, s):
+                            acc[t] += cx * cy
+            out.append(_poly_from_ints(acc, da * db, grade) if acc else zero)
     return PolyMatrix(a.rows, b.cols, out)
 
 
@@ -824,7 +567,7 @@ def _interp_at_integers(values: list[int], den: int) -> PolyQ:
 
     With D = len(values)-1, the Newton forward differences d_k of the values
     give D! p(z) = sum_k d_k (D!/k!) z(z-1)...(z-k+1), which is expanded on
-    ints by nested multiplication and divided by D! den once.
+    ints by nested multiplication and put over D! den by one gcd.
     """
     d = len(values) - 1
     diffs = list(values)
@@ -842,7 +585,7 @@ def _interp_at_integers(values: list[int], den: int) -> PolyQ:
             acc[i] -= k * acc[i + 1]
         acc[0] += newton[k] * weight
     den *= weight
-    return PolyQ([Fraction(c, den) for c in acc])
+    return _poly_from_ints(acc, den)
 
 
 def _det_degree_bound(m: PolyMatrix) -> int:
@@ -876,7 +619,7 @@ def _assignment_bound(m: PolyMatrix) -> int:
     top = max(m.max_degree(), 0)
     forbidden = n * top + 1
     cost = [[0] * (n + 1)] + [
-        [0] + [-e.degree if e.coeffs else forbidden for e in m.row(i)] for i in range(n)]
+        [0] + [-e.degree if e.ints else forbidden for e in m.row(i)] for i in range(n)]
     # 1-indexed potentials u (rows), v (columns); p[j] is the row given column j
     u = [0] * (n + 1)
     v = [0] * (n + 1)
@@ -974,13 +717,21 @@ def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
     d = max(m.max_degree(), 0)
-    x0 = ConstMatrix(n, n, [e.coeff(0) for e in m.entries]).try_inverse()
+    # row i of [M_0 | M_1 | ... | M_d] over one denominator, from the integer forms
+    wide = []
+    for i in range(n):
+        row = m.row(i)
+        den = math.lcm(*(e.den for e in row))
+        wide.append((den, [(j * n + c, e.ints[j] * (den // e.den)) for j in range(d + 1)
+                           for c, e in enumerate(row) if j < len(e.ints) and e.ints[j]]))
+    x0 = ConstMatrix._from_form(n, n, [_lowest(den, [(c, x) for c, x in pairs if c < n])
+                                       for den, pairs in wide]).try_inverse()
     if x0 is None:
         raise NotUnimodular("matrix is not unimodular: m(0) is singular")
     if d == 0:
         return PolyMatrix.from_const(x0)
-    step = x0 @ ConstMatrix(n, n * d, [-m.get(i, c).coeff(j) for i in range(n)
-                                       for j in range(1, d + 1) for c in range(n)])
+    step = x0 @ ConstMatrix._from_form(
+        n, n * d, [_lowest(-den, [(c - n, x) for c, x in pairs if c >= n]) for den, pairs in wide])
     lifted, zero_run = [x0], 0
     window = x0._form + [(1, [])] * (n * (d - 1))  # row forms of X_{k-1}, ..., X_{k-d}
     for _ in range(_det_degree_bound(m) + d):

@@ -7,16 +7,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DimensionMismatch
-from .exact import (
-    PolyMatrix,
-    PolyQ,
-    _convolve,
-    _integer_coeffs,
-    _integer_row,
-    _poly_from_ints,
-    _pseudo_divide,
-    sub_mul,
-)
+from .exact import PolyMatrix, _integer_coeffs
+from .poly import PolyQ, _convolve, _poly_from_ints, _pseudo_divide, sub_mul
 
 
 @dataclass(frozen=True)
@@ -210,10 +202,10 @@ def smith_form(m: PolyMatrix) -> SmithResult:
             # s[t][t] divides s[i][j] when their integer pseudo-remainder is
             # zero (a nonzero dividend of lower degree is its own remainder)
             offender = None
-            pivot = _integer_row(s[t][t].coeffs)[0]
+            pivot = s[t][t].ints
             for i in range(t + 1, n):
                 for j in range(t + 1, n):
-                    if any(_pseudo_divide(_integer_row(s[i][j].coeffs)[0], pivot)[1]):
+                    if any(_pseudo_divide(list(s[i][j].ints), pivot)[1]):
                         offender = i
                         break
                 if offender is not None:

@@ -12,7 +12,8 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import ConstMatrix, PolyMatrix, PolyQ
+from .exact import ConstMatrix, PolyMatrix
+from .poly import PolyQ
 from .bases import (
     BasisSpec,
     Bernstein,
@@ -48,15 +49,20 @@ def parse_frac(s) -> Fraction:
         raise InputError(f"bad rational {_shown(s)}: {exc}") from None
 
 
+def _ratio_str(x: int, den: int) -> str:
+    """frac_str of x/den (den > 0), put in lowest terms by one gcd."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def const_matrix_obj(m: ConstMatrix) -> list[list[str]]:
-    """The rows as strings, each entry x/d of a row form in lowest terms by
-    one gcd; an absent pair is "0"."""
+    """The rows as strings, each entry x/d of a row form written by
+    `_ratio_str`; an absent pair is "0"."""
     out = []
     for den, pairs in m._form:
         row = ["0"] * m.cols
         for j, x in pairs:
-            g = math.gcd(x, den)
-            row[j] = str(x // g) if g == den else f"{x // g}/{den // g}"
+            row[j] = _ratio_str(x, den)
         out.append(row)
     return out
 
@@ -71,7 +77,9 @@ def parse_const_matrix(obj) -> ConstMatrix:
 
 
 def polyq_obj(p: PolyQ) -> list[str]:
-    return [frac_str(c) for c in p.padded()]
+    """The grade + 1 coefficients as strings, each x/d of the integer form
+    written by `_ratio_str`."""
+    return [_ratio_str(x, p.den) for x in p.ints] + ["0"] * (p.grade - p.degree)
 
 
 def parse_polyq(obj) -> PolyQ:

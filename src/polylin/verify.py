@@ -13,17 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import (
-    POLY_ONE,
-    ConstMatrix,
-    PolyMatrix,
-    PolyQ,
-    is_unimodular,
-    poly_gcd,
-    polymatrix_det,
-    polymatrix_mul,
-    sub_mul,
-)
+from .exact import ConstMatrix, PolyMatrix, is_unimodular, polymatrix_det, polymatrix_mul
+from .poly import POLY_ONE, PolyQ, poly_gcd, sub_mul
 from .bases import (
     Bernstein,
     MatrixPolynomial,
@@ -88,7 +79,7 @@ def _ratio_refusal(det_l: PolyQ, det_p: PolyQ) -> dict | None:
 
 def _ratio(det_l: PolyQ, det_p: PolyQ) -> Fraction | None:
     """det_l / det_p when `_ratio_refusal` passed; None when both are zero."""
-    return det_l.lead / det_p.lead if det_p.coeffs else None
+    return det_l.lead / det_p.lead if det_p.ints else None
 
 
 def verify_companion(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
@@ -231,15 +222,15 @@ def _diagonal(m: PolyMatrix, modulus: PolyQ | None) -> list[PolyQ]:
             row[t], row[j] = row[j], row[t]
         # column operations then clear row t, changing no other row
         for i in range(t + 1, n):
-            if a[i][t].coeffs:
+            if a[i][t].ints:
                 q = reduced(a[i][t] * inverse)
                 a[i][t:] = [reduced(sub_mul(x, q, y)) for x, y in zip(a[i][t:], a[t][t:])]
         pivots.append(a[t][t])
     rest = [row[len(pivots):] for row in a[len(pivots):]]
-    while any(sum(1 for e in line if e.coeffs) > 1 for line in rest + _transposed(rest)):
+    while any(sum(1 for e in line if e.ints) > 1 for line in rest + _transposed(rest)):
         h = hermite_form(PolyMatrix.from_rows(rest)).h
         rest = [[reduced(e) for e in col] for col in _transposed(h.to_rows())]
-    pivots += [e for row in rest for e in row if e.coeffs]
+    pivots += [e for row in rest for e in row if e.ints]
     return pivots + [PolyQ.zero()] * (n - len(pivots))
 
 
@@ -248,7 +239,7 @@ def _smith_of_diagonal(d: list[PolyQ]) -> list[PolyQ]:
     zeros last.  Each pair d_i, d_j with i < j becomes gcd, lcm, which
     moves the least power of every prime factor to the front; a constant
     entry divides everything, so its sweep is skipped."""
-    s = sorted((e.monic() for e in d if e.coeffs), key=lambda e: e.degree)
+    s = sorted((e.monic() for e in d if e.ints), key=lambda e: e.degree)
     for i in range(len(s)):
         for j in range(i + 1, len(s)):
             if s[i].degree == 0:

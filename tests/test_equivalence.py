@@ -757,6 +757,33 @@ class TestStrictPathRowForms:
                          for m in wide]
 
 
+class TestCofactorPathIntegerForms:
+    """On a certify-large shape (Bernstein, n = 4, L = 3) the cofactors, their
+    verification and their serialization run on the integer forms of their
+    polynomials: no PolyQ builds its Fraction coefficients."""
+
+    def test_no_polynomial_makes_its_fractions(self, monkeypatch):
+        made = []
+        read = PolyQ.__getattr__
+
+        def spy_read(self, name):
+            if name == "coeffs":
+                made.append(self)
+            return read(self, name)
+
+        monkeypatch.setattr(PolyQ, "__getattr__", spy_read)
+        p = rand_matrix_polynomial(random.Random(71), Bernstein(3), 4)
+        pen = build_bernstein_pencil(p)
+        cof = assemble_cofactors(bernstein_hermite_analogue(p, pen), pen)
+        assert verify_linearization(pen, p, cof).ok
+        texts = [serialize.polymatrix_obj(m)["entries"] for m in (cof.e, cof.f)]
+        assert (cof.e.rows, cof.f.rows) == (12, 12)
+        assert made == []
+        monkeypatch.undo()
+        assert texts == [[[[serialize.frac_str(c) for c in e.coeffs] + ["0"] * (e.grade - e.degree)
+                           for e in row] for row in m.to_rows()] for m in (cof.e, cof.f)]
+
+
 # ---------------------------------------------------------------------------
 # Lagrange strict equivalence
 

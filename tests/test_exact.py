@@ -41,7 +41,7 @@ from polylin.pencils import (
     build_pencil,
     build_recurrence_pencil,
 )
-from polylin import exact
+from polylin import exact, poly
 from polylin.bases import basis_polys, matrix_poly_as_polymatrix, to_monomial
 from polylin.randgen import (
     rand_basis,
@@ -267,17 +267,56 @@ def fraction_divmod(a, b):
     return PolyQ(q), PolyQ(num[:dd] if dd > 0 else ())
 
 
+def fraction_monic(a):
+    return PolyQ([c / a.coeffs[-1] for c in a.coeffs], a.grade) if a.coeffs else a
+
+
 def euclid_gcd(a, b):
-    """The Euclid loop over Q that poly_gcd once was."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """The Euclid loop over Q that poly_gcd once was, on Fraction division."""
+    while b.coeffs:
+        a, b = b, fraction_divmod(a, b)[1]
+    return fraction_monic(a)
+
+
+def fraction_add(a, b, sign=1):
+    """a + sign * b as PolyQ.__add__ once was: a Fraction loop, of grade
+    max(a.grade, b.grade)."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    xs = list(a.coeffs) + [F(0)] * (n - len(a.coeffs))
+    ys = list(b.coeffs) + [F(0)] * (n - len(b.coeffs))
+    return PolyQ([x + sign * y for x, y in zip(xs, ys)], max(a.grade, b.grade))
 
 
 def fraction_sub_mul(a, q, b):
     """a - q * b as the normal forms once computed it: the Fraction
-    convolution, then PolyQ.__sub__ (which still runs on Fractions)."""
-    return a - fraction_poly_mul(q, b)
+    convolution, then the Fraction difference."""
+    return fraction_add(a, fraction_poly_mul(q, b), -1)
+
+
+def fraction_str(p):
+    """PolyQ.__str__ as it once was, on the Fraction coefficients."""
+    parts = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c == 0:
+            continue
+        zk = "z" if k == 1 else f"z^{k}"
+        parts.append(str(c) if k == 0 else zk if c == 1 else f"-{zk}" if c == -1 else f"{c}*{zk}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
+
+
+def assert_canonical_poly(p):
+    """The integer form of p is canonical: ints a tuple of ints with no
+    trailing zero over den > 0, gcd(den, ints) = 1."""
+    assert type(p.ints) is tuple and all(type(x) is int for x in p.ints)
+    assert type(p.den) is int and p.den > 0
+    assert not p.ints or p.ints[-1] != 0
+    assert math.gcd(p.den, *p.ints) == 1
 
 
 def block_loop_to_monomial(p):
@@ -315,9 +354,21 @@ def rand_poly(rng, max_deg=9):
 
 
 def same_poly(got, want):
-    """Equal coefficients, every one a Fraction, and equal grades."""
+    """Equal coefficients, every one a Fraction, and equal grades; got's
+    integer form is canonical."""
+    assert_canonical_poly(got)
     return (got.coeffs == want.coeffs and got.grade == want.grade
             and all(type(c) is F for c in got.coeffs))
+
+
+def special_polys():
+    """Zero at two grades, constants, and non-reduced and negatively signed
+    rationals given as strings and ints."""
+    return [
+        PolyQ.zero(), PolyQ.zero(grade=3), PolyQ(["0", 0], grade=1), PolyQ([7]), PolyQ(["-4/6"]),
+        PolyQ(["-4/6", 2, "12/8"]), PolyQ([0, "-4/6"], grade=4), PolyQ(["10/4", "-3/9", 0, "-1"]),
+        PolyQ([F(-6, 4), 0, 0, "-2"], grade=5), PolyQ([0, 0, 1], grade=2),
+    ]
 
 
 class TestPolyQ:
@@ -1195,6 +1246,72 @@ class TestPolyKernels:
         assert poly_gcd(PolyQ([0, 2]), PolyQ.zero()) == PolyQ([0, 1])
         assert poly_gcd(PolyQ.zero(), PolyQ([F(-3, 2), 3])) == PolyQ([F(-1, 2), 1])
         assert poly_gcd(PolyQ([F(2, 3)]), PolyQ([1, 1])) == POLY_ONE
+
+    def draws(self, rng, count):
+        specials = special_polys()
+        for _ in range(count):
+            yield tuple(rng.choice(specials) if rng.random() < 0.3 else rand_poly(rng, max_deg=6)
+                        for _ in range(3))
+
+    def test_int_native_operations_match_fraction_arithmetic(self):
+        rng = random.Random(36)
+        scalars = [0, 1, -1, 12, "-4/6", F(3, 2), F(-7, 12)]
+        points = [0, 1, -2, "-4/6", F(7, 3)]
+        for a, b, q in self.draws(rng, 500):
+            assert same_poly(a + b, fraction_add(a, b))
+            assert same_poly(a - b, fraction_add(a, b, -1))
+            assert same_poly(-a, PolyQ([-c for c in a.coeffs], a.grade))
+            assert same_poly(a * b, fraction_poly_mul(a, b))
+            c = rng.choice(scalars)
+            assert same_poly(a.scale(c), PolyQ([F(c) * x for x in a.coeffs], a.grade))
+            assert same_poly(sub_mul(a, q, b), fraction_sub_mul(a, q, b))
+            if not b.is_zero:
+                got, want = divmod(a, b), fraction_divmod(a, b)
+                assert same_poly(got[0], want[0]) and same_poly(got[1], want[1])
+            g = poly_gcd(a, b)
+            assert same_poly(g, euclid_gcd(a, b).with_grade(g.grade))
+            assert g.grade == max(g.degree, 0)
+            for x in points:
+                value = a(x)
+                assert type(value) is F
+                assert value == sum((c * F(x) ** k for k, c in enumerate(a.coeffs)), F(0))
+            assert a.lead == (a.coeffs[-1] if a.coeffs else 0)
+            assert [a.coeff(k) for k in range(-1, len(a.coeffs) + 2)] == \
+                [F(0)] + list(a.coeffs) + [F(0), F(0)]
+            assert a.padded() == list(a.coeffs) + [F(0)] * (a.grade + 1 - len(a.coeffs))
+            assert a.padded(a.grade + 2)[a.grade + 1:] == [F(0), F(0)]
+            assert all(type(x) is F for x in a.padded() + [a.lead, a.coeff(0)])
+            lifted = a.with_grade(a.grade + 2)
+            assert same_poly(lifted, PolyQ(a.coeffs, a.grade + 2))
+            assert same_poly(a.with_grade(max(a.degree, 0)), PolyQ(a.coeffs))
+            if a.degree >= 1:
+                with pytest.raises(ValueError):
+                    a.with_grade(a.degree - 1)
+                with pytest.raises(ValueError):
+                    a.padded(a.degree - 1)
+            assert str(a) == fraction_str(a)
+
+    def test_fraction_and_integer_construction_agree(self):
+        rng = random.Random(37)
+        for a, _, _ in self.draws(rng, 300):
+            den = math.lcm(*(c.denominator for c in a.coeffs))
+            for k in (1, 3, -2, -6):
+                ints = [int(c * den) * k for c in a.coeffs] + [0] * rng.randint(0, 2)
+                b = poly._poly_from_ints(ints, den * k, a.grade)
+                assert_canonical_poly(b)
+                assert b == a and hash(b) == hash(a) and b.grade == a.grade
+                with pytest.raises(AttributeError):
+                    PolyQ.coeffs.__get__(b)  # not made until read
+                assert b.coeffs == a.coeffs
+                assert all(type(c) is F and c.denominator > 0
+                           and math.gcd(c.numerator, c.denominator) == 1 for c in b.coeffs)
+            assert a != a + POLY_ONE
+            if a.ints:  # same ints over another denominator, or the converse
+                assert a != a.scale(2) and a != a.scale(F(1, 3))
+        assert PolyQ(["-4/6", 0]) == poly._poly_from_ints([4], -6) == PolyQ([F(-2, 3)])
+        assert PolyQ(["-4/6"]).ints == (-2,) and PolyQ(["-4/6"]).den == 3
+        assert PolyQ.zero(3) == PolyQ([0, 0]) and PolyQ.zero().den == 1
+        assert PolyQ([F(1, 2)]) != POLY_ONE and PolyQ([0, F(1, 2)]) != PolyQ([0, 1])
 
     @pytest.mark.parametrize("kind", ["recurrence", "bernstein", "lagrange"])
     def test_to_monomial_matches_block_loop(self, kind):
