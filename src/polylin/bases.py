@@ -1,8 +1,11 @@
 """Polynomial-basis descriptors, basis conversions, and barycentric machinery.
 
 Supported bases: monomial, degree-graded three-term recurrence, Bernstein,
-and Lagrange (values at distinct nodes).  Conversions route through the
-monomial basis; everything is exact over Q.
+and Lagrange (values at distinct nodes).  A basis enters the arithmetic
+only as two constant matrices built in closed form: Phi, whose column k
+holds the monomial coefficients of phi_k, and its inverse.  Conversions
+route through the monomial basis, one product by Phi or Phi^-1 each way;
+everything is exact over Q.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DuplicateNodes, GradeTooSmall, WrongBasis, ZeroAlpha
-from .exact import ConstMatrix, PolyMatrix, _lowest, solve_exact
-from .poly import POLY_ONE, PolyQ, as_fraction
+from .exact import ONE, ConstMatrix, PolyMatrix, _lowest
+from .poly import POLY_ONE, ZERO, PolyQ, as_fraction
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,6 @@ class Recurrence:
         beta = (Fraction(0),) * grade
         gamma = (Fraction(0),) + (half,) * (grade - 1)
         return cls(grade, alpha, beta, gamma)
-
-    @classmethod
-    def monomial_like(cls, grade: int) -> "Recurrence":
-        """The trivial recurrence z*phi_k = phi_{k+1}, i.e. phi_k = z^k."""
-        one = Fraction(1)
-        zero = Fraction(0)
-        return cls(grade, (one,) * grade, (zero,) * grade, (zero,) * grade)
 
 
 @dataclass(frozen=True)
@@ -166,83 +162,59 @@ def barycentric_weights(nodes) -> BarycentricData:
     return BarycentricData(nodes, tuple(weights), w)
 
 
-def bernstein_basis_polys(grade: int) -> list[PolyQ]:
-    """B_k(z) = C(grade,k) z^k (1-z)^(grade-k) as monomial coefficients."""
-    one_minus_z = PolyQ((1, -1))
-    out = []
-    power = [POLY_ONE]
-    for _ in range(grade):
-        power.append(power[-1] * one_minus_z)
-    for k in range(grade + 1):
-        out.append(PolyQ.monomial(k, math.comb(grade, k)) * power[grade - k])
-    return out
-
-
-def recurrence_basis_polys(spec: Recurrence) -> list[PolyQ]:
-    """phi_0..phi_grade unrolled from the three-term recurrence; deg phi_k = k."""
-    phis = [POLY_ONE]
-    z = PolyQ((0, 1))
-    for k in range(spec.grade):
-        prev = phis[k - 1] if k >= 1 else PolyQ.zero()
-        nxt = (z - PolyQ.constant(spec.beta[k])) * phis[k]
-        if k >= 1:
-            nxt = nxt - prev.scale(spec.gamma[k])
-        phis.append(nxt.scale(1 / spec.alpha[k]))
-    return phis
-
-
-def lagrange_basis_polys(spec: Lagrange) -> list[PolyQ]:
-    """w_k(z) = beta_k * w(z)/(z - tau_k), the cleared first barycentric form."""
-    bary = barycentric_weights(spec.nodes)
-    out = []
-    for k, tk in enumerate(spec.nodes):
-        quot = bary.node_poly.exact_div(PolyQ((-tk, 1)))
-        out.append(quot.scale(bary.weights[k]))
-    return out
-
-
-def basis_polys(basis: BasisSpec) -> list[PolyQ]:
-    if isinstance(basis, Monomial):
-        return [PolyQ.monomial(k) for k in range(basis.grade + 1)]
-    if isinstance(basis, Recurrence):
-        return recurrence_basis_polys(basis)
-    if isinstance(basis, Bernstein):
-        return bernstein_basis_polys(basis.grade)
-    if isinstance(basis, Lagrange):
-        return lagrange_basis_polys(basis)
-    raise WrongBasis(f"unknown basis {basis!r}")
-
-
 def _phi_matrix(basis: BasisSpec) -> ConstMatrix:
-    """Row i, column k: the z^i coefficient of phi_k, for 0 <= i, k <= grade."""
-    phis = basis_polys(basis)
+    """Phi: row i, column k is [z^i] phi_k, for 0 <= i, k <= grade."""
     g = basis.grade
-    return ConstMatrix.from_rows([[phis[k].coeff(i) for k in range(g + 1)] for i in range(g + 1)])
+    if isinstance(basis, Bernstein):
+        # B_k = C(g, k) z^k (1 - z)^(g-k), expanded by the binomial theorem
+        return ConstMatrix.from_rows(
+            [[(-1) ** (i - k) * math.comb(g, k) * math.comb(g - k, i - k) if i >= k else 0
+              for k in range(g + 1)] for i in range(g + 1)])
+    if isinstance(basis, Recurrence):
+        # phi_{k+1} = ((z - beta_k) phi_k - gamma_k phi_{k-1}) / alpha_k, on columns
+        cols = [[ONE] + [ZERO] * g]
+        for k in range(g):
+            cur, prev = cols[k], cols[k - 1] if k else [ZERO] * (g + 1)
+            cols.append([((cur[i - 1] if i else ZERO) - basis.beta[k] * cur[i]
+                          - basis.gamma[k] * prev[i]) / basis.alpha[k] for i in range(g + 1)])
+        return ConstMatrix.from_rows(zip(*cols))
+    if isinstance(basis, Lagrange):
+        # column k: beta_k w(z)/(z - tau_k), the quotient by synthetic division
+        bary = barycentric_weights(basis.nodes)
+        w = bary.node_poly_tail
+        cols = []
+        for t, b in zip(basis.nodes, bary.weights):
+            q = [ONE]
+            for i in range(g, 0, -1):
+                q.append(w[i] + t * q[-1])
+            cols.append([b * x for x in reversed(q)])
+        return ConstMatrix.from_rows(zip(*cols))
+    return ConstMatrix.identity(g + 1)
 
 
-def _stacked_blocks(blocks) -> ConstMatrix:
-    """Row k: the entries of block k, row by row; its row form is the
-    block's rows side by side over the lcm of their denominators, canonical
-    as `ConstMatrix.from_blocks` makes it."""
-    c = blocks[0].cols
-    form = []
-    for blk in blocks:
-        den = math.lcm(*(d for d, _ in blk._form))
-        form.append((den, [(r * c + j, x * (den // d))
-                           for r, (d, pairs) in enumerate(blk._form) for j, x in pairs]))
-    return ConstMatrix._from_form(len(blocks), blocks[0].rows * c, form)
-
-
-def _cut_blocks(m: ConstMatrix, n: int) -> tuple[ConstMatrix, ...]:
-    """Row i of m as an n-by-n block, the inverse of `_stacked_blocks`:
-    each n-wide piece of the row over its denominator, in lowest terms."""
-    out = []
-    for den, pairs in m._form:
-        rows = [[] for _ in range(n)]
-        for j, x in pairs:
-            rows[j // n].append((j % n, x))
-        out.append(ConstMatrix._from_form(n, n, [_lowest(den, r) for r in rows]))
-    return tuple(out)
+def _phi_inverse(basis: BasisSpec) -> ConstMatrix:
+    """Phi^-1: row k, column i is the phi_k coefficient of z^i."""
+    g = basis.grade
+    if isinstance(basis, Bernstein):
+        # z^i = sum_k C(k, i)/C(g, i) B_k
+        return ConstMatrix.from_rows([[Fraction(math.comb(k, i), math.comb(g, i))
+                                       for i in range(g + 1)] for k in range(g + 1)])
+    if isinstance(basis, Recurrence):
+        # z^(i+1) = z * z^i, with z phi_k = alpha_k phi_{k+1} + beta_k phi_k + gamma_k phi_{k-1}
+        cols = [[ONE] + [ZERO] * g]
+        for i in range(g):
+            cur, nxt = cols[i], [ZERO] * (g + 1)
+            for k in range(i + 1):
+                nxt[k + 1] += basis.alpha[k] * cur[k]
+                nxt[k] += basis.beta[k] * cur[k]
+                if k:
+                    nxt[k - 1] += basis.gamma[k] * cur[k]
+            cols.append(nxt)
+        return ConstMatrix.from_rows(zip(*cols))
+    if isinstance(basis, Lagrange):
+        # the values of z^i at the nodes
+        return ConstMatrix.from_rows([[t ** i for i in range(g + 1)] for t in basis.nodes])
+    return ConstMatrix.identity(g + 1)
 
 
 def transform_blocks(t: ConstMatrix, blocks) -> tuple[ConstMatrix, ...]:
@@ -250,9 +222,25 @@ def transform_blocks(t: ConstMatrix, blocks) -> tuple[ConstMatrix, ...]:
 
     Every change of coefficient blocks (a basis change, an evaluation, a
     reversal) is a scalar matrix t acting on them, so the result is the
-    rows of one product t @ Y, with row k of Y the entries of block k.
+    rows of one product t @ Y.  Row k of Y holds the entries of block k,
+    row by row: the block's row forms side by side over the lcm of their
+    denominators, which is canonical as `ConstMatrix.from_blocks` makes it.
+    Row i of the product is cut back into an n-by-n block, each n-wide
+    piece over the row's denominator in lowest terms.
     """
-    return _cut_blocks(t @ _stacked_blocks(blocks), blocks[0].rows)
+    n = blocks[0].rows
+    stacked = []
+    for blk in blocks:
+        den = math.lcm(*(d for d, _ in blk._form))
+        stacked.append((den, [(r * n + j, x * (den // d))
+                              for r, (d, pairs) in enumerate(blk._form) for j, x in pairs]))
+    out = []
+    for den, pairs in (t @ ConstMatrix._from_form(len(blocks), n * n, stacked))._form:
+        rows = [[] for _ in range(n)]
+        for j, x in pairs:
+            rows[j // n].append((j % n, x))
+        out.append(ConstMatrix._from_form(n, n, [_lowest(den, r) for r in rows]))
+    return tuple(out)
 
 
 def to_monomial(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -270,7 +258,9 @@ def from_monomial(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
     """Rewrite a monomial-basis p in the target basis; exact.
 
     The target grade may be anything from the degree of p up: zero blocks
-    are added above the grade of p or dropped above its degree.
+    are added above the grade of p or dropped above its degree.  Target
+    block k is sum_i (the phi_k coefficient of z^i) * block i, one
+    transform by Phi^-1.
     """
     if not isinstance(p.basis, Monomial):
         raise WrongBasis("from_monomial expects a monomial-basis input")
@@ -280,16 +270,7 @@ def from_monomial(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
     if g < src_deg:
         raise GradeTooSmall(f"target grade {g} below degree {src_deg}")
     padded = (list(p.coeffs) + [ConstMatrix.zeros(n, n)] * (g - p.grade))[:g + 1]
-    if isinstance(target, Monomial):
-        return MatrixPolynomial(n, target, tuple(padded))
-    if isinstance(target, Lagrange):
-        vander = ConstMatrix.from_rows([[t ** k for k in range(g + 1)] for t in target.nodes])
-        return MatrixPolynomial(n, target, transform_blocks(vander, padded))
-    # recurrence and Bernstein: solve the change-of-basis system exactly
-    sol = solve_exact(_phi_matrix(target), _stacked_blocks(padded))
-    if sol is None:
-        raise WrongBasis("basis polynomials do not span the target space")
-    return MatrixPolynomial(n, target, _cut_blocks(sol, n))
+    return MatrixPolynomial(n, target, transform_blocks(_phi_inverse(target), padded))
 
 
 def convert(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
@@ -312,16 +293,6 @@ def degree_elevate(p: MatrixPolynomial) -> MatrixPolynomial:
         t[k + 1][k] = Fraction(k + 1, L + 1)
     blocks = transform_blocks(ConstMatrix.from_rows(t), p.coeffs)
     return MatrixPolynomial(p.n, Bernstein(L + 1), blocks)
-
-
-def basis_values_at(basis: BasisSpec, x) -> list[Fraction]:
-    """phi_k(x) for all basis polynomials, exactly."""
-    return [phi(x) for phi in basis_polys(basis)]
-
-
-def matrix_poly_value(p: MatrixPolynomial, x) -> ConstMatrix:
-    """P(x) as a constant matrix."""
-    return transform_blocks(ConstMatrix.from_rows([basis_values_at(p.basis, x)]), p.coeffs)[0]
 
 
 def matrix_poly_as_polymatrix(p: MatrixPolynomial) -> PolyMatrix:

@@ -32,6 +32,7 @@ from .bases import (
     MatrixPolynomial,
     Monomial,
     Recurrence,
+    _phi_matrix,
     barycentric_weights,
     matrix_poly_as_polymatrix,
     to_monomial,
@@ -159,31 +160,24 @@ def recurrence_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteA
     """
     if not isinstance(p.basis, Recurrence):
         raise WrongBasis("expected a recurrence-basis polynomial")
-    spec = p.basis
     L = p.grade
     n = p.n
     m = pencil.block_count
-    al, be, ga = spec.alpha, spec.beta, spec.gamma
 
     a_lead_inv = p.coeffs[L].try_inverse()
     if a_lead_inv is None:
         raise GenericityFailure("leading coefficient block is singular")
 
-    # triangular solve for the h_k (scalar polynomials times the identity)
-    hs: dict[int, PolyQ] = {0: PolyQ((-1,))}
-    hs[1] = PolyQ((be[0], -1)).scale(1 / al[0])  # -(z - beta_0)/alpha_0
-    for k in range(1, m - 1):
-        nxt = (POLY_Z - PolyQ.constant(be[k])) * hs[k] - hs[k - 1].scale(ga[k])
-        hs[k + 1] = nxt.scale(1 / al[k])
-
-    lc = 1 / math.prod(al)  # each recurrence step divides the lead by alpha_k
+    phi = _phi_matrix(p.basis)  # column k: the monomial coefficients of phi_k
+    lc = phi.get(L, L)
     u0 = p.coeffs[L].scale(lc)
     pz = matrix_poly_as_polymatrix(p)
     corner = polymatrix_mul(PolyMatrix.from_const(a_lead_inv.scale(1 / lc)), pz)
     # a constant multiple of P(z), so of P's grade in every entry, zeros too
     corner = PolyMatrix(n, n, [e.with_grade(L) for e in corner.entries])
 
-    h_col = [_poly_identity_block(n, hs[m - j]) for j in range(1, m)] + [corner]
+    h_col = [_poly_identity_block(n, PolyQ([-phi.get(i, k) for i in range(k + 1)]))
+             for k in range(m - 1, 0, -1)] + [corner]
     last = [PolyMatrix.from_const(u0)] + [None] * (m - 1)
     return _triangular(pencil, last, h_col, u0)
 

@@ -29,7 +29,7 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _shown(value) -> str:
@@ -41,10 +41,14 @@ def _shown(value) -> str:
 def parse_frac(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise InputError(f"expected a rational string, got {_shown(s)}")
-    if isinstance(s, str) and not _RATIONAL.fullmatch(s):
-        raise InputError(f"bad rational {_shown(s)}: expected \"p\" or \"p/q\"")
-    try:
+    if isinstance(s, int):
         return Fraction(s)
+    match = _RATIONAL.fullmatch(s)
+    if not match:
+        raise InputError(f"bad rational {_shown(s)}: expected \"p\" or \"p/q\"")
+    p, q = match.groups()
+    try:  # each string is parsed once, by int
+        return Fraction(int(p), int(q or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {_shown(s)}: {exc}") from None
 

@@ -1,14 +1,17 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and helpers for the test suite.
 
 These deliberately avoid the library's computational paths: determinants
 here go through recursive cofactor expansion, interpolation through the
-naive product form, and reversals through raw monomial-coefficient
-manipulation.
+naive product form, reversals through raw monomial-coefficient
+manipulation, and basis polynomials through PolyQ products rather than
+the closed-form matrices Phi and Phi^-1 of `polylin.bases`.
 """
 
+import math
 from fractions import Fraction
 
-from polylin import PolyMatrix, PolyQ
+from polylin import ConstMatrix, PolyMatrix, PolyQ
+from polylin.bases import Bernstein, Lagrange, Monomial, Recurrence, barycentric_weights, transform_blocks
 
 
 def cofactor_det(m: PolyMatrix) -> PolyQ:
@@ -60,3 +63,57 @@ def standard_reversal_monomial(coeffs, grade: int) -> PolyQ:
     padded = list(coeffs) + [Fraction(0)] * (grade + 1 - len(coeffs))
     return PolyQ(list(reversed(padded)))
 
+
+
+def bernstein_basis_polys(grade: int) -> list[PolyQ]:
+    """B_k(z) = C(grade,k) z^k (1-z)^(grade-k) as monomial coefficients."""
+    one_minus_z = PolyQ((1, -1))
+    power = [PolyQ((1,))]
+    for _ in range(grade):
+        power.append(power[-1] * one_minus_z)
+    return [PolyQ.monomial(k, math.comb(grade, k)) * power[grade - k] for k in range(grade + 1)]
+
+
+def recurrence_basis_polys(spec: Recurrence) -> list[PolyQ]:
+    """phi_0..phi_grade unrolled from the three-term recurrence; deg phi_k = k."""
+    phis = [PolyQ((1,))]
+    z = PolyQ((0, 1))
+    for k in range(spec.grade):
+        nxt = (z - PolyQ.constant(spec.beta[k])) * phis[k]
+        if k >= 1:
+            nxt = nxt - phis[k - 1].scale(spec.gamma[k])
+        phis.append(nxt.scale(1 / spec.alpha[k]))
+    return phis
+
+
+def lagrange_basis_polys(spec: Lagrange) -> list[PolyQ]:
+    """w_k(z) = beta_k * w(z)/(z - tau_k), the cleared first barycentric form."""
+    bary = barycentric_weights(spec.nodes)
+    return [bary.node_poly.exact_div(PolyQ((-tk, 1))).scale(bary.weights[k])
+            for k, tk in enumerate(spec.nodes)]
+
+
+def basis_polys(basis) -> list[PolyQ]:
+    """phi_0..phi_grade of any basis as PolyQ products."""
+    if isinstance(basis, Monomial):
+        return [PolyQ.monomial(k) for k in range(basis.grade + 1)]
+    if isinstance(basis, Recurrence):
+        return recurrence_basis_polys(basis)
+    if isinstance(basis, Bernstein):
+        return bernstein_basis_polys(basis.grade)
+    return lagrange_basis_polys(basis)
+
+
+def basis_values_at(basis, x) -> list[Fraction]:
+    """phi_k(x) for all basis polynomials, exactly."""
+    return [phi(x) for phi in basis_polys(basis)]
+
+
+def matrix_poly_value(p, x) -> ConstMatrix:
+    """P(x) as a constant matrix: the basis values at x as one transform row."""
+    return transform_blocks(ConstMatrix.from_rows([basis_values_at(p.basis, x)]), p.coeffs)[0]
+
+
+def monomial_like_recurrence(grade: int) -> Recurrence:
+    """The trivial recurrence z*phi_k = phi_{k+1}, i.e. phi_k = z^k."""
+    return Recurrence(grade, (1,) * grade, (0,) * grade, (0,) * grade)

@@ -29,7 +29,6 @@ from polylin.bases import (
     barycentric_weights,
     degree_elevate,
     matrix_poly_as_polymatrix,
-    matrix_poly_value,
 )
 from polylin.equivalence import (
     assemble_cofactors,
@@ -74,7 +73,7 @@ from polylin.randgen import (
     rand_recurrence_spec,
 )
 
-from conftest import shifted_reversal_monomial, standard_reversal_monomial
+from conftest import matrix_poly_value, shifted_reversal_monomial, standard_reversal_monomial
 
 from test_equivalence import (
     chebyshev_probe_vectors,

@@ -17,13 +17,12 @@ from polylin import (
     from_monomial,
     to_monomial,
 )
+from polylin import bases, exact, poly
 from polylin.bases import (
+    _phi_inverse,
+    _phi_matrix,
     barycentric_weights,
-    basis_polys,
-    basis_values_at,
     degree_elevate,
-    matrix_poly_value,
-    recurrence_basis_polys,
     transform_blocks,
 )
 from polylin.errors import DuplicateNodes, GradeTooSmall, ZeroAlpha
@@ -32,9 +31,24 @@ from polylin.randgen import (
     rand_fraction,
     rand_matrix_polynomial,
     rand_nodes,
+    rand_recurrence_spec,
 )
 
-from conftest import naive_lagrange_interp
+from conftest import (
+    basis_polys,
+    basis_values_at,
+    matrix_poly_value,
+    monomial_like_recurrence,
+    naive_lagrange_interp,
+)
+
+KINDS = ("monomial", "recurrence", "bernstein", "lagrange")
+
+
+def phi_columns(basis):
+    """The columns of Phi as polynomials: phi_0..phi_grade."""
+    phi = _phi_matrix(basis)
+    return [PolyQ([phi.get(i, k) for i in range(basis.grade + 1)]) for k in range(basis.grade + 1)]
 
 
 class TestBarycentric:
@@ -93,31 +107,37 @@ class TestBarycentric:
 
 
 class TestRecurrencePolys:
+    """The recurrence basis polynomials as the columns of Phi."""
+
     def test_chebyshev(self):
-        phis = recurrence_basis_polys(Recurrence.chebyshev(4))
+        phis = phi_columns(Recurrence.chebyshev(4))
         assert phis[0] == PolyQ([1])
         assert phis[1] == PolyQ([0, 1])
         assert phis[2] == PolyQ([-1, 0, 2])
         assert phis[3] == PolyQ([0, -3, 0, 4])
         assert phis[4] == PolyQ([1, 0, -8, 0, 8])
+        # and back: z^2 = (T_0 + T_2)/2, z^3 = (3 T_1 + T_3)/4, z^4 = (3 T_0 + 4 T_2 + T_4)/8
+        inv = _phi_inverse(Recurrence.chebyshev(4))
+        assert [inv.get(k, 2) for k in range(5)] == [F(1, 2), 0, F(1, 2), 0, 0]
+        assert [inv.get(k, 3) for k in range(5)] == [0, F(3, 4), 0, F(1, 4), 0]
+        assert [inv.get(k, 4) for k in range(5)] == [F(3, 8), 0, F(1, 2), 0, F(1, 8)]
 
     def test_monomial_recurrence(self):
-        phis = recurrence_basis_polys(Recurrence.monomial_like(3))
-        for k, phi in enumerate(phis):
+        spec = monomial_like_recurrence(3)
+        for k, phi in enumerate(phi_columns(spec)):
             assert phi == PolyQ.monomial(k)
+        assert _phi_inverse(spec) == ConstMatrix.identity(4)
 
     def test_newton_basis_on_two_nodes(self):
         # z*phi_k = phi_{k+1} + tau_k: phi_2 = z(z-1) on nodes 0, 1
         spec = Recurrence(2, alpha=(1, 1), beta=(0, 1), gamma=(0, 0))
-        phis = recurrence_basis_polys(spec)
+        phis = phi_columns(spec)
         assert phis[2] == PolyQ([0, -1, 1])
 
     def test_degrees(self):
         rng = random.Random(14)
-        from polylin.randgen import rand_recurrence_spec
-
         spec = rand_recurrence_spec(rng, 6)
-        phis = recurrence_basis_polys(spec)
+        phis = phi_columns(spec)
         assert [p.degree for p in phis] == list(range(7))
 
     def test_zero_alpha_rejected(self):
@@ -232,7 +252,7 @@ class TestEvaluation:
 
     def test_basis_polys_lagrange_cardinality(self):
         spec = Lagrange(2, (0, 1, 2))
-        polys = basis_polys(spec)
+        polys = phi_columns(spec)
         for k, t in enumerate(spec.nodes):
             for j, u in enumerate(spec.nodes):
                 assert polys[k](u) == (1 if j == k else 0)
@@ -355,3 +375,58 @@ class TestTransformsMatchTheirLoops:
                 target = Lagrange(grade + extra, rand_nodes(rng, grade + extra + 1))
                 got = from_monomial(mono, target).coeffs
                 assert got == loop_to_lagrange(mono, target)
+
+
+class TestPhi:
+    """Phi and Phi^-1 in closed form, against the PolyQ products they
+    replaced and against each other."""
+
+    def test_inverse_pairs(self):
+        rng = random.Random(28)
+        for kind in KINDS:
+            for grade in range(1, 10):
+                for _ in range(3):
+                    basis = rand_basis(rng, kind, grade)
+                    eye = ConstMatrix.identity(grade + 1)
+                    assert _phi_matrix(basis) @ _phi_inverse(basis) == eye
+                    assert _phi_inverse(basis) @ _phi_matrix(basis) == eye
+
+    def test_columns_match_polyq_builders(self):
+        rng = random.Random(29)
+        for kind in KINDS:
+            for grade in range(1, 10):
+                basis = rand_basis(rng, kind, grade)
+                assert phi_columns(basis) == basis_polys(basis)
+
+    def test_bernstein_closed_forms(self):
+        # B_0 = (1-z)^2, B_1 = 2z(1-z), B_2 = z^2; 1 = B_0 + B_1 + B_2, z = B_1/2 + B_2
+        assert _phi_matrix(Bernstein(2)).to_rows() == [[1, 0, 0], [-2, 2, 0], [1, -2, 1]]
+        assert _phi_inverse(Bernstein(2)).to_rows() == [[1, 0, 0], [1, F(1, 2), 0], [1, 1, 1]]
+
+    def test_gamma_0_is_unused(self):
+        spec = Recurrence(3, (2, F(1, 3), -1), (1, 0, F(1, 2)), (0, 5, F(-2, 7)))
+        other = Recurrence(3, spec.alpha, spec.beta, (F(9, 4),) + spec.gamma[1:])
+        assert _phi_matrix(spec) == _phi_matrix(other)
+        assert _phi_inverse(spec) == _phi_inverse(other)
+
+    @pytest.mark.parametrize("kind", ["recurrence", "bernstein"])
+    def test_conversions_make_no_solve_and_no_polyq(self, kind, monkeypatch):
+        """to_monomial and from_monomial are one product each: no linear
+        solve, and no polynomial is built."""
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        rng = random.Random(30)
+        p = rand_matrix_polynomial(rng, rand_basis(rng, kind, 5), 2)
+        assert not hasattr(bases, "solve_exact")
+        monkeypatch.setattr(exact, "solve_exact", spy("solve_exact", exact.solve_exact))
+        monkeypatch.setattr(PolyQ, "__init__", spy("PolyQ", PolyQ.__init__))
+        monkeypatch.setattr(poly, "_from_form", spy("PolyQ", poly._from_form))
+        back = from_monomial(to_monomial(p), p.basis)
+        assert calls == []
+        assert back == p

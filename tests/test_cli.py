@@ -552,6 +552,55 @@ GOLDEN = [
      "90e6af7be1a951b983ff5e7866427ba2ec9f503320d5da396faee0684584d65b"),
     (["nf", "equal-rows", "-", "smith"],
      "2a3b3351a9dc7697f78565c6faacb9a5e8f1b0b31ae3f9670c344928c027ea74"),
+    # convert to each kind at the instance's grade, then back to monomial (_golden_convert)
+    (["convert", "monomial", "monomial"],
+     "d4c7545d402757a9cb6b7eec1bad7c2c5bb630dd719d44cc5cbb2ded9d7848b1"),
+    (["convert", "monomial", "recurrence"],
+     "fdc7d4d466dba362993b8141027538f33e8128de69246ec0e64d4ae92d150893"),
+    (["convert", "monomial", "bernstein"],
+     "34ad3059b7e194e650091d95200ec0b42d6fbd7cebf84884ff5a78405f16e83c"),
+    (["convert", "monomial", "lagrange"],
+     "c1cede3bf58e92edcc40d5fd23bd75f23755a8c001573a74e355fa7ef754c41a"),
+    (["convert", "recurrence", "monomial"],
+     "188d9bddd2894858757c2d3ecbd9e1d6c89d583c393dc8e9736655c6eae78157"),
+    (["convert", "recurrence", "recurrence"],
+     "09dedd2e2d3adc8d46b0515557dbde2b338ae75b80445e3b4b0d5830e45013b3"),
+    (["convert", "recurrence", "bernstein"],
+     "df266730376c369998cf07994b51ce0a76078308c192824aa2847c225a27571c"),
+    (["convert", "recurrence", "lagrange"],
+     "fff485289c86d946232da53b668740fb54bd29d83488f89e053b103f68ea669f"),
+    (["convert", "bernstein", "monomial"],
+     "49622f790deb1185bea44c6775624d85d7b20d955f74e17452c379bebbdfb924"),
+    (["convert", "bernstein", "recurrence"],
+     "61601d2f0f9f62d807b07f2283612f006d60184ca2252ee7667b7554b18850f0"),
+    (["convert", "bernstein", "bernstein"],
+     "a2074a01e1e8b3870592f8c084a93dae2a2cf222d763eec2202067349d9c4466"),
+    (["convert", "bernstein", "lagrange"],
+     "2654f8a2dc311016aed3434115c8f85ddce3017d4062ceb4740309bd8b0b8418"),
+    (["convert", "lagrange", "monomial"],
+     "5897df16ebeb9c53b843fca5c2565ddf141514ac2ec91ebb00ce6c1b31f60fd8"),
+    (["convert", "lagrange", "recurrence"],
+     "e12453127a028d4f5f9c5f350adf558e37454f6390368393d5ce8a835c7580fd"),
+    (["convert", "lagrange", "bernstein"],
+     "0b1128e83f389c8f115d08fadd16800fd793f81addf9a80d7b8efbb27cc56efa"),
+    (["convert", "lagrange", "lagrange"],
+     "e8dcb7de5a180f0917056adb0d394cae17299c7cacb78e0af4cc69560978b45f"),
+    (["convert", "bernstein-singular-at-one", "monomial"],
+     "df2801ec25b60d55535c09260ee72f18ad1c0bb7a9b05f144f51f3be9a99815e"),
+    (["convert", "bernstein-singular-at-one", "recurrence"],
+     "c1bdb2df2c35e9d214bc9cf8c0e3af98e80c844631f13a864687dc23f179e665"),
+    (["convert", "bernstein-singular-at-one", "bernstein"],
+     "faa1804451303b43db8b772ead4fe8085bbf3d7cab146ab0f1419b10f3f075d5"),
+    (["convert", "bernstein-singular-at-one", "lagrange"],
+     "bff3d59d05b7c11ff658689937cf6eeba841997ca9a11afa43a418081dc0d7fa"),
+    (["convert", "bernstein-grade-1", "monomial"],
+     "f0b211b1c5e0de625c172e5fd52def02845b2fcb70d3d176d2232b50208d56dc"),
+    (["convert", "bernstein-grade-1", "recurrence"],
+     "33df9f6fa2732594d681956dc260e6262caaafc248ed57c7aaace440ca7eabd1"),
+    (["convert", "bernstein-grade-1", "bernstein"],
+     "efc2ea249a964ad3dbe61f34b0ffa202968ef71a72c4446b9a209a8b4594cabf"),
+    (["convert", "bernstein-grade-1", "lagrange"],
+     "dfdce1563f78e7b0d635714430872e43da8b54ce89af6ec939da3a2437016014"),
     (["sweep", "--count", "3", "--seed", "0"],
      "aaaf65a022cf3b638b7f34f524987975401c1b37913ae555642184a6776bab08"),
     # "--inject-fault" marks a run whose first pencil is corrupted (_inject_fault)
@@ -579,6 +628,9 @@ def test_golden_output_bytes(argv, digest, tmp_path, capsys, monkeypatch):
         infile = tmp_path / "m.json"
         write_json(infile, _golden_nf_input(name, on))
         argv = ["nf", "--in", str(infile), "--kind", kind]
+    elif argv[0] == "convert":
+        assert _golden_convert(argv[1], argv[2], tmp_path, capsys) == digest
+        return
     elif "--inject-fault" in argv:  # not a CLI option: corrupt the first pencil built
         argv = [a for a in argv if a != "--inject-fault"]
         _inject_fault(monkeypatch)
@@ -594,6 +646,34 @@ def _golden_nf_input(name, on):
     m = pencils.build_pencil(p).as_polymatrix() if on == "L" \
         else bases.matrix_poly_as_polymatrix(p)
     return serialize.polymatrix_obj(m)
+
+
+def _golden_target(kind, grade):
+    """A target basis of each kind at the given grade (up to 3); the
+    recurrence has alpha, beta and gamma all nontrivial."""
+    if kind == "recurrence":
+        return Recurrence(grade, (2, F(1, 2), -3)[:grade], (1, F(-1, 3), 2)[:grade],
+                          (0, F(3, 4), -1)[:grade])
+    if kind == "lagrange":
+        return Lagrange(grade, (2, -1, F(1, 3), 0)[:grade + 1])
+    return {"monomial": Monomial, "bernstein": Bernstein}[kind](grade)
+
+
+def _golden_convert(name, kind, tmp_path, capsys) -> str:
+    """sha256 of the "<exit code>\n<stdout><stderr>" texts of two convert
+    runs: a golden instance to `kind` at its grade, then that output back to
+    the monomial basis."""
+    p = _golden_instances()[name]
+    src, mid = tmp_path / "p.json", tmp_path / "q.json"
+    write_json(src, serialize.matrix_polynomial_obj(p))
+    text = ""
+    for infile, target in ((src, _golden_target(kind, p.grade)), (mid, Monomial(p.grade))):
+        code = main(["convert", "--in", str(infile),
+                     "--basis", json.dumps(serialize.basis_obj(target))])
+        captured = capsys.readouterr()
+        mid.write_text(captured.out)
+        text += f"{code}\n{captured.out}{captured.err}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _digest(code, capsys) -> str:

@@ -31,7 +31,6 @@ from polylin import serialize
 from polylin.bases import (
     barycentric_weights,
     matrix_poly_as_polymatrix,
-    matrix_poly_value,
 )
 from polylin.equivalence import (
     assemble_cofactors,
@@ -84,7 +83,12 @@ from polylin.randgen import (
     rand_recurrence_spec,
 )
 
-from conftest import shifted_reversal_monomial, standard_reversal_monomial
+from conftest import (
+    matrix_poly_value,
+    monomial_like_recurrence,
+    shifted_reversal_monomial,
+    standard_reversal_monomial,
+)
 
 Z = PolyQ([0, 1])
 ONE = PolyQ([1])
@@ -247,7 +251,7 @@ class TestRecurrenceHermite:
         rng = random.Random(44)
         a = [rand_fraction(rng) for _ in range(6)]
         a[5] = rand_fraction(rng, nonzero=True)
-        p_rec = scalar_mp(Recurrence.monomial_like(5), a)
+        p_rec = scalar_mp(monomial_like_recurrence(5), a)
         pen = build_recurrence_pencil(p_rec)
         ha = recurrence_hermite_analogue(p_rec, pen)
         cof = assemble_cofactors(ha, pen)

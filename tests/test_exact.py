@@ -42,7 +42,7 @@ from polylin.pencils import (
     build_recurrence_pencil,
 )
 from polylin import exact, poly
-from polylin.bases import basis_polys, matrix_poly_as_polymatrix, to_monomial
+from polylin.bases import matrix_poly_as_polymatrix, to_monomial
 from polylin.randgen import (
     rand_basis,
     rand_fraction,
@@ -51,7 +51,7 @@ from polylin.randgen import (
     rand_recurrence_spec,
 )
 
-from conftest import cofactor_det
+from conftest import basis_polys, cofactor_det
 
 
 def rand_polymatrix(rng, n, max_deg):
@@ -1150,23 +1150,28 @@ class TestRowForm:
         assert got._form[0] == (12, [(0, 3), (1, 2), (4, 18)])
 
     def test_stacked_and_cut_blocks_round_trip(self):
-        from polylin.bases import _cut_blocks, _stacked_blocks
+        """transform_blocks stacks each block into one row over the lcm of
+        its rows' denominators and cuts each product row back into a block
+        whose rows are in lowest terms."""
+        from polylin.bases import transform_blocks
 
         rng = random.Random(49)
         for n in (1, 2, 3):
             for count in (1, 3, 5):
                 blocks = [rand_const(rng, n, n, rng.choice((0.0, 0.5, 1.0))) for _ in range(count)]
-                stacked = _stacked_blocks(blocks)
-                self.unread(stacked, ConstMatrix.from_rows([blk.entries for blk in blocks]))
                 # cut from an unread product, so each block's form is cut from a row form
-                cut = _cut_blocks(ConstMatrix.identity(count) @ stacked, n)
+                cut = transform_blocks(ConstMatrix.identity(count), blocks)
                 for got, want in zip(cut, blocks, strict=True):
                     self.unread(got, want)
-        # one stacked row over 6 whose pieces are over 2, 3 and 1
-        stacked = _stacked_blocks([ConstMatrix.from_rows([[F(1, 2), F(1, 3)], [2, 4]])])
-        assert stacked._form == [(6, [(0, 3), (1, 2), (2, 12), (3, 24)])]
-        halves = _cut_blocks(ConstMatrix.from_rows([[F(1, 2), 0, F(1, 3), 1]]), 2)
-        assert halves[0]._form == [(2, [(0, 1)]), (3, [(0, 1), (1, 3)])]
+        # one stacked row over 6 whose pieces are over 6 and 1 once cut
+        (same,) = transform_blocks(ConstMatrix.identity(1),
+                                   [ConstMatrix.from_rows([[F(1, 2), F(1, 3)], [2, 4]])])
+        assert same._form == [(6, [(0, 3), (1, 2)]), (1, [(0, 2), (1, 4)])]
+        # the sum row [1/2, 0, 1/3, 1] over 6, cut into pieces over 2 and 3
+        (halves,) = transform_blocks(ConstMatrix.from_rows([[1, 1]]),
+                                     [ConstMatrix.from_rows([[F(1, 2), 0], [0, 0]]),
+                                      ConstMatrix.from_rows([[0, 0], [F(1, 3), 1]])])
+        assert halves._form == [(2, [(0, 1)]), (3, [(0, 1), (1, 3)])]
 
 
 class TestPolyKernels:

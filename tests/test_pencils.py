@@ -26,6 +26,8 @@ from polylin.pencils import (
 from polylin.verify import verify_companion
 from polylin.randgen import rand_basis, rand_matrix_polynomial
 
+from conftest import monomial_like_recurrence
+
 
 def det_ratio_is_constant(pencil, p):
     verdict = verify_companion(pencil, p)
@@ -98,7 +100,7 @@ class TestRecurrencePencil:
     def test_monomial_like_recurrence_det_ratio(self):
         rng = random.Random(31)
         for _ in range(5):
-            p = rand_matrix_polynomial(rng, Recurrence.monomial_like(4), 2)
+            p = rand_matrix_polynomial(rng, monomial_like_recurrence(4), 2)
             assert det_ratio_is_constant(pen := build_recurrence_pencil(p), p) == 1
             assert pen.block_count == 4
 
