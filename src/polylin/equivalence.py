@@ -171,7 +171,7 @@ def recurrence_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteA
     phi = _phi_matrix(p.basis)  # column k: the monomial coefficients of phi_k
     lc = phi.get(L, L)
     u0 = p.coeffs[L].scale(lc)
-    pz = matrix_poly_as_polymatrix(p)
+    pz = PolyMatrix.from_coeffs(transform_blocks(phi, p.coeffs), L)
     corner = polymatrix_mul(PolyMatrix.from_const(a_lead_inv.scale(1 / lc)), pz)
     # a constant multiple of P(z), so of P's grade in every entry, zeros too
     corner = PolyMatrix(n, n, [e.with_grade(L) for e in corner.entries])
@@ -317,6 +317,14 @@ def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil) -> CofactorPair:
 # Bernstein strict equivalence
 
 
+def _unit_upper(top, s: ConstMatrix, n: int) -> ConstMatrix:
+    """[[I, top_1, ..., top_k], [0, s (x) I]] for k n-by-n blocks top and a
+    k-by-k scalar s."""
+    eye = ConstMatrix.identity(n)
+    lower = [[None] + [eye.scale(c) for c in s.row(i)] for i in range(s.rows)]
+    return ConstMatrix.from_blocks([[eye, *top], *lower], n)
+
+
 def _bernstein_binomial_w(L: int) -> ConstMatrix:
     """Closed-form lower-triangular change matrix: entry (i, j), 1-based,
     is (-1)^(i+j) C(L, i) C(i-1, j-1)."""
@@ -362,10 +370,7 @@ def bernstein_strict_equivalence(p: MatrixPolynomial) -> StrictEquivalence:
     wl_inv = ConstMatrix.from_rows(
         [[Fraction(math.comb(i, j), math.comb(L, j + 1)) for j in range(L - 1)] for i in range(L - 1)])
     top = transform_blocks(-(wl_inv.transpose() @ t), p.coeffs)
-    eye = ConstMatrix.identity(n)
-    lower = [[None] + [eye.scale(c) for c in wl_inv.row(i)] for i in range(L - 1)]
-    u = ConstMatrix.from_blocks([[eye, *top], *lower], n)
-    return StrictEquivalence(u, _bernstein_binomial_w(L).kron_identity(n))
+    return StrictEquivalence(_unit_upper(top, wl_inv, n), _bernstein_binomial_w(L).kron_identity(n))
 
 
 # ---------------------------------------------------------------------------
@@ -380,66 +385,36 @@ def bernstein_reversal_coeffs(y: list[ConstMatrix]) -> list[ConstMatrix]:
     return list(transform_blocks(ConstMatrix.from_rows(t), y))
 
 
-def standard_reversal_coeffs(y: list[ConstMatrix]) -> list[ConstMatrix]:
-    """Coefficients e of z^grade p(1/z) in the same Bernstein basis,
-    grade = len(y) - 1: e_k = sum_m (-1)^m C(grade-k, m) y_{grade-m}."""
-    grade = len(y) - 1
-    t = [[(-1) ** (grade - i) * math.comb(grade - k, grade - i) for i in range(grade + 1)]
-         for k in range(grade + 1)]
-    return list(transform_blocks(ConstMatrix.from_rows(t), y))
-
-
-def reversal_u_entry(grade: int, i: int, j: int) -> Fraction:
-    """Closed form -((grade-i+1)/i) C(i, grade+1-j), 1-based, for the
-    anti-triangular factor; its anti-diagonal is -(grade-i+1)/i."""
-    return -Fraction(grade - i + 1, i) * math.comb(i, grade + 1 - j)
-
-
-def reversal_z_entry(grade: int, i: int, j: int) -> Fraction:
-    """Closed form -((grade-i)/j) C(i, grade-j), 1-based, valid for
-    1 <= i, j <= grade-1."""
-    return -Fraction(grade - i, j) * math.comb(i, grade - j)
+def _bernstein_reversal_w(L: int) -> ConstMatrix:
+    """W_r(i, j) = -(j/i) C(L-j, i-1), 1-based."""
+    return ConstMatrix.from_rows(
+        [[Fraction(-j * math.comb(L - j, i - 1), i) for j in range(1, L + 1)]
+         for i in range(1, L + 1)])
 
 
 def bernstein_reversal_equivalence(y: list[ConstMatrix]) -> ReversalEquivalence:
     """Constant U, W^{-1} with U @ A_R = (B - A) @ W^{-1} and
     U @ B_R = A @ W^{-1}, where (A, B) = (C0, C1) of the Bernstein pencil
     of y, of grade L = len(y) - 1, and (A_R, B_R) the same for the
-    reversed coefficients d.
+    reversed coefficients d.  Both are closed forms, 1-based:
 
-    The closed-form entry data (reversal_u_entry / reversal_z_entry plus
-    the d-coefficient column) is indexed for the transposed, corner-flipped
-    companion orientation, so here it enters with block indices flipped and
-    transposed: W^{-1}(i, j) = u_{L+1-j, L+1-i} I, and U carries the
-    z-entries the same way with the d-coefficient blocks across its first
-    block row.  Both determinants are +-1.
+        W^{-1} = W_r (x) I,   W_r(i, j) = -(j/i) C(L-j, i-1)        (1 <= i, j <= L),
+        U      = [[I, T_2, ..., T_L], [0, Z (x) I]],  T_j = d_{L+1-j} - ((j-1)/L) Y_L,
+        Z(i, j) = -((j-1)/(L+1-i)) C(L+1-j, i-1)                      (2 <= i, j <= L).
+
+    W_r and Z are zero below their anti-diagonals, which hold
+    -(L+1-i)/i and -1, so both determinants are +-1.
     """
     L = len(y) - 1
     if L < 2:
         raise GradeTooSmall("reversal equivalence needs grade >= 2")
     n = y[0].rows
     d = bernstein_reversal_coeffs(y)
-    eye = ConstMatrix.identity(n)
-
-    u_grid = [[None] * L for _ in range(L)]
-    u_grid[0][0] = eye
-    for j in range(2, L + 1):
-        u_grid[0][j - 1] = d[L + 1 - j] - y[L].scale(Fraction(j - 1, L))
-    for i in range(2, L + 1):
-        for j in range(2, L + 1):
-            val = reversal_z_entry(L, L + 1 - j, L + 1 - i)
-            if val:
-                u_grid[i - 1][j - 1] = eye.scale(val)
-    u = ConstMatrix.from_blocks(u_grid, n)
-
-    w_grid = [[None] * L for _ in range(L)]
-    for i in range(1, L + 1):
-        for j in range(1, L + 1):
-            val = reversal_u_entry(L, L + 1 - j, L + 1 - i)
-            if val:
-                w_grid[i - 1][j - 1] = eye.scale(val)
-    winv = ConstMatrix.from_blocks(w_grid, n)
-    return ReversalEquivalence(u, winv)
+    top = [d[L + 1 - j] - y[L].scale(Fraction(j - 1, L)) for j in range(2, L + 1)]
+    z = ConstMatrix.from_rows(
+        [[Fraction(-(j - 1) * math.comb(L + 1 - j, i - 1), L + 1 - i) for j in range(2, L + 1)]
+         for i in range(2, L + 1)])
+    return ReversalEquivalence(_unit_upper(top, z, n), _bernstein_reversal_w(L).kron_identity(n))
 
 
 # ---------------------------------------------------------------------------

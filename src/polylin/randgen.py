@@ -25,13 +25,6 @@ def rand_const_matrix(rng: random.Random, n: int) -> ConstMatrix:
     return ConstMatrix(n, n, [rand_fraction(rng) for _ in range(n * n)])
 
 
-def rand_nonsingular_const_matrix(rng: random.Random, n: int) -> ConstMatrix:
-    while True:
-        m = rand_const_matrix(rng, n)
-        if m.det() != 0:
-            return m
-
-
 def rand_nodes(rng: random.Random, count: int) -> tuple[Fraction, ...]:
     nodes: list[Fraction] = []
     while len(nodes) < count:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from polylin import ConstMatrix, PolyMatrix, PolyQ
 from polylin.bases import Bernstein, Lagrange, Monomial, Recurrence, barycentric_weights, transform_blocks
+from polylin.randgen import rand_const_matrix
 
 
 def cofactor_det(m: PolyMatrix) -> PolyQ:
@@ -63,6 +64,22 @@ def standard_reversal_monomial(coeffs, grade: int) -> PolyQ:
     padded = list(coeffs) + [Fraction(0)] * (grade + 1 - len(coeffs))
     return PolyQ(list(reversed(padded)))
 
+
+def standard_reversal_coeffs(y: list[ConstMatrix]) -> list[ConstMatrix]:
+    """Coefficients e of z^grade p(1/z) in the same Bernstein basis,
+    grade = len(y) - 1: e_k = sum_m (-1)^m C(grade-k, m) y_{grade-m}."""
+    grade = len(y) - 1
+    t = [[(-1) ** (grade - i) * math.comb(grade - k, grade - i) for i in range(grade + 1)]
+         for k in range(grade + 1)]
+    return list(transform_blocks(ConstMatrix.from_rows(t), y))
+
+
+def rand_nonsingular_const_matrix(rng, n: int) -> ConstMatrix:
+    """A random n-by-n constant matrix, redrawn until it is nonsingular."""
+    while True:
+        m = rand_const_matrix(rng, n)
+        if m.det() != 0:
+            return m
 
 
 def bernstein_basis_polys(grade: int) -> list[PolyQ]:

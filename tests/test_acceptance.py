@@ -40,7 +40,6 @@ from polylin.equivalence import (
     lagrange_strict_equivalence,
     monomial_cofactors,
     recurrence_hermite_analogue,
-    standard_reversal_coeffs,
 )
 from polylin.errors import SingularAtOne
 from polylin.exact import (
@@ -69,11 +68,16 @@ from polylin.randgen import (
     rand_fraction,
     rand_matrix_polynomial,
     rand_nodes,
-    rand_nonsingular_const_matrix,
     rand_recurrence_spec,
 )
 
-from conftest import matrix_poly_value, shifted_reversal_monomial, standard_reversal_monomial
+from conftest import (
+    matrix_poly_value,
+    rand_nonsingular_const_matrix,
+    shifted_reversal_monomial,
+    standard_reversal_coeffs,
+    standard_reversal_monomial,
+)
 
 from test_equivalence import (
     chebyshev_probe_vectors,

@@ -42,7 +42,6 @@ from polylin.equivalence import (
     lagrange_strict_equivalence,
     monomial_cofactors,
     recurrence_hermite_analogue,
-    standard_reversal_coeffs,
 )
 from polylin.errors import (
     ConjectureFailure,
@@ -52,7 +51,7 @@ from polylin.errors import (
     SingularNodeValue,
 )
 from polylin.cli import main
-from polylin.equivalence import StrictEquivalence
+from polylin.equivalence import ReversalEquivalence, StrictEquivalence
 from polylin.exact import (
     polymatrix_det,
     polymatrix_inverse_unimodular,
@@ -79,14 +78,15 @@ from polylin.randgen import (
     rand_fraction,
     rand_matrix_polynomial,
     rand_nodes,
-    rand_nonsingular_const_matrix,
     rand_recurrence_spec,
 )
 
 from conftest import (
     matrix_poly_value,
     monomial_like_recurrence,
+    rand_nonsingular_const_matrix,
     shifted_reversal_monomial,
+    standard_reversal_coeffs,
     standard_reversal_monomial,
 )
 
@@ -684,7 +684,110 @@ class TestReversalCoeffs:
             assert not e[0].is_zero  # every y_j shows up in e_0
 
 
+def reference_bernstein_reversal(y):
+    """The reversal map as it was first built: entry formulas indexed for
+    the transposed, corner-flipped companion orientation, entered here with
+    block indices flipped and transposed, W^{-1}(i, j) = u_{L+1-j, L+1-i} I
+    and U(i, j) = z_{L+1-j, L+1-i} I below its first block row, which
+    carries I and the d-coefficient blocks."""
+    L = len(y) - 1
+    n = y[0].rows
+    d = bernstein_reversal_coeffs(y)
+    eye = ConstMatrix.identity(n)
+
+    def u_entry(i, j):  # -((L-i+1)/i) C(i, L+1-j); its anti-diagonal is -(L-i+1)/i
+        return -F(L - i + 1, i) * math.comb(i, L + 1 - j)
+
+    def z_entry(i, j):  # -((L-i)/j) C(i, L-j), for 1 <= i, j <= L-1
+        return -F(L - i, j) * math.comb(i, L - j)
+
+    u_grid = [[None] * L for _ in range(L)]
+    u_grid[0][0] = eye
+    for j in range(2, L + 1):
+        u_grid[0][j - 1] = d[L + 1 - j] - y[L].scale(F(j - 1, L))
+    for i in range(2, L + 1):
+        for j in range(2, L + 1):
+            val = z_entry(L + 1 - j, L + 1 - i)
+            if val:
+                u_grid[i - 1][j - 1] = eye.scale(val)
+    w_grid = [[None] * L for _ in range(L)]
+    for i in range(1, L + 1):
+        for j in range(1, L + 1):
+            val = u_entry(L + 1 - j, L + 1 - i)
+            if val:
+                w_grid[i - 1][j - 1] = eye.scale(val)
+    return ReversalEquivalence(ConstMatrix.from_blocks(u_grid, n), ConstMatrix.from_blocks(w_grid, n))
+
+
 class TestReversalEquivalence:
+    def test_matches_the_flip_transposed_map(self):
+        # 231 draws: each run of 33 covers n 1-3 by grade 2-12; in every
+        # third run Y_L is singular (its last row zeroed), and in every
+        # other run one random block is zero
+        rng = random.Random(64)
+        for draw in range(231):
+            n, grade = 1 + draw % 3, 2 + draw // 3 % 11
+            y = list(rand_matrix_polynomial(rng, Bernstein(grade), n).coeffs)
+            if draw // 33 % 3 == 0:
+                top = y[grade].to_rows()
+                top[-1] = [0] * n
+                y[grade] = ConstMatrix.from_rows(top)
+            if draw // 33 % 2 == 1:
+                y[rng.randrange(grade + 1)] = ConstMatrix.zeros(n, n)
+            re = bernstein_reversal_equivalence(y)
+            ref = reference_bernstein_reversal(y)
+            assert (re.u, re.winv) == (ref.u, ref.winv)
+
+    @pytest.mark.parametrize("grade", range(2, 9))
+    def test_identities_with_symbolic_coefficients(self, grade):
+        """U A_R = (B - A) W^{-1} and U B_R = A W^{-1} for symbols
+        Y_0..Y_L, with (A, B) = (C0, C1) of the Bernstein pencil transcribed
+        from its definition and d solved from (z+1)^L p(1/(z+1)) =
+        sum_k d_k B_k(z).  U is affine in the Y_k and W^{-1} is constant,
+        so U with symbols is U(0) + sum_k Y_k (U(e_k) - U(0)); every block
+        is a scalar multiple of I plus a combination of the Y_k, so the
+        scalar case covers every block size n."""
+        L = grade
+        z = sympy.symbols("z")
+        ys = sympy.symbols(f"y0:{L + 1}")
+        ds = sympy.symbols(f"d0:{L + 1}")
+
+        def as_sym(m):
+            return sympy.Matrix(m.rows, m.cols,
+                                [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+        def u_winv(values):
+            re = bernstein_reversal_equivalence([ConstMatrix(1, 1, [v]) for v in values])
+            return as_sym(re.u), as_sym(re.winv)
+
+        u0, winv = u_winv([0] * (L + 1))
+        u = u0
+        for k in range(L + 1):
+            u += ys[k] * (u_winv([int(i == k) for i in range(L + 1)])[0] - u0)
+
+        def bern(coeffs, x):
+            return sum(coeffs[k] * math.comb(L, k) * x**k * (1 - x)**(L - k) for k in range(L + 1))
+
+        rev = sympy.cancel((z + 1)**L * bern(ys, 1 / (z + 1)))
+        d = sympy.solve(sympy.Poly(bern(ds, z) - rev, z).all_coeffs(), ds)
+        d = [d[dk] for dk in ds]
+
+        def pencil(c):  # (C0, C1) with L(z) = z C1 - C0
+            c0, c1 = sympy.zeros(L, L), sympy.zeros(L, L)
+            c1[0, 0], c0[0, 0] = c[L] / L - c[L - 1], -c[L - 1]
+            for j in range(1, L):
+                c1[0, j] = c0[0, j] = -c[L - 1 - j]
+                c1[j, j - 1] = c0[j, j - 1] = 1
+                c1[j, j] = sympy.Rational(j + 1, L - j)
+            return c0, c1
+
+        a, b = pencil(ys)
+        a_r, b_r = pencil(d)
+        assert (u * a_r - (b - a) * winv).expand() == sympy.zeros(L, L)
+        assert (u * b_r - a * winv).expand() == sympy.zeros(L, L)
+        assert winv.det() in (1, -1)  # W_r
+        assert u[1:, 1:].det() in (1, -1)  # Z
+
     def test_identities_all_grades(self):
         rng = random.Random(60)
         for grade in range(2, 7):
@@ -904,9 +1007,14 @@ class TestConstructionChecks:
         rng = random.Random(72)
         y = [rand_const_matrix(rng, 2) for _ in range(4)]
         p = MatrixPolynomial(2, Bernstein(3), tuple(y))
-        exact_entry = equivalence.reversal_u_entry
-        monkeypatch.setattr(equivalence, "reversal_u_entry", lambda g, i, j:
-                            exact_entry(g, i, j) + (1 if (i, j) == (2, 2) else 0))
+        exact_w = equivalence._bernstein_reversal_w
+
+        def perturbed(L):  # W_r(2, 2) off by one
+            rows = exact_w(L).to_rows()
+            rows[1][1] += 1
+            return ConstMatrix.from_rows(rows)
+
+        monkeypatch.setattr(equivalence, "_bernstein_reversal_w", perturbed)
         verdict = verify_reversal_equivalence(bernstein_reversal_equivalence(y), p)
         assert not verdict.ok
         assert verdict.counterexample == {"reason": "first identity failed"}
@@ -917,8 +1025,7 @@ class TestConstructionChecks:
         rng = random.Random(75)
         y = [rand_const_matrix(rng, 2) for _ in range(4)]
         p = MatrixPolynomial(2, Bernstein(3), tuple(y))
-        monkeypatch.setattr(equivalence, "bernstein_reversal_coeffs",
-                            equivalence.standard_reversal_coeffs)
+        monkeypatch.setattr(equivalence, "bernstein_reversal_coeffs", standard_reversal_coeffs)
         verdict = verify_reversal_equivalence(bernstein_reversal_equivalence(y), p)
         assert not verdict.ok
         assert verdict.counterexample == {"reason": "first identity failed"}
