@@ -16,7 +16,6 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import ConjectureFailure, InputError, PolylinError, PreconditionError
-from .exact import ConstMatrix
 from . import bases, equivalence, normalforms, pencils, randgen, serialize, verify
 
 EXIT_OK = 0
@@ -26,7 +25,10 @@ EXIT_PRECONDITION = 3
 
 
 def _dump(obj, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write obj by `serialize.dumps` to path, or to stdout for None or "-";
+    the text is made before the file is opened, so a refused result leaves
+    no file."""
+    text = serialize.dumps(obj) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
         return
@@ -65,16 +67,14 @@ def _load_basis_arg(arg: str):
 
 def cmd_pencil(args) -> int:
     p = serialize.parse_matrix_polynomial(_load(args.infile))
-    pen = pencils.build_pencil(p)
-    _dump(serialize.pencil_obj(pen), args.out)
+    _dump(pencils.build_pencil(p), args.out)
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
     p = serialize.parse_matrix_polynomial(_load(args.infile))
     target = _load_basis_arg(args.basis)
-    q = bases.convert(p, target)
-    _dump(serialize.matrix_polynomial_obj(q), args.out)
+    _dump(bases.convert(p, target), args.out)
     return EXIT_OK
 
 
@@ -142,12 +142,6 @@ CHECKS = {
 }
 
 
-def _factor_obj(m):
-    if isinstance(m, ConstMatrix):
-        return serialize.const_matrix_obj(m)
-    return serialize.polymatrix_obj(m)
-
-
 def cmd_equiv(args) -> int:
     p = serialize.parse_matrix_polynomial(_load(args.infile))
     route = ROUTES[p.basis.kind]
@@ -162,10 +156,9 @@ def cmd_equiv(args) -> int:
     cert = {
         "kind": args.mode,
         "basis": serialize.basis_obj(p.basis),
-        **{name: _factor_obj(m) for name, m in factors.items()},
+        **factors,
         "verified": True,
-        "unit": {name: serialize.frac_str(d)
-                 for name, d in zip(factors, verdict.factor_dets)},
+        "unit": dict(zip(factors, verdict.factor_dets)),
     }
     _dump(cert, args.out)
     return EXIT_OK
@@ -176,19 +169,19 @@ def cmd_nf(args) -> int:
     if args.kind == "hermite":
         res = normalforms.hermite_form(m)
         _dump({
-            "H": serialize.polymatrix_obj(res.h),
-            "U": serialize.polymatrix_obj(res.u),
-            "pivots": list(res.pivot_cols),
+            "H": res.h,
+            "U": res.u,
+            "pivots": res.pivot_cols,
             "rankDeficient": res.rank_deficient,
         }, args.out)
         return EXIT_OK
     if args.kind == "smith":
         res = normalforms.smith_form(m)
         _dump({
-            "S": serialize.polymatrix_obj(res.s),
-            "E": serialize.polymatrix_obj(res.e),
-            "F": serialize.polymatrix_obj(res.f),
-            "invariantFactors": [serialize.polyq_obj(s) for s in res.invariant_factors],
+            "S": res.s,
+            "E": res.e,
+            "F": res.f,
+            "invariantFactors": res.invariant_factors,
         }, args.out)
         return EXIT_OK
     if args.kind == "mask":
@@ -219,7 +212,7 @@ def _sweep_one(rng: random.Random, kind: str, nmax: int, lmax: int) -> dict | No
         return {
             "check": check,
             "basis": kind,
-            "instance": serialize.matrix_polynomial_obj(p),
+            "instance": p,
         }
 
     verdict = verify.smith_equivalence_check(pen, p)

@@ -3,6 +3,12 @@
 Rationals serialize as strings "p/q" (or "p" when the denominator is 1) so
 exactness survives the trip; readers accept those strings, optionally
 signed, and JSON integers, and reject anything else.
+
+`dumps` writes every command's output: the text of
+`json.dumps(obj, indent=2, sort_keys=True)` for the JSON object obj of its
+argument, which the `*_obj` functions build, with each matrix and
+polynomial written straight from its integer form.  The parsers build
+those forms straight from the strings, with no Fraction per entry.
 """
 
 from __future__ import annotations
@@ -10,10 +16,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
-from .exact import ConstMatrix, PolyMatrix
-from .poly import PolyQ
+from .exact import ConstMatrix, PolyMatrix, _lowest
+from .poly import PolyQ, _poly_from_ints
 from .bases import (
     BasisSpec,
     Bernstein,
@@ -38,19 +45,28 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def _ratio(s) -> tuple[int, int]:
+    """The rational s, a JSON integer or a string "p" or "p/q", as the ints
+    (p, q), q > 0, not reduced."""
+    if isinstance(s, str):
+        match = _RATIONAL.fullmatch(s)
+        if not match:
+            raise InputError(f"bad rational {_shown(s)}: expected \"p\" or \"p/q\"")
+        p, q = match.groups()
+        try:  # each string is parsed once, by int
+            p, q = int(p), int(q or 1)
+        except ValueError as exc:  # over the integer-string digit limit
+            raise InputError(f"bad rational {_shown(s)}: {exc}") from None
+        if not q:
+            raise InputError(f"bad rational {_shown(s)}: Fraction({_shown(p)}, 0)")
+        return p, q
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s, 1
+    raise InputError(f"expected a rational string, got {_shown(s)}")
+
+
 def parse_frac(s) -> Fraction:
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise InputError(f"expected a rational string, got {_shown(s)}")
-    if isinstance(s, int):
-        return Fraction(s)
-    match = _RATIONAL.fullmatch(s)
-    if not match:
-        raise InputError(f"bad rational {_shown(s)}: expected \"p\" or \"p/q\"")
-    p, q = match.groups()
-    try:  # each string is parsed once, by int
-        return Fraction(int(p), int(q or 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {_shown(s)}: {exc}") from None
+    return Fraction(*_ratio(s))
 
 
 def _ratio_str(x: int, den: int) -> str:
@@ -59,46 +75,58 @@ def _ratio_str(x: int, den: int) -> str:
     return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
-def const_matrix_obj(m: ConstMatrix) -> list[list[str]]:
-    """The rows as strings, each entry x/d of a row form written by
-    `_ratio_str`; an absent pair is "0"."""
-    out = []
+def _const_rows(m: ConstMatrix):
+    """The rows as lists of strings, each entry x/d of a row form written
+    by `_ratio_str` (by str when d is 1); an absent pair is "0"."""
     for den, pairs in m._form:
         row = ["0"] * m.cols
-        for j, x in pairs:
-            row[j] = _ratio_str(x, den)
-        out.append(row)
-    return out
+        if den == 1:
+            for j, x in pairs:
+                row[j] = str(x)
+        else:
+            for j, x in pairs:
+                row[j] = _ratio_str(x, den)
+        yield row
+
+
+def const_matrix_obj(m: ConstMatrix) -> list[list[str]]:
+    return list(_const_rows(m))
 
 
 def parse_const_matrix(obj) -> ConstMatrix:
+    """The row form of each row, built from the (p, q) of its entries."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputError("matrix must be a non-empty list of rows")
     width = len(obj[0])
     if width == 0 or any(len(r) != width for r in obj):
         raise InputError("matrix rows must be non-empty and equal length")
-    return ConstMatrix.from_rows([[parse_frac(x) for x in row] for row in obj])
+    form = []
+    for row in obj:
+        ratios = [_ratio(x) for x in row]
+        den = math.lcm(*[q for _, q in ratios])
+        form.append(_lowest(den, [(j, p * (den // q)) for j, (p, q) in enumerate(ratios) if p]))
+    return ConstMatrix._from_form(len(obj), width, form)
 
 
 def polyq_obj(p: PolyQ) -> list[str]:
     """The grade + 1 coefficients as strings, each x/d of the integer form
-    written by `_ratio_str`."""
-    return [_ratio_str(x, p.den) for x in p.ints] + ["0"] * (p.grade - p.degree)
+    written by `_ratio_str` (by str when d is 1)."""
+    den = p.den
+    strs = list(map(str, p.ints)) if den == 1 else [_ratio_str(x, den) for x in p.ints]
+    return strs + ["0"] * (p.grade - p.degree)
 
 
 def parse_polyq(obj) -> PolyQ:
+    """The integer form, built from the (p, q) of the coefficients."""
     if not isinstance(obj, list) or not obj:
         raise InputError("polynomial must be a non-empty coefficient list")
-    return PolyQ([parse_frac(c) for c in obj], grade=len(obj) - 1)
+    ratios = [_ratio(c) for c in obj]
+    den = math.lcm(*[q for _, q in ratios])
+    return _poly_from_ints([p * (den // q) for p, q in ratios], den, len(obj) - 1)
 
 
 def polymatrix_obj(m: PolyMatrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[polyq_obj(m.get(i, j)) for j in range(m.cols)]
-                    for i in range(m.rows)],
-    }
+    return _obj(m)
 
 
 def parse_polymatrix(obj) -> PolyMatrix:
@@ -165,11 +193,7 @@ def parse_basis(obj) -> BasisSpec:
 
 
 def matrix_polynomial_obj(p: MatrixPolynomial) -> dict:
-    return {
-        "n": p.n,
-        "basis": basis_obj(p.basis),
-        "coeffs": [const_matrix_obj(c) for c in p.coeffs],
-    }
+    return _obj(p)
 
 
 def parse_matrix_polynomial(obj) -> MatrixPolynomial:
@@ -193,13 +217,7 @@ def parse_matrix_polynomial(obj) -> MatrixPolynomial:
 
 
 def pencil_obj(p: Pencil) -> dict:
-    return {
-        "n": p.n,
-        "blocks": p.block_count,
-        "C1": const_matrix_obj(p.c1),
-        "C0": const_matrix_obj(p.c0),
-        "basis": p.basis_tag,
-    }
+    return _obj(p)
 
 
 def parse_pencil(obj) -> Pencil:
@@ -216,3 +234,81 @@ def parse_pencil(obj) -> Pencil:
     if c1.rows != n * blocks or not c1.is_square or c0.rows != c1.rows:
         raise InputError("pencil dimensions inconsistent")
     return Pencil(c1, c0, n, blocks, tag)
+
+
+# -- the writer ---------------------------------------------------------------
+
+# The fields of each object the writer takes apart: a dict, a list or
+# strings, whose values the writer writes in turn.
+_FIELDS = {
+    ConstMatrix: const_matrix_obj,
+    PolyQ: polyq_obj,
+    PolyMatrix: lambda m: {"rows": m.rows, "cols": m.cols, "entries": m.to_rows()},
+    MatrixPolynomial: lambda p: {"n": p.n, "basis": basis_obj(p.basis),
+                                 "coeffs": list(p.coeffs)},
+    Pencil: lambda p: {"n": p.n, "blocks": p.block_count, "C1": p.c1, "C0": p.c0,
+                       "basis": p.basis_tag},
+}
+
+
+def _obj(x):
+    """The JSON object of x: x with each value `_FIELDS` names replaced by
+    its fields, each Fraction by its string and each tuple by a list."""
+    kind = type(x)
+    if kind in _FIELDS:
+        return _obj(_FIELDS[kind](x))
+    if kind is dict:
+        return {k: _obj(v) for k, v in x.items()}
+    if kind is list or kind is tuple:
+        return [_obj(v) for v in x]
+    return frac_str(x) if kind is Fraction else x
+
+
+def dumps(x) -> str:
+    """json.dumps(_obj(x), indent=2, sort_keys=True), written without
+    making _obj(x): a matrix or a polynomial is written from its integer
+    form, one joined list of strings per row or coefficient list.
+
+    A number over Python's integer-string digit limit (4300 digits by
+    default) is refused with InputError; no polylin parser could read it
+    back."""
+    try:
+        return _text(x, "\n")
+    except ValueError as exc:  # only str(int) raises it here
+        raise InputError(f"cannot write the result: {exc}".split(";")[0]) from None
+
+
+def _strings_text(strs: list[str], nl: str) -> str:
+    """A non-empty list of strings that need no escaping, its closing
+    bracket on the line nl starts."""
+    inner = nl + "  "
+    return "[" + inner + '"' + ('",' + inner + '"').join(strs) + '"' + nl + "]"
+
+
+def _text(x, nl: str) -> str:
+    """x as `dumps` writes it, its closing bracket on the line nl starts."""
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is PolyQ:
+        return _strings_text(polyq_obj(x), nl)
+    inner = nl + "  "
+    if kind is ConstMatrix and x.rows and x.cols:
+        rows = [_strings_text(row, inner) for row in _const_rows(x)]
+        return "[" + inner + ("," + inner).join(rows) + nl + "]"
+    if kind in _FIELDS:
+        return _text(_FIELDS[kind](x), nl)
+    if kind is dict:
+        items = [encode_basestring_ascii(k) + ": " + _text(v, inner)
+                 for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = [_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    if kind is bool:
+        return "true" if x else "false"
+    if kind is int:
+        return int.__repr__(x)
+    if kind is Fraction:
+        return '"' + frac_str(x) + '"'
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -4,13 +4,17 @@ These deliberately avoid the library's computational paths: determinants
 here go through recursive cofactor expansion, interpolation through the
 naive product form, reversals through raw monomial-coefficient
 manipulation, and basis polynomials through PolyQ products rather than
-the closed-form matrices Phi and Phi^-1 of `polylin.bases`.
+the closed-form matrices Phi and Phi^-1 of `polylin.bases`, and the
+JSON readers through one Fraction per entry.
 """
 
 import math
+import re
 from fractions import Fraction
 
 from polylin import ConstMatrix, PolyMatrix, PolyQ
+from polylin.errors import InputError
+from polylin.serialize import _shown
 from polylin.bases import Bernstein, Lagrange, Monomial, Recurrence, barycentric_weights, transform_blocks
 from polylin.randgen import rand_const_matrix
 
@@ -134,3 +138,32 @@ def matrix_poly_value(p, x) -> ConstMatrix:
 def monomial_like_recurrence(grade: int) -> Recurrence:
     """The trivial recurrence z*phi_k = phi_{k+1}, i.e. phi_k = z^k."""
     return Recurrence(grade, (1,) * grade, (0,) * grade, (0,) * grade)
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def fraction_parse_frac(s) -> Fraction:
+    """A JSON rational (an int, or a string "p" or "p/q") as a Fraction."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise InputError(f"expected a rational string, got {_shown(s)}")
+    if isinstance(s, int):
+        return Fraction(s)
+    match = _RATIONAL.fullmatch(s)
+    if not match:
+        raise InputError(f"bad rational {_shown(s)}: expected \"p\" or \"p/q\"")
+    p, q = match.groups()
+    try:
+        return Fraction(int(p), int(q or 1))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {_shown(s)}: {exc}") from None
+
+
+def fraction_parse_const_matrix(rows) -> ConstMatrix:
+    """A list of rows of JSON rationals, one Fraction per entry."""
+    return ConstMatrix.from_rows([[fraction_parse_frac(x) for x in row] for row in rows])
+
+
+def fraction_parse_polyq(coeffs) -> PolyQ:
+    """A coefficient list of JSON rationals, one Fraction per coefficient."""
+    return PolyQ([fraction_parse_frac(c) for c in coeffs], grade=len(coeffs) - 1)

@@ -8,10 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 from polylin.cli import main
-from polylin.errors import ConjectureFailure
+from polylin.errors import ConjectureFailure, InputError
 from polylin import bases, equivalence, pencils, serialize, verify
 from polylin.bases import Bernstein, Lagrange, MatrixPolynomial, Monomial, Recurrence
-from polylin.exact import ConstMatrix, PolyMatrix
+from polylin.exact import ConstMatrix, PolyMatrix, PolyQ
+
+from conftest import fraction_parse_const_matrix, fraction_parse_polyq
 
 
 def write_json(path, obj):
@@ -375,6 +377,10 @@ def _recurrence_text(alpha: str) -> str:
                        '"beta": ["0", "0"], "gamma": ["0", "1"]}' % alpha, 2)
 
 
+# a 2x2 constant matrix of 3000-digit entries, under the input's digit limit
+BIG_NF_TEXT = json.dumps({"entries": [[["1" + "0" * 2999], ["3" * 3000]],
+                                      [["7" * 3000], ["2" + "9" * 2999]]]})
+
 EXIT2_CASES = [
     ("decimal", _mono_text('"0.5"'), ["pencil"]),
     ("exponent", _mono_text('"1e3"'), ["pencil"]),
@@ -396,6 +402,10 @@ EXIT2_CASES = [
     ("recurrence alpha string", _recurrence_text('"12"'), ["pencil"]),
     ("nf rows true", '{"rows": true, "entries": [[["1", "2"]]]}', ["nf", "--kind", "mask"]),
     ("nf cols float", '{"cols": 1.0, "entries": [[["1", "2"]]]}', ["nf", "--kind", "mask"]),
+    ("numerator over a zero denominator", _mono_text('"%s/0"' % ("9" * 4300)), ["pencil"]),
+    # valid input whose results have entries of about 6000 digits
+    ("hermite result over the digit limit", BIG_NF_TEXT, ["nf", "--kind", "hermite"]),
+    ("smith result over the digit limit", BIG_NF_TEXT, ["nf", "--kind", "smith"]),
     ("nested json", "[" * 200000 + "]" * 200000, ["nf", "--kind", "mask"]),
     ("deep list for a rational", '{"entries": %s}' % ("[" * 900 + "]" * 900),
      ["nf", "--kind", "hermite"]),
@@ -431,6 +441,16 @@ def test_input_contract_exit2(text, argv, tmp_path, capsys):
     assert len(captured.err) < 250, "the message quotes at most 40 characters of a bad value"
 
 
+@pytest.mark.parametrize("kind", ["hermite", "smith"])
+def test_result_over_the_digit_limit_writes_no_file(kind, tmp_path, capsys):
+    infile, out = tmp_path / "in.json", tmp_path / "out.json"
+    infile.write_text(BIG_NF_TEXT)
+    assert main(["nf", "--in", str(infile), "--kind", kind, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write the result: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -448,6 +468,45 @@ class TestJsonRoundTrips:
         assert serialize.parse_frac("-3/4") == Fraction(-3, 4)
         with pytest.raises(Exception):
             serialize.parse_frac("0.5x")
+
+    # rationals as JSON gives them: reduced or not, signed, zero over a
+    # denominator, JSON ints, and 4300 digits (the limit) in either place
+    GOOD = ["2/4", "-0", "+7", "0/5", "-4/6", "10/4", "1", 0, -12, 3 ** 500,
+            "9" * 4300, "-" + "9" * 4300, "1/" + "9" * 4300, "6/" + "3" * 4300]
+    BAD = ["1/0", "-0/0", "+7/0", True, False, 1.5, None, [], {}, ["1"],
+           "9" * 4301, "1/" + "9" * 4301, "0.5", " 1", "1e3", "", "+-1", "1/-2"]
+
+    def test_integer_parsers_match_the_fraction_parse(self):
+        rows = [self.GOOD, self.GOOD[::-1], ["0", "0/5", "-0"], ["2/4", "0", "0"],
+                ["-4/6", "10/4"], [7]]
+        for row in rows:
+            new, old = serialize.parse_const_matrix([row]), fraction_parse_const_matrix([row])
+            assert new._form == old._form and new == old
+            new, old = serialize.parse_polyq(row), fraction_parse_polyq(row)
+            assert (new.ints, new.den, new.grade) == (old.ints, old.den, old.grade)
+        new = serialize.parse_const_matrix([self.GOOD[:4], self.GOOD[4:8]])
+        assert new._form == fraction_parse_const_matrix([self.GOOD[:4], self.GOOD[4:8]])._form
+
+    def test_integer_parsers_refuse_as_the_fraction_parse(self):
+        for bad in self.BAD:
+            for parse, oracle in [(serialize.parse_const_matrix, fraction_parse_const_matrix),
+                                  (serialize.parse_polyq, fraction_parse_polyq)]:
+                arg = [["1", bad]] if oracle is fraction_parse_const_matrix else ["1", bad]
+                with pytest.raises(InputError) as new:
+                    parse(arg)
+                with pytest.raises(InputError) as old:
+                    oracle(arg)
+                assert str(new.value) == str(old.value)
+            assert str(pytest.raises(InputError, serialize.parse_frac, bad).value) == \
+                str(old.value)
+
+    def test_dumps_refuses_a_number_over_the_digit_limit(self):
+        big = 10 ** 4300
+        for x in [big, F(1, big), PolyQ([F(big, 3)]), ConstMatrix(1, 2, [0, big]),
+                  PolyMatrix(1, 1, [PolyQ([0, big])]), {"a": [big]}]:
+            with pytest.raises(InputError, match="^cannot write the result: "):
+                serialize.dumps(x)
+        assert serialize.dumps(10 ** 4299) == "1" + "0" * 4299
 
     def test_matrix_polynomial_roundtrip(self):
         p = MatrixPolynomial.scalar(Lagrange(2, (0, 1, 2)), [1, 3, 7])

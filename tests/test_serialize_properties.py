@@ -1,5 +1,6 @@
-"""Property tests: JSON serialisation round trips for every basis kind, and
-the CLI exit-code contract on damaged inputs."""
+"""Property tests: JSON serialisation round trips for every basis kind, the
+writer against json.dumps, and the CLI exit-code contract on damaged
+inputs."""
 
 import copy
 import json
@@ -12,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from polylin import serialize  # noqa: E402
+from polylin import pencils, serialize  # noqa: E402
 from polylin.cli import main  # noqa: E402
 from polylin.bases import (  # noqa: E402
     Bernstein,
@@ -110,6 +111,74 @@ def test_polymatrix_round_trip(m):
     back = serialize.parse_polymatrix(obj)
     assert serialize.polymatrix_obj(back) == serialize.polymatrix_obj(m)
     assert back == m and [e.grade for e in back.entries] == [e.grade for e in m.entries]
+
+
+# -- the writer against its oracle ------------------------------------------
+
+def obj_form(x):
+    """The JSON object of x, built by the `*_obj` functions."""
+    for kind, obj in [(ConstMatrix, serialize.const_matrix_obj), (PolyQ, serialize.polyq_obj),
+                      (PolyMatrix, serialize.polymatrix_obj), (Fraction, serialize.frac_str),
+                      (MatrixPolynomial, serialize.matrix_polynomial_obj),
+                      (pencils.Pencil, serialize.pencil_obj)]:
+        if isinstance(x, kind):
+            return obj(x)
+    if isinstance(x, dict):
+        return {k: obj_form(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [obj_form(v) for v in x]
+    return x
+
+
+big_fractions = st.builds(Fraction, st.integers(-10**90, 10**90), st.integers(1, 10**45))
+mixed_fractions = fractions | big_fractions | st.integers(-10**90, 10**90).map(Fraction) \
+    | st.just(Fraction(0))
+
+
+@st.composite
+def polys(draw):
+    """Mixed denominators, large numerators, zero polynomials and grades
+    above the degree."""
+    cs = draw(st.lists(mixed_fractions, min_size=1, max_size=5))
+    return PolyQ(cs, grade=len(cs) - 1 + draw(st.integers(0, 3)))
+
+
+@st.composite
+def wide_const_matrices(draw):
+    """Zero matrices, and entries with mixed and large denominators."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return ConstMatrix.zeros(rows, cols)
+    return ConstMatrix(rows, cols, draw(st.lists(mixed_fractions, min_size=rows * cols,
+                                                 max_size=rows * cols)))
+
+
+@st.composite
+def polynomials_and_pencils(draw):
+    kind = draw(st.sampled_from(["monomial", "recurrence", "bernstein", "lagrange"]))
+    p = draw(matrix_polynomials(kind))
+    if p.grade < 2 and kind in ("recurrence", "bernstein"):
+        return p  # their pencils need grade 2
+    return draw(st.sampled_from([p, pencils.build_pencil(p)]))
+
+
+leaves = (const_matrices() | wide_const_matrices() | polys() | polymatrices()
+          | mixed_fractions | st.integers(-10**90, 10**90) | st.booleans()
+          | st.text(max_size=6))
+json_trees = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(json_trees | polynomials_and_pencils())
+def test_dumps_matches_json_dumps(x):
+    """dumps gives the bytes of json.dumps(indent=2, sort_keys=True) of the
+    JSON object; the strings include non-ASCII text, whose escapes must
+    match, and empty dicts, lists and strings."""
+    assert serialize.dumps(x) == json.dumps(obj_form(x), indent=2, sort_keys=True)
 
 
 # -- the CLI exit-code contract -------------------------------------------
