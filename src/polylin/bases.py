@@ -4,8 +4,8 @@ Supported bases: monomial, degree-graded three-term recurrence, Bernstein,
 and Lagrange (values at distinct nodes).  A basis enters the arithmetic
 only as two constant matrices built in closed form: Phi, whose column k
 holds the monomial coefficients of phi_k, and its inverse.  Conversions
-route through the monomial basis, one product by Phi or Phi^-1 each way;
-everything is exact over Q.
+route through the monomial basis, one product by Phi or Phi^-1 each way
+and none on the monomial side; everything is exact over Q.
 """
 
 from __future__ import annotations
@@ -258,9 +258,10 @@ def from_monomial(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
     """Rewrite a monomial-basis p in the target basis; exact.
 
     The target grade may be anything from the degree of p up: zero blocks
-    are added above the grade of p or dropped above its degree.  Target
-    block k is sum_i (the phi_k coefficient of z^i) * block i, one
-    transform by Phi^-1.
+    are added above the grade of p or dropped above its degree.  A
+    monomial target takes those blocks as they are, with no product; any
+    other target's block k is sum_i (the phi_k coefficient of z^i) *
+    block i, one transform by Phi^-1.
     """
     if not isinstance(p.basis, Monomial):
         raise WrongBasis("from_monomial expects a monomial-basis input")
@@ -270,6 +271,8 @@ def from_monomial(p: MatrixPolynomial, target: BasisSpec) -> MatrixPolynomial:
     if g < src_deg:
         raise GradeTooSmall(f"target grade {g} below degree {src_deg}")
     padded = (list(p.coeffs) + [ConstMatrix.zeros(n, n)] * (g - p.grade))[:g + 1]
+    if isinstance(target, Monomial):
+        return MatrixPolynomial(n, target, padded)
     return MatrixPolynomial(n, target, transform_blocks(_phi_inverse(target), padded))
 
 

@@ -84,57 +84,67 @@ def _canonical(den: int, ints: list[int]) -> tuple[int, list[tuple[int, int]]]:
     return _lowest(den, [(j, x) for j, x in enumerate(ints) if x])
 
 
+def _reduce_rows(rows: list[dict[int, int]], ncols: int, jordan: bool) -> tuple[list[int], int, int]:
+    """Fraction-free row reduction of sparse integer rows, in place, over
+    their first ncols columns.  A row is a dict of its nonzero entries,
+    {column: int}, and only those entries are read or written.
 
-def _reduce_rows(rows: list[list[int]], ncols: int, jordan: bool) -> tuple[list[int], int, int]:
-    """Fraction-free row reduction of integer rows, in place, over their
-    first ncols columns.
+    Columns are taken left to right.  The pivot row of column c is the
+    sparsest of the rows not yet pivot rows that are nonzero in c, the
+    first of them on a tie (Markowitz's rule with the column order fixed,
+    Management Sci. 3, 1957).  A row whose entry f in column c is zero is
+    not touched; any other row not yet a pivot row (and a pivot row too if
+    jordan) becomes (a*row - b*pivot_row) / content, with a =
+    pv/gcd(pv, f), b = f/gcd(pv, f) and content the gcd of the new
+    entries.  A reduced row is then the primitive multiple of the row
+    Bareiss elimination would hold, so no entry outgrows the minors of the
+    input (its Hadamard bound).
 
-    The pivot of column c is the first nonzero entry at or below row r.  A
-    row whose entry f in that column is zero is not touched; any other row
-    below the pivot row (and above it too if jordan) becomes
-    (a*row - b*pivot_row) / content, with a = pv/gcd(pv, f), b = f/gcd(pv, f)
-    and content the gcd of the new entries.  A reduced row is then the
-    primitive multiple of the row Bareiss elimination would hold, so no
-    entry outgrows the minors of the input (its Hadamard bound).
-
-    Returns the pivot columns and (num, den): with jordan False and a
-    square input, det(input) = num/den * the product of the pivots.
+    On return the pivot rows come first, in pivot order, and the others
+    after them in their first order.  Returns the pivot columns and
+    (num, den): with jordan False and a square input, det(input) = num/den
+    * the product of the pivots, num holding the sign of that reordering.
     """
-    m = len(rows)
+    done, rest = [], rows[:]
     pivots = []
     num = den = 1
-    r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
+        hits = [(len(row), i, row) for i, row in enumerate(rest) if c in row]
+        if not hits:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
+        _, k, pr = min(hits)
+        del rest[k]
+        if k % 2:
             num = -num
-        pr = rows[r]
         pv = pr[c]
-        support = [(j, y) for j, y in enumerate(pr) if y]
-        for i in range(0 if jordan else r + 1, m):
-            row = rows[i]
-            f = row[c]
-            if not f or i == r:
-                continue
+        support = [(j, y) for j, y in pr.items() if j != c]
+        targets = [row for _, i, row in hits if i != k]
+        if jordan:
+            targets += [row for row in done if c in row]
+        for row in targets:
+            f = row.pop(c)
             g = math.gcd(pv, f)
             a, b = pv // g, f // g
             if a != 1:
-                row = [a * x for x in row]
                 den *= a
+                for j in row:
+                    row[j] *= a
             for j, y in support:
-                row[j] -= b * y
-            g = math.gcd(*row)
+                x = row.get(j, 0) - b * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = math.gcd(*row.values())
             if g > 1:
-                row = [x // g for x in row]
                 num *= g
-            rows[i] = row
+                for j in row:
+                    row[j] //= g
+        done.append(pr)
         pivots.append(c)
-        r += 1
-        if r == m:
+        if not rest:
             break
+    rows[:] = done + rest
     return pivots, num, den
 
 
@@ -378,15 +388,12 @@ class ConstMatrix(_Matrix):
     def det(self) -> Fraction:
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
-        rows = [[0] * self.cols for _ in range(self.rows)]
-        for row, (_, pairs) in zip(rows, self._form):
-            for j, x in pairs:
-                row[j] = x
+        rows = [dict(pairs) for _, pairs in self._form]
         pivots, num, den = _reduce_rows(rows, self.cols, jordan=False)
         if len(pivots) < self.rows:
             return ZERO
-        for i in range(self.rows):
-            num *= rows[i][i]
+        for i, row in enumerate(rows):
+            num *= row[i]
         return Fraction(num, den * math.prod(d for d, _ in self._form))
 
     def try_inverse(self) -> "ConstMatrix | None":
@@ -408,31 +415,29 @@ def solve_exact(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
 
     Works for rectangular (including overdetermined) systems; free
     variables are set to zero.  Each augmented row [a | b] is put over one
-    denominator from the two row forms and reduced by `_reduce_rows`
-    (Gauss-Jordan), so each pivot row is left with zeros in the other
-    pivot columns and each row of the solution is its own row's right-hand
-    side over the pivot, built as a row form.
+    denominator from the two row forms, as a sparse row, and reduced by
+    `_reduce_rows` (Gauss-Jordan), so each pivot row is left with zeros in
+    the other pivot columns and each row of the solution is its own row's
+    right-hand side over the pivot, built as a row form.  A row left with
+    no pivot is zero in a's columns, so any entry it keeps is in b's.
     """
     if a.rows != b.rows:
         raise DimensionMismatch("solve_exact: row counts differ")
-    m, n, k = a.rows, a.cols, b.cols
+    n = a.cols
     aug = []
     for (da, xs), (db, ys) in zip(a._form, b._form):
         den = math.lcm(da, db)
-        row = [0] * (n + k)
-        for j, x in xs:
-            row[j] = x * (den // da)
-        for j, y in ys:
-            row[n + j] = y * (den // db)
+        ma, mb = den // da, den // db
+        row = {j: x * ma for j, x in xs}
+        row.update((n + j, y * mb) for j, y in ys)
         aug.append(row)
     pivots = _reduce_rows(aug, n, jordan=True)[0]
-    for i in range(len(pivots), m):
-        if any(aug[i][n:]):
-            return None
+    if any(aug[len(pivots):]):
+        return None
     form = [(1, [])] * n
-    for idx, c in enumerate(pivots):
-        form[c] = _canonical(aug[idx][c], aug[idx][n:])
-    return ConstMatrix._from_form(n, k, form)
+    for row, c in zip(aug, pivots):
+        form[c] = _lowest(row[c], sorted((j - n, x) for j, x in row.items() if j >= n))
+    return ConstMatrix._from_form(n, b.cols, form)
 
 
 class PolyMatrix(_Matrix):

@@ -16,9 +16,12 @@ from fractions import Fraction
 from .exact import ConstMatrix, PolyMatrix, is_unimodular, polymatrix_det, polymatrix_mul
 from .poly import POLY_ONE, PolyQ, poly_gcd, sub_mul
 from .bases import (
+    BasisSpec,
     Bernstein,
     MatrixPolynomial,
     Monomial,
+    _phi_inverse,
+    _phi_matrix,
     from_monomial,
     matrix_poly_as_polymatrix,
     to_monomial,
@@ -157,12 +160,17 @@ def _padded_monomial_reversal(p: MatrixPolynomial, grade: int) -> MatrixPolynomi
     return MatrixPolynomial(p.n, Monomial(grade), _padded_monomial(p, grade).coeffs[::-1])
 
 
-def _shifted_reversal(p: MatrixPolynomial) -> MatrixPolynomial:
-    """(z+1)^L P(1/(z+1)) = sum_j A_j (z+1)^(L-j) in monomial coefficients,
-    from the monomial coefficients A_j of P at its grade L."""
+def _shifted_reversal(p: MatrixPolynomial, basis: BasisSpec | None = None) -> MatrixPolynomial:
+    """(z+1)^L P(1/(z+1)) = sum_j A_j (z+1)^(L-j), from the monomial
+    coefficients A_j = (Phi Y)_j of P at its grade L: one transform of P's
+    blocks Y, by T Phi into monomial coefficients, or by Phi^-1 T Phi into
+    `basis` (of grade L), the scalar product formed first."""
     L = p.grade
-    t = ConstMatrix.from_rows([[math.comb(L - j, i) for j in range(L + 1)] for i in range(L + 1)])
-    return MatrixPolynomial(p.n, Monomial(L), transform_blocks(t, to_monomial(p).coeffs))
+    t = ConstMatrix.from_rows(
+        [[math.comb(L - j, i) for j in range(L + 1)] for i in range(L + 1)]) @ _phi_matrix(p.basis)
+    if basis is None:
+        return MatrixPolynomial(p.n, Monomial(L), transform_blocks(t, p.coeffs))
+    return MatrixPolynomial(p.n, basis, transform_blocks(_phi_inverse(basis) @ t, p.coeffs))
 
 
 def _low_unit_inverse(u: PolyQ, modulus: PolyQ | None) -> PolyQ | None:
@@ -341,7 +349,7 @@ def verify_reversal_equivalence(re: ReversalEquivalence, p: MatrixPolynomial) ->
     if not isinstance(p.basis, Bernstein):
         return _falsified("reversal", reason="not a Bernstein polynomial")
     pen_y = build_bernstein_pencil(p)
-    pen_d = build_bernstein_pencil(from_monomial(_shifted_reversal(p), p.basis))
+    pen_d = build_bernstein_pencil(_shifted_reversal(p, p.basis))
     a_mat, b_mat = pen_y.c0, pen_y.c1
     if re.u @ pen_d.c0 != (b_mat - a_mat) @ re.winv:
         return _falsified("reversal", reason="first identity failed")

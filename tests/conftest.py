@@ -5,7 +5,9 @@ here go through recursive cofactor expansion, interpolation through the
 naive product form, reversals through raw monomial-coefficient
 manipulation, and basis polynomials through PolyQ products rather than
 the closed-form matrices Phi and Phi^-1 of `polylin.bases`, and the
-JSON readers through one Fraction per entry.
+JSON readers through one Fraction per entry.  `reference_reduce_rows`
+keeps the dense row reduction the sparse one in `polylin.exact`
+replaced, with the determinant and solve built on it.
 """
 
 import math
@@ -76,6 +78,88 @@ def standard_reversal_coeffs(y: list[ConstMatrix]) -> list[ConstMatrix]:
     t = [[(-1) ** (grade - i) * math.comb(grade - k, grade - i) for i in range(grade + 1)]
          for k in range(grade + 1)]
     return list(transform_blocks(ConstMatrix.from_rows(t), y))
+
+
+def reference_reduce_rows(rows: list[list[int]], ncols: int, jordan: bool):
+    """The dense row reduction exact._reduce_rows once was: full-width
+    integer rows, the pivot of column c the first nonzero entry at or
+    below row r, and every touched row scaled, reduced and divided over
+    its whole width.  Returns the pivot columns and (num, den) as the
+    sparse one does."""
+    m = len(rows)
+    pivots = []
+    num = den = 1
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            num = -num
+        pr = rows[r]
+        pv = pr[c]
+        support = [(j, y) for j, y in enumerate(pr) if y]
+        for i in range(0 if jordan else r + 1, m):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = math.gcd(pv, f)
+            a, b = pv // g, f // g
+            if a != 1:
+                row = [a * x for x in row]
+                den *= a
+            for j, y in support:
+                row[j] -= b * y
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+                num *= g
+            rows[i] = row
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, num, den
+
+
+def integer_rows(m: ConstMatrix) -> tuple[list[list[int]], int]:
+    """Each row of m times its common denominator, as ints, and the
+    product of the denominators."""
+    rows, scale = [], 1
+    for r in m.to_rows():
+        pairs = [x.as_integer_ratio() for x in r]
+        den = math.lcm(*(d for _, d in pairs))
+        rows.append([p * (den // d) for p, d in pairs])
+        scale *= den
+    return rows, scale
+
+
+def reference_det(m: ConstMatrix) -> Fraction:
+    """ConstMatrix.det on `reference_reduce_rows`, as it once was."""
+    rows, scale = integer_rows(m)
+    pivots, num, den = reference_reduce_rows(rows, m.cols, jordan=False)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(num * math.prod(rows[i][i] for i in range(m.rows)), den * scale)
+
+
+def reference_solve(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
+    """solve_exact on `reference_reduce_rows`, as it once was: Gauss-Jordan
+    on the dense augmented rows [a | b], each over one denominator; x = 0
+    in the free variables, None when a row left without a pivot keeps a
+    nonzero right-hand side."""
+    n, k = a.cols, b.cols
+    aug = [integer_rows(ConstMatrix.from_rows([ra + rb]))[0][0]
+           for ra, rb in zip(a.to_rows(), b.to_rows())]
+    pivots = reference_reduce_rows(aug, n, jordan=True)[0]
+    if any(any(row[n:]) for row in aug[len(pivots):]):
+        return None
+    x = [[Fraction(0)] * k for _ in range(n)]
+    for row, c in zip(aug, pivots):
+        x[c] = [Fraction(y, row[c]) for y in row[n:]]
+    return ConstMatrix.from_rows(x) if n else ConstMatrix.zeros(0, k)
 
 
 def rand_nonsingular_const_matrix(rng, n: int) -> ConstMatrix:

@@ -196,6 +196,32 @@ class TestConversions:
         assert q.grade == 4
         assert [c.get(0, 0) for c in q.coeffs] == [F(1), F(2), F(3), F(0), F(0)]
 
+    def test_monomial_target_pads_with_no_transform(self, monkeypatch):
+        """A monomial target adds zero blocks above the grade or drops the
+        zero blocks above the degree, equal to the identity transform
+        Phi^-1 it replaced, and calls no transform_blocks."""
+        rng = random.Random(18)
+        draws = []
+        for n in (1, 2, 3):
+            for grade in range(1, 7):
+                p = rand_matrix_polynomial(rng, Monomial(grade), n)
+                top = rng.randint(0, grade - 1)  # zero the blocks above degree `top`
+                zeros = (ConstMatrix.zeros(n, n),) * (grade - top)
+                draws.append((p, grade + 2))
+                draws.append((MatrixPolynomial(n, Monomial(grade), p.coeffs[:top + 1] + zeros),
+                              max(top, 1)))
+        want = []
+        for p, g in draws:
+            padded = (list(p.coeffs) + [ConstMatrix.zeros(p.n, p.n)] * (g - p.grade))[:g + 1]
+            want.append(transform_blocks(_phi_inverse(Monomial(g)), padded))
+        calls = []
+        monkeypatch.setattr(bases, "transform_blocks", lambda *args: calls.append(args))
+        for (p, g), blocks in zip(draws, want):
+            got = from_monomial(p, Monomial(g))
+            assert got.basis == Monomial(g) and got.coeffs == blocks
+            assert convert(p, Monomial(g)) == got
+        assert calls == []
+
     def test_grade_too_small(self):
         p = MatrixPolynomial.scalar(Monomial(3), [1, 2, 3, 4])
         with pytest.raises(GradeTooSmall):

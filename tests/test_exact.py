@@ -51,7 +51,14 @@ from polylin.randgen import (
     rand_recurrence_spec,
 )
 
-from conftest import basis_polys, cofactor_det
+from conftest import (
+    basis_polys,
+    cofactor_det,
+    integer_rows,
+    reference_det,
+    reference_reduce_rows,
+    reference_solve,
+)
 
 
 def rand_polymatrix(rng, n, max_deg):
@@ -162,18 +169,6 @@ def product_checked_inverse(m):
     if polymatrix_mul(m, result) != PolyMatrix.identity(n):
         raise NotUnimodular("m @ inverse != I")
     return result
-
-
-def integer_rows(m):
-    """Each row of m times its common denominator, as ints, and the
-    product of the denominators."""
-    rows, scale = [], 1
-    for r in m.to_rows():
-        pairs = [x.as_integer_ratio() for x in r]
-        den = math.lcm(*(d for _, d in pairs))
-        rows.append([p * (den // d) for p, d in pairs])
-        scale *= den
-    return rows, scale
 
 
 def bareiss_det(m):
@@ -956,15 +951,155 @@ class TestConstKernels:
                  for zero_share in (0.0, 0.5)]
         draws += kron_draws(rng)[-6:] + companion_draws(rng)[-6:]
         for m in draws:
-            rows = integer_rows(m)[0]
-            bound = hadamard_bound_sq(rows)
+            dense = integer_rows(m)[0]
+            bound = hadamard_bound_sq(dense)
+            rows = [{j: x for j, x in enumerate(r) if x} for r in dense]
             exact._reduce_rows(rows, m.cols, jordan)
-            assert max(x * x for r in rows for x in r) <= bound
+            assert max(x * x for r in rows for x in r.values()) <= bound
 
     def test_transpose(self):
         m = ConstMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.transpose() == ConstMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
         assert ConstMatrix.zeros(0, 3).transpose() == ConstMatrix.zeros(3, 0)
+
+
+def unit_upper(t, s, n):
+    """[[I_n, t], [0, s (x) I_n]], the shape of the Bernstein strict and
+    reversal U."""
+    top = t.to_rows()
+    return ConstMatrix.from_rows(
+        [[F(int(i == j)) for j in range(n)] + top[i] for i in range(n)]
+        + [[F(0)] * n + r for r in s.kron_identity(n).to_rows()])
+
+
+def unit_upper_draws(rng):
+    """unit_upper with s dense, sparse or singular (rank below its size)."""
+    draws = []
+    for n in (1, 2, 3):
+        for size in (2, 4, 6):
+            for zero_share in (0.0, 0.6):
+                t = rand_const(rng, n, size * n, zero_share)
+                draws.append(unit_upper(t, rand_const(rng, size, size, zero_share), n))
+            low = fraction_matmul(rand_const(rng, size, size - 1), rand_const(rng, size - 1, size))
+            draws.append(unit_upper(rand_const(rng, n, size * n), low, n))
+    return draws
+
+
+def permuted_triangular(rng, size, zero_diagonal=False):
+    """An upper triangular matrix with its rows and columns permuted, and
+    its determinant from the diagonal and the two permutation signs."""
+    diag = [F(0) if zero_diagonal and k == size // 2 else
+            F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for k in range(size)]
+    tri = [[diag[i] if i == j else rand_const(rng, 1, 1, 0.4).get(0, 0) if j > i else F(0)
+            for j in range(size)] for i in range(size)]
+    rp, cp = rng.sample(range(size), size), rng.sample(range(size), size)
+
+    def sign(perm):
+        return (-1) ** sum(1 for i in range(size) for j in range(i) if perm[j] > perm[i])
+
+    m = ConstMatrix.from_rows([[tri[rp[i]][cp[j]] for j in range(size)] for i in range(size)])
+    return m, sign(rp) * sign(cp) * math.prod(diag)
+
+
+class TestSparseReduction:
+    """ConstMatrix.det, try_inverse and solve_exact on sparse rows, against
+    the dense reduction they replaced (conftest.reference_*) and against
+    bareiss_det and fraction_solve."""
+
+    @staticmethod
+    def square_draws(rng):
+        draws = [rand_const(rng, n, n, zero_share)
+                 for n in range(1, 10) for zero_share in (0.0, 0.5, 0.85)]
+        draws += [fraction_matmul(rand_const(rng, n, rank), rand_const(rng, rank, n))
+                  for n in range(2, 8) for rank in (0, n // 2, n - 1)]
+        draws += kron_draws(rng) + companion_draws(rng) + unit_upper_draws(rng)
+        draws += [permuted_triangular(rng, size, zero)[0]
+                  for size in range(1, 9) for zero in (False, True)]
+        return draws
+
+    @staticmethod
+    def rectangular_draws(rng):
+        draws = [rand_const(rng, rows, cols, zero_share)
+                 for rows, cols in ((2, 5), (5, 2), (3, 7), (7, 3), (1, 4), (4, 1))
+                 for zero_share in (0.0, 0.6)]
+        draws += [fraction_matmul(rand_const(rng, rows, rank), rand_const(rng, rank, cols))
+                  for rows, cols in ((4, 6), (6, 4), (5, 5)) for rank in (1, 2, 3)]
+        draws += [ConstMatrix.from_rows(m.to_rows() + m.to_rows()[:2]) for m in kron_draws(rng)[:8]]
+        return draws
+
+    def test_det_matches_references(self):
+        rng = random.Random(120)
+        singular = 0
+        for m in self.square_draws(rng):
+            got = m.det()
+            assert got == reference_det(m) == bareiss_det(m)
+            singular += got == 0
+        assert singular > 30
+
+    def test_permuted_triangular_sign(self):
+        rng = random.Random(121)
+        signs = set()
+        for size in range(1, 11):
+            for zero in (False, True):
+                for _ in range(4):
+                    m, want = permuted_triangular(rng, size, zero)
+                    assert m.det() == want == reference_det(m)
+                    signs.add((want > 0) - (want < 0))
+        assert signs == {-1, 0, 1}
+
+    def test_inverse_matches_references(self):
+        rng = random.Random(122)
+        invertible = 0
+        for m in self.square_draws(rng):
+            eye = ConstMatrix.identity(m.rows)
+            got = m.try_inverse()
+            assert got == reference_solve(m, eye) == fraction_solve(m, eye)
+            invertible += got is not None
+        assert invertible > 80
+
+    def test_solve_matches_references(self):
+        # consistent right-hand sides (a @ x) and random ones, which are
+        # mostly inconsistent when a is rank deficient or tall
+        rng = random.Random(123)
+        outcomes = {"solved": 0, "none": 0}
+        for a in self.square_draws(rng) + self.rectangular_draws(rng):
+            for b in (fraction_matmul(a, rand_const(rng, a.cols, 2)), rand_const(rng, a.rows, 2)):
+                got = exact.solve_exact(a, b)
+                assert got == reference_solve(a, b) == fraction_solve(a, b)
+                if got is None:
+                    outcomes["none"] += 1
+                else:
+                    outcomes["solved"] += 1
+                    assert fraction_matmul(a, got) == b
+        assert min(outcomes.values()) > 40
+
+    def test_rows_keep_only_nonzero_entries(self):
+        # every row stays a dict of nonzero entries, and the pivot rows come
+        # first: in a determinant each is zero left of its pivot, in a solve
+        # each is zero in the other pivot columns
+        rng = random.Random(124)
+        for m in self.square_draws(rng)[::3] + self.rectangular_draws(rng):
+            for jordan in (False, True):
+                rows = [dict(pairs) for _, pairs in m._form]
+                pivots = exact._reduce_rows(rows, m.cols, jordan)[0]
+                want = reference_reduce_rows(integer_rows(m)[0], m.cols, jordan)[0]
+                assert pivots == want
+                assert all(x for row in rows for x in row.values())
+                for k, (row, c) in enumerate(zip(rows, pivots)):
+                    others = pivots if jordan else pivots[:k]
+                    assert c in row and not any(j in row for j in others if j != c)
+                assert not any(j < m.cols for row in rows[len(pivots):] for j in row)
+
+    def test_pivot_row_is_the_sparsest(self):
+        # column 0: rows 1 and 3 are its sparsest rows and row 1 comes
+        # first, so row 1 is the first pivot row, moved up past one row and
+        # left as it was; the determinant of rows 0-2 keeps that sign change
+        rows = [{0: 2, 1: 1, 2: 1}, {0: 3, 2: 5}, {1: 4}, {0: 1, 1: 7}]
+        reduced = [dict(r) for r in rows]
+        assert exact._reduce_rows(reduced, 3, jordan=False)[0] == [0, 1, 2]
+        assert reduced[0] == {0: 3, 2: 5}
+        square = ConstMatrix.from_rows([[r.get(j, 0) for j in range(3)] for r in rows[:3]])
+        assert square.det() == reference_det(square) == bareiss_det(square) == -28
 
 
 class TestRowForm:

@@ -26,12 +26,14 @@ from polylin import (
 )
 from polylin.equivalence import (
     CofactorPair,
+    ReversalEquivalence,
     StrictEquivalence,
+    bernstein_reversal_equivalence,
     bernstein_strict_equivalence,
     lagrange_strict_equivalence,
     monomial_cofactors,
 )
-from polylin.bases import matrix_poly_as_polymatrix
+from polylin.bases import _phi_inverse, from_monomial, matrix_poly_as_polymatrix, transform_blocks
 from polylin.exact import polymatrix_mul
 from polylin.pencils import (
     Pencil,
@@ -117,6 +119,126 @@ def test_padded_monomial_pads_with_zero_blocks():
                 zero = ConstMatrix.zeros(p.n, p.n)
                 assert got.basis == Monomial(grade + extra)
                 assert got.coeffs == to_monomial(p).coeffs + (zero,) * extra
+
+
+def shift_matrix(L):
+    """T(i, j) = C(L-j, i): the monomial coefficients A_j to those of
+    sum_j A_j (z+1)^(L-j)."""
+    return ConstMatrix.from_rows([[math.comb(L - j, i) for j in range(L + 1)]
+                                  for i in range(L + 1)])
+
+
+def stepwise_shifted_reversal(p, basis=None):
+    """The reversal target by one transform a step, as it once was: Phi
+    (to_monomial), then T, then Phi^-1 (from_monomial) into `basis`."""
+    L = p.grade
+    mono = MatrixPolynomial(p.n, Monomial(L), transform_blocks(shift_matrix(L), to_monomial(p).coeffs))
+    return mono if basis is None else from_monomial(mono, basis)
+
+
+def stepwise_padded_monomial(p, grade):
+    """P in monomial coefficients at the grade, as it once was: the padded
+    blocks through the identity transform Phi^-1 of the monomial basis."""
+    mono = to_monomial(p)
+    padded = (list(mono.coeffs) + [ConstMatrix.zeros(p.n, p.n)] * (grade - p.grade))[:grade + 1]
+    return MatrixPolynomial(p.n, Monomial(grade),
+                            transform_blocks(_phi_inverse(Monomial(grade)), padded))
+
+
+def bernstein_draws(rng):
+    """Bernstein P at L 2-12 and n 1-3; about one block in four zero and
+    one in four singular."""
+    draws = []
+    for L in range(2, 13):
+        for n in (1, 2, 3):
+            blocks = []
+            for _ in range(L + 1):
+                pick = rng.random()
+                if pick < 0.25:
+                    blocks.append(ConstMatrix.zeros(n, n))
+                elif pick < 0.5:
+                    v, w = rand_const_matrix(rng, n), rand_fraction(rng)
+                    rows = v.to_rows()
+                    rows[-1] = [w * x for x in rows[0]]
+                    blocks.append(ConstMatrix.from_rows(rows))
+                else:
+                    blocks.append(rand_const_matrix(rng, n))
+            draws.append(MatrixPolynomial(n, Bernstein(L), tuple(blocks)))
+    return draws
+
+
+class TestOneTransformTargets:
+    """Each verifier target is one transform of P's blocks; the stepwise
+    targets it replaced are the oracles."""
+
+    def test_shifted_reversal_matches_the_stepwise_target(self):
+        rng = random.Random(130)
+        for p in bernstein_draws(rng):
+            assert verify._shifted_reversal(p) == stepwise_shifted_reversal(p)
+            got = verify._shifted_reversal(p, p.basis)
+            assert got == stepwise_shifted_reversal(p, p.basis)
+            assert got.basis == p.basis
+
+    def test_padded_monomial_matches_the_identity_transform(self):
+        rng = random.Random(131)
+        for p in bernstein_draws(rng)[::2]:
+            for extra in (0, 1, 2):
+                got = verify._padded_monomial(p, p.grade + extra)
+                assert got == stepwise_padded_monomial(p, p.grade + extra)
+
+    def test_reversal_check_makes_one_transform(self, monkeypatch):
+        rng = random.Random(132)
+        p = rand_matrix_polynomial(rng, Bernstein(5), 2)
+        re = bernstein_reversal_equivalence(list(p.coeffs))
+        shapes = []
+        real = verify.transform_blocks
+
+        def spy(t, blocks):
+            shapes.append((t.rows, t.cols))
+            return real(t, blocks)
+
+        monkeypatch.setattr(verify, "transform_blocks", spy)
+        assert verify.verify_reversal_equivalence(re, p).ok
+        assert shapes == [(6, 6)]
+
+    @pytest.mark.parametrize("change", [same_lcm, new_denominator])
+    def test_one_entry_of_reversal_u_changed(self, change, monkeypatch):
+        # refused, and for the reason the stepwise target gave
+        rng = random.Random(133)
+        for L, n in ((3, 2), (5, 1), (4, 3)):
+            p = rand_matrix_polynomial(rng, Bernstein(L), n)
+            re = bernstein_reversal_equivalence(list(p.coeffs))
+            assert verify.verify_reversal_equivalence(re, p).ok
+            for i in range(re.u.rows):
+                bad = ReversalEquivalence(perturb_in_row_form(re.u, i, change), re.winv)
+                got = verify.verify_reversal_equivalence(bad, p)
+                with monkeypatch.context() as m:
+                    m.setattr(verify, "_shifted_reversal", stepwise_shifted_reversal)
+                    want = verify.verify_reversal_equivalence(bad, p)
+                assert not got.ok and got.counterexample == want.counterexample
+                assert got.counterexample["reason"] in ("first identity failed",
+                                                        "second identity failed")
+
+    @pytest.mark.parametrize("change", [same_lcm, new_denominator])
+    def test_one_entry_of_strict_w_changed(self, change, monkeypatch):
+        # refused, and for the reason the identity-transform target gave
+        rng = random.Random(134)
+        for p in (rand_matrix_polynomial(rng, Bernstein(4), 2),
+                  rand_matrix_polynomial(rng, Lagrange(3, rand_nodes(rng, 4)), 2)):
+            se = (bernstein_strict_equivalence(p) if isinstance(p.basis, Bernstein)
+                  else lagrange_strict_equivalence(p))
+            source = build_pencil(p)
+            assert verify_strict(se, source, p).ok
+            reasons = set()
+            for i in range(se.w.rows):
+                bad = StrictEquivalence(se.u, perturb_in_row_form(se.w, i, change))
+                got = verify_strict(bad, source, p)
+                with monkeypatch.context() as m:
+                    m.setattr(verify, "_padded_monomial", stepwise_padded_monomial)
+                    want = verify_strict(bad, source, p)
+                assert not got.ok and got.counterexample == want.counterexample
+                reasons.add(got.counterexample["reason"])
+            assert "z-coefficient identity failed" in reasons
 
 
 class TestCompanion:
