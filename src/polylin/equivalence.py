@@ -44,10 +44,15 @@ from .pencils import Pencil
 
 @dataclass(frozen=True)
 class CofactorPair:
-    """Unimodular E, F with E @ L @ F = diag(P, I, ..., I)."""
+    """Unimodular E, F with E @ L @ F = diag(P, I, ..., I).
+
+    e_inv, when given, is a claimed inverse of E that the verifier may
+    check to prove E unimodular; it is not part of the printed
+    certificate."""
 
     e: PolyMatrix
     f: PolyMatrix
+    e_inv: PolyMatrix | None = None
 
 
 @dataclass(frozen=True)
@@ -292,7 +297,10 @@ def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil) -> CofactorPair:
 
     E = diag(corner_factor, I, ..., I) @ SIP @ Uinv^{-1}; F first clears the
     off-corner entries of H's last block column, then applies the SIP block
-    permutation that moves the corner to position (1, 1).
+    permutation that moves the corner to position (1, 1).  The pair carries
+    E^{-1} = Uinv @ SIP @ diag(corner_factor^{-1}, I, ..., I): Uinv with its
+    block columns in reverse order, the new first one times
+    corner_factor^{-1} (no E^{-1} when corner_factor is singular).
     """
     n = pencil.n
     m = pencil.block_count
@@ -302,15 +310,24 @@ def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil) -> CofactorPair:
         raise ConjectureFailure("triangular factor U^(-1) is not unimodular") from None
     u_rows = u.to_rows()  # SIP @ U is U with its block rows in reverse order
     e_rows = [row for i in reversed(range(m)) for row in u_rows[i * n:(i + 1) * n]]
-    if ha.corner_factor != ConstMatrix.identity(n):
+    x_rows = [[x for j in reversed(range(m)) for x in row[j * n:(j + 1) * n]]
+              for row in ha.uinv.to_rows()]  # Uinv @ SIP
+    c_inv = ConstMatrix.identity(n)
+    if ha.corner_factor != c_inv:
         top = polymatrix_mul(PolyMatrix.from_const(ha.corner_factor),
                              PolyMatrix.from_rows(e_rows[:n]))
         e_rows[:n] = top.to_rows()
+        c_inv = ha.corner_factor.try_inverse()
+        if c_inv is not None:
+            first = polymatrix_mul(PolyMatrix.from_rows([row[:n] for row in x_rows]),
+                                   PolyMatrix.from_const(c_inv))
+            x_rows = [head + row[n:] for head, row in zip(first.to_rows(), x_rows)]
     eye = PolyMatrix.identity(n)
     f_col = [-ha.h.block(i, m - 1, n) for i in range(m - 1)] + [eye]
     f_grid = [[f_col[i]] + [eye if i + j == m - 1 else None for j in range(1, m)]
               for i in range(m)]
-    return CofactorPair(PolyMatrix.from_rows(e_rows), PolyMatrix.from_blocks(f_grid, n))
+    return CofactorPair(PolyMatrix.from_rows(e_rows), PolyMatrix.from_blocks(f_grid, n),
+                        None if c_inv is None else PolyMatrix.from_rows(x_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -705,6 +705,45 @@ def is_unimodular(m: PolyMatrix) -> tuple[bool, Fraction | None]:
     return False, None
 
 
+def unit_by_inverse(m: PolyMatrix, x: PolyMatrix) -> Fraction | None:
+    """det(m) when x @ m = I, which proves m unimodular; None otherwise.
+
+    det(x) det(m) = 1 in Q[z] forces det(m) to be a constant, so it is
+    det(m(0)): one integer Bareiss determinant of the constant terms of
+    m's rows, each row put over one denominator once, over the product
+    of those denominators.  The product is checked entry by entry on the
+    same integer forms, each row of x times the rows of m its nonzero
+    entries pick, and the check stops at the first entry that differs
+    from the identity's.
+    """
+    n = m.rows
+    if not (m.is_square and x.is_square and x.rows == n):
+        return None
+    mrows = [_integer_coeffs(m.row(k)) for k in range(n)]
+    for i in range(n):
+        ints, dx = _integer_coeffs(x.row(i))
+        terms = [(k, xs) for k, xs in enumerate(ints) if xs]
+        ell = math.lcm(*(mrows[k][1] for k, _ in terms))
+        terms = [(mrows[k][0], [c * (ell // mrows[k][1]) for c in xs]) for k, xs in terms]
+        for j in range(n):
+            acc = []
+            for polys, xs in terms:
+                ys = polys[j]
+                if not ys:
+                    continue
+                if len(acc) < len(xs) + len(ys) - 1:
+                    acc.extend([0] * (len(xs) + len(ys) - 1 - len(acc)))
+                for s, cx in enumerate(xs):
+                    if cx:
+                        for t, cy in enumerate(ys, s):
+                            acc[t] += cx * cy
+            want = dx * ell if i == j else 0
+            if (acc[0] if acc else 0) != want or any(acc[1:]):
+                return None
+    det = _bareiss_int([[ys[0] if ys else 0 for ys in polys] for polys, _ in mrows])
+    return Fraction(det, math.prod(den for _, den in mrows))
+
+
 def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
     """Exact inverse of a unimodular polynomial matrix, by z-adic lifting.
 

@@ -4,7 +4,9 @@ Each verifier recomputes what it needs from the pencil's constant pair and
 the coefficient list; none of them reuses the formulas in `equivalence`,
 so a bug there cannot silently confirm itself here.  The constructors in
 `equivalence` check nothing themselves: these verifiers are the only place
-a certificate is checked.
+a certificate is checked.  A claimed inverse that a certificate carries
+(`CofactorPair.e_inv`) is checked here like the rest of it, and only
+saves a determinant.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ConstMatrix, PolyMatrix, is_unimodular, polymatrix_det, polymatrix_mul
+from .exact import (
+    ConstMatrix,
+    PolyMatrix,
+    is_unimodular,
+    polymatrix_det,
+    polymatrix_mul,
+    unit_by_inverse,
+)
 from .poly import POLY_ONE, PolyQ, poly_gcd, sub_mul
 from .bases import (
     BasisSpec,
@@ -97,7 +106,12 @@ def verify_companion(pencil: Pencil, p: MatrixPolynomial) -> Verdict:
 
 def verify_linearization(pencil: Pencil, p: MatrixPolynomial,
                          cof: CofactorPair) -> Verdict:
-    """E @ L @ F must equal diag(P, I, ..., I) with E, F unimodular."""
+    """E @ L @ F must equal diag(P, I, ..., I) with E, F unimodular.
+
+    E is proved unimodular by `unit_by_inverse` when the pair carries a
+    claimed inverse that passes it, and by `is_unimodular` otherwise; F
+    always by `is_unimodular`.  A wrong inverse only costs the determinant,
+    so the verdict does not depend on it."""
     n = pencil.n
     target = diag_with_identity(matrix_poly_as_polymatrix(p), pencil.block_count)
     product = polymatrix_mul(polymatrix_mul(cof.e, pencil.as_polymatrix()), cof.f)
@@ -106,9 +120,11 @@ def verify_linearization(pencil: Pencil, p: MatrixPolynomial,
             for bj in range(pencil.block_count):
                 if product.block(bi, bj, n) != target.block(bi, bj, n):
                     return _falsified("linearization", first_differing_block=(bi, bj))
-    ok_e, unit_e = is_unimodular(cof.e)
-    if not ok_e:
-        return _falsified("linearization", reason="E not unimodular")
+    unit_e = None if cof.e_inv is None else unit_by_inverse(cof.e, cof.e_inv)
+    if unit_e is None:
+        ok_e, unit_e = is_unimodular(cof.e)
+        if not ok_e:
+            return _falsified("linearization", reason="E not unimodular")
     ok_f, unit_f = is_unimodular(cof.f)
     if not ok_f:
         return _falsified("linearization", reason="F not unimodular")

@@ -754,13 +754,15 @@ GOLDEN_FALSIFIED = [
 
 
 def _swap_factors(monkeypatch, constructor):
-    """Make equivalence.<constructor> return its two factors swapped."""
+    """Make equivalence.<constructor> return its two factors swapped; any
+    further field (a cofactor pair's E^-1) is kept as it was."""
     original = getattr(equivalence, constructor)
 
     def swapped(*args):
         cert = original(*args)
-        first, second = (getattr(cert, f.name) for f in dataclasses.fields(cert))
-        return type(cert)(second, first)
+        first, second = (f.name for f in dataclasses.fields(cert)[:2])
+        return dataclasses.replace(cert, **{first: getattr(cert, second),
+                                            second: getattr(cert, first)})
 
     monkeypatch.setattr(equivalence, constructor, swapped)
 

@@ -33,6 +33,7 @@ from polylin.exact import (
     polymatrix_inverse_unimodular,
     polymatrix_mul,
     sub_mul,
+    unit_by_inverse,
 )
 from polylin.pencils import (
     build_bernstein_pencil,
@@ -702,6 +703,85 @@ class TestUnimodular:
         u = polymatrix_inverse_unimodular(uinv)
         assert polymatrix_mul(uinv, u) == PolyMatrix.identity(5)
         assert u == PolyMatrix.from_const(se.u)
+
+
+def unimodular_draws(rng):
+    """(m, m^-1) for products of unit upper- and lower-triangular matrices
+    with linear entries, the first row scaled by a nonzero constant so
+    that det m is not always 1, at sizes 1-5."""
+    for n in range(1, 6):
+        up = PolyMatrix.identity(n).to_rows()
+        lo = PolyMatrix.identity(n).to_rows()
+        for i in range(n):
+            for j in range(i + 1, n):
+                up[i][j] = PolyQ([rand_fraction(rng), rand_fraction(rng)])
+                lo[j][i] = PolyQ([rand_fraction(rng), rand_fraction(rng)])
+        c = rand_fraction(rng, nonzero=True)
+        up[0] = [e.scale(c) for e in up[0]]
+        m = polymatrix_mul(PolyMatrix.from_rows(up), PolyMatrix.from_rows(lo))
+        yield m, polymatrix_inverse_unimodular(m)
+
+
+def with_entry(m, i, j, e):
+    rows = m.to_rows()
+    rows[i][j] = e
+    return PolyMatrix.from_rows(rows)
+
+
+class TestUnitByInverse:
+    def test_matches_the_determinant(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            for m, x in unimodular_draws(rng):
+                assert unit_by_inverse(m, x) == is_unimodular(m)[1]
+                assert unit_by_inverse(x, m) == is_unimodular(x)[1]
+
+    def test_wrong_witnesses_give_none(self):
+        """One entry changed, a zero row, c * m^-1 with c != 1 and a wrong
+        shape: each makes x @ m differ from I, or the shapes not fit."""
+        rng = random.Random(32)
+        for m, x in unimodular_draws(rng):
+            n = m.rows
+            i, j = rng.randrange(n), rng.randrange(n)
+            zero_row = x.to_rows()
+            zero_row[i] = [PolyQ.zero()] * n
+            bad = [
+                with_entry(x, i, j, x.get(i, j) + PolyQ([rand_fraction(rng, nonzero=True)])),
+                with_entry(x, i, j, x.get(i, j) + PolyQ.monomial(3)),
+                PolyMatrix.from_rows(zero_row),
+                x.scale(2),
+                x.scale(-1),
+                PolyMatrix.identity(n + 1),
+                PolyMatrix.zeros(n, n + 1),
+            ]
+            for w in bad:
+                assert unit_by_inverse(m, w) is None
+            assert unit_by_inverse(PolyMatrix.zeros(n, n + 1), PolyMatrix.identity(n)) is None
+
+    def test_polynomial_determinant_is_never_proved(self):
+        m = PolyMatrix.from_rows([[PolyQ([-2, 1])]])  # det z - 2
+        for w in ([1], [F(-1, 2)], [2, 1], [0]):
+            assert unit_by_inverse(m, PolyMatrix.from_rows([[PolyQ(w)]])) is None
+
+    def test_empty(self):
+        assert unit_by_inverse(PolyMatrix.zeros(0, 0), PolyMatrix.zeros(0, 0)) == 1
+
+    def test_makes_no_polyq(self, monkeypatch):
+        calls = []
+
+        def spy(real):
+            def wrapped(*args, **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
+            return wrapped
+
+        triples = [(m, x, x.scale(2)) for m, x in unimodular_draws(random.Random(33))]
+        monkeypatch.setattr(PolyQ, "__init__", spy(PolyQ.__init__))
+        monkeypatch.setattr(poly, "_from_form", spy(poly._from_form))
+        for m, x, twice in triples:
+            assert unit_by_inverse(m, x) is not None
+            assert unit_by_inverse(m, twice) is None
+        assert calls == []
 
 
 class TestConstMatrix:

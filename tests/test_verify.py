@@ -1,6 +1,7 @@
 """The verification engine, including negative controls."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,13 +29,18 @@ from polylin.equivalence import (
     CofactorPair,
     ReversalEquivalence,
     StrictEquivalence,
+    assemble_cofactors,
+    bernstein_hermite_analogue,
     bernstein_reversal_equivalence,
     bernstein_strict_equivalence,
+    lagrange_hermite_factors,
     lagrange_strict_equivalence,
     monomial_cofactors,
+    recurrence_hermite_analogue,
 )
+from polylin.errors import PreconditionError
 from polylin.bases import _phi_inverse, from_monomial, matrix_poly_as_polymatrix, transform_blocks
-from polylin.exact import polymatrix_mul
+from polylin.exact import is_unimodular, polymatrix_mul, unit_by_inverse
 from polylin.pencils import (
     Pencil,
     build_bernstein_pencil,
@@ -303,15 +309,154 @@ class TestLinearization:
         # E @ L @ F = diag(P, I) with det P != 0 does not force det E to be
         # constant: with L = 1 (C1 = [0], C0 = [-1]), E = [z - 2] and
         # F = [1], E @ L @ F = z - 2 = P.  A shortcut that reads the units
-        # off E(0) and F(0) also needs det L = c det P.
+        # off E(0) and F(0) also needs det L = c det P.  No claimed E^-1
+        # gets it accepted either.
         p = MatrixPolynomial.scalar(Monomial(1), [-2, 1])
         pen = Pencil(ConstMatrix.from_rows([[0]]), ConstMatrix.from_rows([[-1]]), 1, 1, "monomial")
         cof = CofactorPair(PolyMatrix.from_rows([[PolyQ([-2, 1])]]), PolyMatrix.identity(1))
         assert polymatrix_mul(polymatrix_mul(cof.e, pen.as_polymatrix()), cof.f) == \
             matrix_poly_as_polymatrix(p)
-        verdict = verify_linearization(pen, p, cof)
-        assert not verdict.ok
-        assert verdict.counterexample == {"reason": "E not unimodular"}
+        witnesses = [None, PolyMatrix.identity(1), PolyMatrix.identity(2), PolyMatrix.zeros(1, 1)]
+        witnesses += [PolyMatrix.from_rows([[PolyQ(w)]]) for w in ([F(-1, 2)], [2, 1], [-2, 1])]
+        for w in witnesses:
+            verdict = verify_linearization(pen, p, dataclasses.replace(cof, e_inv=w))
+            assert not verdict.ok
+            assert verdict.counterexample == {"reason": "E not unimodular"}
+
+
+TRIANGULAR = {"recurrence": recurrence_hermite_analogue,
+              "bernstein": bernstein_hermite_analogue,
+              "lagrange": lagrange_hermite_factors}
+
+
+def triangular_certificate(p):
+    """(pencil, factorization, cofactor pair) of a triangular route, or None
+    when p fails the route's precondition."""
+    pen = build_pencil(p)
+    try:
+        ha = TRIANGULAR[p.basis.kind](p, pen)
+    except PreconditionError:
+        return None
+    return pen, ha, assemble_cofactors(ha, pen)
+
+
+def verdict_key(verdict):
+    return verdict.ok, verdict.constant, verdict.factor_dets, verdict.counterexample
+
+
+def assert_witness_agrees(pen, p, cof):
+    """E^-1 is exact, the unit it proves is det E, and the verdict is the
+    one the determinant alone gives."""
+    assert polymatrix_mul(cof.e_inv, cof.e) == PolyMatrix.identity(cof.e.rows)
+    assert unit_by_inverse(cof.e, cof.e_inv) == is_unimodular(cof.e)[1]
+    assert verdict_key(verify_linearization(pen, p, cof)) == \
+        verdict_key(verify_linearization(pen, p, dataclasses.replace(cof, e_inv=None)))
+
+
+class TestInverseWitness:
+    """The triangular routes carry E^-1; the determinant path is the oracle."""
+
+    def test_random_draws_match_the_determinant(self):
+        rng = random.Random(95)
+        checked, corners = 0, 0
+        while checked < 210:
+            kind = ("recurrence", "bernstein", "lagrange")[checked % 3]
+            grade = rng.randint(1 if kind == "lagrange" else 2, 6)
+            n = rng.randint(1, 3)
+            while n * (grade + 2 if kind == "lagrange" else grade) > 16:  # bounds the time
+                n -= 1
+            p = rand_matrix_polynomial(rng, rand_basis(rng, kind, grade), n)
+            made = triangular_certificate(p)
+            if made is None:
+                continue
+            pen, ha, cof = made
+            corners += ha.corner_factor != ConstMatrix.identity(n)
+            assert_witness_agrees(pen, p, cof)
+            checked += 1
+        assert corners >= 60
+
+    def test_certify_large_catalog(self):
+        sys.path.insert(0, str(BENCH))
+        try:
+            from workloads import VARIANTS, WORKLOADS, instance
+        finally:
+            sys.path.remove(str(BENCH))
+        slots = WORKLOADS["certify-large"]
+        checked = 0
+        for i, slot in enumerate(slots):
+            if slot.basis not in TRIANGULAR:
+                continue
+            for v in range(VARIANTS):
+                p = serialize.parse_matrix_polynomial(instance("certify-large", i, slot, v))
+                made = triangular_certificate(p)
+                if made is not None:
+                    assert_witness_agrees(made[0], p, made[2])
+                    checked += 1
+        assert checked >= 24
+
+    def test_wrong_witnesses_fall_back_to_the_determinant(self):
+        rng = random.Random(96)
+        checked = 0
+        for kind in ("recurrence", "bernstein", "lagrange") * 4:
+            p = rand_matrix_polynomial(rng, rand_basis(rng, kind, rng.randint(2, 3)), 2)
+            made = triangular_certificate(p)
+            if made is None:
+                continue
+            pen, _, cof = made
+            x = cof.e_inv
+            size = x.rows
+            i, j = rng.randrange(size), rng.randrange(size)
+            changed = x.to_rows()
+            changed[i][j] = changed[i][j] + PolyQ([1])
+            zero_row = x.to_rows()
+            zero_row[i] = [PolyQ.zero()] * size
+            want = verdict_key(verify_linearization(pen, p, dataclasses.replace(cof, e_inv=None)))
+            for bad in (PolyMatrix.from_rows(changed), PolyMatrix.from_rows(zero_row),
+                        x.scale(3), PolyMatrix.identity(size + 1)):
+                assert unit_by_inverse(cof.e, bad) is None
+                assert verdict_key(verify_linearization(pen, p, dataclasses.replace(cof, e_inv=bad))) \
+                    == want
+            checked += 1
+        assert checked >= 6
+
+    def test_singular_corner_factor_carries_no_witness(self):
+        rng = random.Random(98)
+        p = rand_matrix_polynomial(rng, rand_basis(rng, "recurrence", 3), 2)
+        pen, ha, _ = triangular_certificate(p)
+        cof = assemble_cofactors(dataclasses.replace(ha, corner_factor=ConstMatrix.zeros(2, 2)), pen)
+        assert cof.e_inv is None
+        assert not verify_linearization(pen, p, cof).ok
+
+    def test_one_determinant_per_triangular_certificate(self, monkeypatch):
+        """Only F goes through is_unimodular on a triangular route, so the
+        fast path for E cannot quietly disappear; the monomial route keeps
+        both determinants."""
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return is_unimodular(m)
+
+        monkeypatch.setattr(verify, "is_unimodular", counted)
+        rng = random.Random(97)
+        checked = 0
+        for kind in ("recurrence", "bernstein", "lagrange") * 3:
+            p = rand_matrix_polynomial(rng, rand_basis(rng, kind, 3), 2)
+            made = triangular_certificate(p)
+            if made is None:
+                continue
+            pen, _, cof = made
+            calls.clear()
+            assert verify_linearization(pen, p, cof).ok
+            assert calls == [cof.f]
+            checked += 1
+        assert checked >= 6
+        p = rand_matrix_polynomial(rng, Monomial(3), 2)
+        cof = monomial_cofactors(p)
+        assert cof.e_inv is None
+        calls.clear()
+        assert verify_linearization(build_monomial_pencil(p), p, cof).ok
+        assert calls == [cof.e, cof.f]
 
 
 class TestStrict:
