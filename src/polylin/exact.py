@@ -523,47 +523,63 @@ def _integer_coeffs(polys) -> tuple[list, int]:
             for p in polys], den
 
 
-def polymatrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Exact product of polynomial matrices.
-
-    Each row of a and each column of b is put over one denominator once;
-    the products accumulate on ints and each entry is brought to canonical
-    form by one gcd.  An entry's grade is the largest x.grade + y.grade
-    over its nonzero terms (0 when there are none), as summing the PolyQ
-    products would give.
-    """
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    arows = []
-    for i in range(a.rows):
-        row = a.row(i)
+def _int_rows(m: PolyMatrix) -> list[tuple[int, list]]:
+    """Each row of m over one denominator d, as (d, [(j, ints, grade)])
+    over its nonzero entries, entry j's ints being its coefficients times d."""
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
         ints, den = _integer_coeffs(row)
-        arows.append(([(k, x, e.grade) for k, (x, e) in enumerate(zip(ints, row)) if x], den))
-    bcols = []
-    for j in range(b.cols):
-        col = b.entries[j::b.cols]
-        ints, den = _integer_coeffs(col)
-        bcols.append(([(y, e.grade) for y, e in zip(ints, col)], den))
-    zero = PolyQ.zero()
-    out = []
-    for xs, da in arows:
-        for ys, db in bcols:
-            acc = []
-            grade = 0
-            for k, x, gx in xs:
-                y, gy = ys[k]
-                if not y:
-                    continue
-                if gx + gy > grade:
-                    grade = gx + gy
-                if len(acc) < len(x) + len(y) - 1:
-                    acc.extend([0] * (len(x) + len(y) - 1 - len(acc)))
-                for s, cx in enumerate(x):
+        rows.append((den, [(j, xs, e.grade) for j, (xs, e) in enumerate(zip(ints, row)) if xs]))
+    return rows
+
+
+def _row_products(arows, brows, cols: int):
+    """The integer rows of a @ b, one at a time, from those of a and of b
+    (b of cols columns): each row of a times the rows of b that its nonzero
+    entries pick, over the lcm of their denominators, on ints in one flat
+    list, a slot of fixed width per entry.  An entry's grade is the largest
+    x.grade + y.grade over its nonzero terms.  One whose terms cancel keeps
+    that grade and, its trailing zeros dropped, has no ints, so it adds no
+    term to a further product; one with no nonzero term is left out."""
+    ywidth = max((len(ys) for _, row in brows for _, ys, _ in row), default=1)
+    for da, xrow in arows:
+        terms = [(brows[k], xs, gx) for k, xs, gx in xrow if xs]
+        ell = math.lcm(*(db for (db, _), _, _ in terms))
+        width = max((len(xs) for _, xs, _ in terms), default=1) + ywidth - 1
+        acc = [0] * (cols * width)
+        grade = [-1] * cols
+        for (db, yrow), xs, gx in terms:
+            if db != ell:
+                xs = [x * (ell // db) for x in xs]
+            for j, ys, gy in yrow:
+                if grade[j] < gx + gy:
+                    grade[j] = gx + gy
+                for s, cx in enumerate(xs, j * width):
                     if cx:
-                        for t, cy in enumerate(y, s):
+                        for t, cy in enumerate(ys, s):
                             acc[t] += cx * cy
-            out.append(_poly_from_ints(acc, da * db, grade) if acc else zero)
-    return PolyMatrix(a.rows, b.cols, out)
+        row = [(j, acc[j * width:(j + 1) * width], g) for j, g in enumerate(grade) if g >= 0]
+        for _, cs, _ in row:
+            while cs and not cs[-1]:
+                cs.pop()
+        yield da * ell, row
+
+
+def polymatrix_mul(a: PolyMatrix, b: PolyMatrix, *rest: PolyMatrix) -> PolyMatrix:
+    """Exact product a @ b @ ... of polynomial matrices, each product on
+    integer rows (`_row_products`).  Only the result's entries are made,
+    by one gcd each; one with no nonzero term is a zero of grade 0."""
+    rows, cols = _int_rows(a), a.cols
+    for f in (b, *rest):
+        if f.rows != cols:
+            raise DimensionMismatch(f"{a.rows}x{cols} @ {f.rows}x{f.cols}")
+        rows, cols = _row_products(rows, _int_rows(f), f.cols), f.cols
+    out = [PolyMatrix._zero] * (a.rows * cols)
+    for i, (den, row) in enumerate(rows):
+        for j, cs, grade in row:
+            out[i * cols + j] = _poly_from_ints(cs, den, grade)
+    return PolyMatrix(a.rows, cols, out)
 
 
 def _interp_at_integers(values: list[int], den: int) -> PolyQ:
@@ -710,38 +726,22 @@ def unit_by_inverse(m: PolyMatrix, x: PolyMatrix) -> Fraction | None:
 
     det(x) det(m) = 1 in Q[z] forces det(m) to be a constant, so it is
     det(m(0)): one integer Bareiss determinant of the constant terms of
-    m's rows, each row put over one denominator once, over the product
-    of those denominators.  The product is checked entry by entry on the
-    same integer forms, each row of x times the rows of m its nonzero
-    entries pick, and the check stops at the first entry that differs
-    from the identity's.
+    m's integer rows over the product of their denominators.  The rows of
+    x @ m come from the same integer rows by `_row_products`, with no
+    PolyQ, and the check stops at the first row that is not the identity's.
     """
     n = m.rows
     if not (m.is_square and x.is_square and x.rows == n):
         return None
-    mrows = [_integer_coeffs(m.row(k)) for k in range(n)]
-    for i in range(n):
-        ints, dx = _integer_coeffs(x.row(i))
-        terms = [(k, xs) for k, xs in enumerate(ints) if xs]
-        ell = math.lcm(*(mrows[k][1] for k, _ in terms))
-        terms = [(mrows[k][0], [c * (ell // mrows[k][1]) for c in xs]) for k, xs in terms]
-        for j in range(n):
-            acc = []
-            for polys, xs in terms:
-                ys = polys[j]
-                if not ys:
-                    continue
-                if len(acc) < len(xs) + len(ys) - 1:
-                    acc.extend([0] * (len(xs) + len(ys) - 1 - len(acc)))
-                for s, cx in enumerate(xs):
-                    if cx:
-                        for t, cy in enumerate(ys, s):
-                            acc[t] += cx * cy
-            want = dx * ell if i == j else 0
-            if (acc[0] if acc else 0) != want or any(acc[1:]):
-                return None
-    det = _bareiss_int([[ys[0] if ys else 0 for ys in polys] for polys, _ in mrows])
-    return Fraction(det, math.prod(den for _, den in mrows))
+    mrows = _int_rows(m)
+    for i, (den, row) in enumerate(_row_products(_int_rows(x), mrows, n)):
+        if [(j, cs) for j, cs, _ in row if cs] != [(i, [den])]:
+            return None
+    consts = [[0] * n for _ in range(n)]
+    for const, (_, row) in zip(consts, mrows):
+        for j, ys, _ in row:
+            const[j] = ys[0]
+    return Fraction(_bareiss_int(consts), math.prod(den for den, _ in mrows))
 
 
 def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
@@ -762,12 +762,8 @@ def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
     n = m.rows
     d = max(m.max_degree(), 0)
     # row i of [M_0 | M_1 | ... | M_d] over one denominator, from the integer forms
-    wide = []
-    for i in range(n):
-        row = m.row(i)
-        den = math.lcm(*(e.den for e in row))
-        wide.append((den, [(j * n + c, e.ints[j] * (den // e.den)) for j in range(d + 1)
-                           for c, e in enumerate(row) if j < len(e.ints) and e.ints[j]]))
+    wide = [(den, [(j * n + c, xs[j]) for j in range(d + 1) for c, xs, _ in row
+                   if j < len(xs) and xs[j]]) for den, row in _int_rows(m)]
     x0 = ConstMatrix._from_form(n, n, [_lowest(den, [(c, x) for c, x in pairs if c < n])
                                        for den, pairs in wide]).try_inverse()
     if x0 is None:

@@ -220,22 +220,6 @@ def pencil_obj(p: Pencil) -> dict:
     return _obj(p)
 
 
-def parse_pencil(obj) -> Pencil:
-    if not isinstance(obj, dict):
-        raise InputError("pencil must be an object")
-    try:
-        n = obj["n"]
-        blocks = obj["blocks"]
-        c1 = parse_const_matrix(obj["C1"])
-        c0 = parse_const_matrix(obj["C0"])
-        tag = obj.get("basis", "unknown")
-    except KeyError as exc:
-        raise InputError(f"pencil missing {exc}") from None
-    if c1.rows != n * blocks or not c1.is_square or c0.rows != c1.rows:
-        raise InputError("pencil dimensions inconsistent")
-    return Pencil(c1, c0, n, blocks, tag)
-
-
 # -- the writer ---------------------------------------------------------------
 
 # The fields of each object the writer takes apart: a dict, a list or

@@ -38,7 +38,6 @@ from .bases import (
 )
 from .equivalence import (
     CofactorPair,
-    HermiteAnalogue,
     ReversalEquivalence,
     StrictEquivalence,
 )
@@ -114,7 +113,7 @@ def verify_linearization(pencil: Pencil, p: MatrixPolynomial,
     so the verdict does not depend on it."""
     n = pencil.n
     target = diag_with_identity(matrix_poly_as_polymatrix(p), pencil.block_count)
-    product = polymatrix_mul(polymatrix_mul(cof.e, pencil.as_polymatrix()), cof.f)
+    product = polymatrix_mul(cof.e, pencil.as_polymatrix(), cof.f)
     if product != target:
         for bi in range(pencil.block_count):
             for bj in range(pencil.block_count):
@@ -146,24 +145,6 @@ def verify_strict(se: StrictEquivalence, pencil: Pencil, p: MatrixPolynomial) ->
     if se.u @ pencil.c0 @ se.w != target.c0:
         return _falsified("strict", reason="constant-coefficient identity failed")
     return Verdict("strict", True, du * dw, factor_dets=(du, dw))
-
-
-def verify_hermite_analogue(ha: HermiteAnalogue, pencil: Pencil) -> Verdict:
-    """Uinv @ H = L, Uinv unimodular, H = identity off its last block column."""
-    n = pencil.n
-    m = pencil.block_count
-    if polymatrix_mul(ha.uinv, ha.h) != pencil.as_polymatrix():
-        return _falsified("hermite-analogue", reason="Uinv @ H != L")
-    ok, unit = is_unimodular(ha.uinv)
-    if not ok:
-        return _falsified("hermite-analogue", reason="Uinv not unimodular")
-    ident = PolyMatrix.identity(m * n)
-    for i in range(m * n):
-        for j in range((m - 1) * n):
-            if ha.h.get(i, j) != ident.get(i, j):
-                return _falsified("hermite-analogue",
-                                  reason="H differs from identity off-column")
-    return Verdict("hermite-analogue", True, unit)
 
 
 def _padded_monomial(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:

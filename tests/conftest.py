@@ -8,6 +8,11 @@ the closed-form matrices Phi and Phi^-1 of `polylin.bases`, and the
 JSON readers through one Fraction per entry.  `reference_reduce_rows`
 keeps the dense row reduction the sparse one in `polylin.exact`
 replaced, with the determinant and solve built on it.
+
+`parse_pencil` and `verify_hermite_analogue` are helpers only tests call:
+the first reads `polylin pencil` output back, the second checks a
+triangular factorization L = Uinv @ H on its own.  They use the library's
+kernels, so they are tools, not oracles.
 """
 
 import math
@@ -15,8 +20,12 @@ import re
 from fractions import Fraction
 
 from polylin import ConstMatrix, PolyMatrix, PolyQ
+from polylin.equivalence import HermiteAnalogue
 from polylin.errors import InputError
-from polylin.serialize import _shown
+from polylin.exact import is_unimodular, polymatrix_mul
+from polylin.pencils import Pencil
+from polylin.serialize import _shown, parse_const_matrix
+from polylin.verify import Verdict, _falsified
 from polylin.bases import Bernstein, Lagrange, Monomial, Recurrence, barycentric_weights, transform_blocks
 from polylin.randgen import rand_const_matrix
 
@@ -251,3 +260,38 @@ def fraction_parse_const_matrix(rows) -> ConstMatrix:
 def fraction_parse_polyq(coeffs) -> PolyQ:
     """A coefficient list of JSON rationals, one Fraction per coefficient."""
     return PolyQ([fraction_parse_frac(c) for c in coeffs], grade=len(coeffs) - 1)
+
+
+def parse_pencil(obj) -> Pencil:
+    """The Pencil of a `polylin pencil` JSON object."""
+    if not isinstance(obj, dict):
+        raise InputError("pencil must be an object")
+    try:
+        n = obj["n"]
+        blocks = obj["blocks"]
+        c1 = parse_const_matrix(obj["C1"])
+        c0 = parse_const_matrix(obj["C0"])
+        tag = obj.get("basis", "unknown")
+    except KeyError as exc:
+        raise InputError(f"pencil missing {exc}") from None
+    if c1.rows != n * blocks or not c1.is_square or c0.rows != c1.rows:
+        raise InputError("pencil dimensions inconsistent")
+    return Pencil(c1, c0, n, blocks, tag)
+
+
+def verify_hermite_analogue(ha: HermiteAnalogue, pencil: Pencil) -> Verdict:
+    """Uinv @ H = L, Uinv unimodular, H = identity off its last block column."""
+    n = pencil.n
+    m = pencil.block_count
+    if polymatrix_mul(ha.uinv, ha.h) != pencil.as_polymatrix():
+        return _falsified("hermite-analogue", reason="Uinv @ H != L")
+    ok, unit = is_unimodular(ha.uinv)
+    if not ok:
+        return _falsified("hermite-analogue", reason="Uinv not unimodular")
+    ident = PolyMatrix.identity(m * n)
+    for i in range(m * n):
+        for j in range((m - 1) * n):
+            if ha.h.get(i, j) != ident.get(i, j):
+                return _falsified("hermite-analogue",
+                                  reason="H differs from identity off-column")
+    return Verdict("hermite-analogue", True, unit)

@@ -57,7 +57,6 @@ from polylin.pencils import (
 )
 from polylin.verify import (
     diag_with_identity,
-    verify_hermite_analogue,
     verify_linearization,
     verify_reversal_equivalence,
     verify_strict,
@@ -77,6 +76,7 @@ from conftest import (
     shifted_reversal_monomial,
     standard_reversal_coeffs,
     standard_reversal_monomial,
+    verify_hermite_analogue,
 )
 
 from test_equivalence import (

@@ -13,7 +13,7 @@ from polylin import bases, equivalence, pencils, serialize, verify
 from polylin.bases import Bernstein, Lagrange, MatrixPolynomial, Monomial, Recurrence
 from polylin.exact import ConstMatrix, PolyMatrix, PolyQ
 
-from conftest import fraction_parse_const_matrix, fraction_parse_polyq
+from conftest import fraction_parse_const_matrix, fraction_parse_polyq, parse_pencil
 
 
 def write_json(path, obj):
@@ -49,7 +49,7 @@ class TestPencilCommand:
         outfile = tmp_path / "L.json"
         write_json(infile, mono_p_obj())
         assert main(["pencil", "--in", str(infile), "--out", str(outfile)]) == 0
-        pen = serialize.parse_pencil(json.loads(outfile.read_text()))
+        pen = parse_pencil(json.loads(outfile.read_text()))
         assert pen.n == 1 and pen.block_count == 2
         assert pen.basis_tag == "monomial"
 
@@ -59,7 +59,7 @@ class TestPencilCommand:
         outfile = tmp_path / "L.json"
         write_json(infile, serialize.matrix_polynomial_obj(p))
         assert main(["pencil", "--in", str(infile), "--out", str(outfile)]) == 0
-        pen = serialize.parse_pencil(json.loads(outfile.read_text()))
+        pen = parse_pencil(json.loads(outfile.read_text()))
         diag = [pen.c1.get(i, i) for i in range(1, 5)]
         assert [str(d) for d in diag] == ["1/2", "1", "2", "5"]
 
@@ -441,6 +441,46 @@ def test_input_contract_exit2(text, argv, tmp_path, capsys):
     assert len(captured.err) < 250, "the message quotes at most 40 characters of a bad value"
 
 
+_BERNSTEIN_1 = _basis_text('{"kind": "bernstein", "grade": 1}', 1)
+_RECURRENCE_1 = _basis_text('{"kind": "recurrence", "grade": 1, "alpha": ["1"], '
+                            '"beta": ["0"], "gamma": ["0"]}', 1)
+_NON_SQUARE = '{"entries": [[["1"], ["2"]]]}'
+
+# (id, input text, argv, the error class stderr names); each exits 3
+EXIT3_CASES = [
+    ("monomial grade 0", _basis_text('{"kind": "monomial", "grade": 0}', 0), ["pencil"],
+     "GradeTooSmall"),
+    ("convert to bernstein grade 0", _mono_text('"1"'),
+     ["convert", "--basis", '{"kind": "bernstein", "grade": 0}'], "GradeTooSmall"),
+    ("pencil bernstein grade 1", _BERNSTEIN_1, ["pencil"], "GradeTooSmall"),
+    ("pencil recurrence grade 1", _RECURRENCE_1, ["pencil"], "GradeTooSmall"),
+    ("cofactors bernstein grade 1", _BERNSTEIN_1, ["equiv", "--mode", "cofactors"],
+     "GradeTooSmall"),
+    ("cofactors recurrence grade 1", _RECURRENCE_1, ["equiv", "--mode", "cofactors"],
+     "GradeTooSmall"),
+    ("strict grade 1", _BERNSTEIN_1, ["equiv", "--mode", "strict"], "GradeTooSmall"),
+    ("reversal grade 1", _BERNSTEIN_1, ["equiv", "--mode", "reversal"], "GradeTooSmall"),
+    ("hermite non-square", _NON_SQUARE, ["nf", "--kind", "hermite"], "DimensionMismatch"),
+    ("smith non-square", _NON_SQUARE, ["nf", "--kind", "smith"], "DimensionMismatch"),
+    ("strict on monomial", _mono_text('"1"'), ["equiv", "--mode", "strict"],
+     "PreconditionError"),
+    ("strict on recurrence", _recurrence_text('["1", "1"]'), ["equiv", "--mode", "strict"],
+     "PreconditionError"),
+    ("reversal on lagrange", _lagrange_text('["0", "1"]'), ["equiv", "--mode", "reversal"],
+     "PreconditionError"),
+]
+
+
+@pytest.mark.parametrize("text, argv, error", [c[1:] for c in EXIT3_CASES],
+                         ids=[c[0] for c in EXIT3_CASES])
+def test_precondition_exit3(text, argv, error, tmp_path, capsys):
+    infile = tmp_path / "in.json"
+    infile.write_text(text)
+    assert main(argv + ["--in", str(infile)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"{error}: ")
+
+
 @pytest.mark.parametrize("kind", ["hermite", "smith"])
 def test_result_over_the_digit_limit_writes_no_file(kind, tmp_path, capsys):
     infile, out = tmp_path / "in.json", tmp_path / "out.json"
@@ -520,7 +560,7 @@ class TestJsonRoundTrips:
         p = MatrixPolynomial.scalar(Monomial(2), [2, -3, 1])
         pen = build_monomial_pencil(p)
         obj = serialize.pencil_obj(pen)
-        back = serialize.parse_pencil(json.loads(json.dumps(obj)))
+        back = parse_pencil(json.loads(json.dumps(obj)))
         assert back.c1 == pen.c1 and back.c0 == pen.c0
 
 

@@ -66,7 +66,6 @@ from polylin.pencils import (
     build_recurrence_pencil,
 )
 from polylin.verify import (
-    verify_hermite_analogue,
     verify_linearization,
     verify_reversal_equivalence,
     verify_strict,
@@ -88,6 +87,7 @@ from conftest import (
     shifted_reversal_monomial,
     standard_reversal_coeffs,
     standard_reversal_monomial,
+    verify_hermite_analogue,
 )
 
 Z = PolyQ([0, 1])

@@ -433,7 +433,10 @@ class TestPolyMatrixMul:
 
     def test_matches_entrywise_loop(self):
         # rectangular shapes, mixed denominators, zero entries that declare a
-        # grade above 0, and a row of a whose terms are all zero
+        # grade above 0, a row of a whose terms are all zero, right factors
+        # with all-zero rows, entries whose terms cancel, in full or in their
+        # top coefficients, at grades above their degree, and chains of three
+        # factors whose middle product has cancelled entries
         rng = random.Random(13)
 
         def draw(rows, cols):
@@ -445,12 +448,59 @@ class TestPolyMatrixMul:
                 entries.append(PolyQ(cs, grade=max(deg, 0) + rng.randint(0, 2)))
             return PolyMatrix(rows, cols, entries)
 
+        def zero_row(m, i):
+            rows = m.to_rows()
+            rows[i] = [PolyQ.zero(rng.randint(0, 3)) for _ in rows[i]]
+            return PolyMatrix.from_rows(rows)
+
+        def cancelling(rows, inner, cols):
+            """a, b with column 1 of a equal to column 0 times -2/3 and row 1
+            of b to row 0 times 3/2, so the first two terms of every entry
+            of a @ b cancel: with inner = 2 each entry is zero, of a grade
+            up to 7."""
+            a, b = draw(rows, inner).to_rows(), draw(inner, cols).to_rows()
+            for r in a:
+                r[1] = r[0].scale(F(-2, 3)).with_grade(r[0].grade + rng.randint(0, 2))
+            b[1] = [e.scale(F(3, 2)) for e in b[0]]
+            return PolyMatrix.from_rows(a), PolyMatrix.from_rows(b)
+
+        def same(got, want):
+            assert got == want
+            assert [e.grade for e in got.entries] == [e.grade for e in want.entries]
+
         for rows, inner, cols in ((1, 1, 1), (2, 3, 1), (1, 4, 3), (3, 2, 4), (4, 4, 2)):
             for _ in range(4):
                 a, b = draw(rows, inner), draw(inner, cols)
-                got, want = polymatrix_mul(a, b), loop_mul(a, b)
-                assert got == want
-                assert [e.grade for e in got.entries] == [e.grade for e in want.entries]
+                same(polymatrix_mul(a, b), loop_mul(a, b))
+                b = zero_row(b, rng.randrange(inner))
+                same(polymatrix_mul(a, b), loop_mul(a, b))
+                c = zero_row(draw(cols, 3), rng.randrange(cols))
+                same(polymatrix_mul(a, b, c), loop_mul(loop_mul(a, b), c))
+        cancelled = 0
+        for rows, inner, cols in ((1, 2, 1), (2, 2, 3), (3, 3, 2), (2, 4, 4)):
+            for _ in range(4):
+                a, b = cancelling(rows, inner, cols)
+                ab = loop_mul(a, b)
+                cancelled += sum(e.is_zero and e.grade > 0 for e in ab.entries)
+                same(polymatrix_mul(a, b), ab)
+                c, d = draw(cols, 2), draw(2, 3)
+                same(polymatrix_mul(a, b, c), loop_mul(ab, c))
+                same(polymatrix_mul(a, b, c, d), loop_mul(loop_mul(ab, c), d))
+        assert cancelled >= 10
+        # (1 + z) + (2 - z) = 3 at grade 5; (1 + z) - (1 + z) = 0 at grade 5,
+        # which adds no term to the product with c: its row has grade 3, not 9
+        a = PolyMatrix.from_rows([[PolyQ([1, 1], grade=3), PolyQ([2, -1], grade=2)],
+                                  [PolyQ([1, 1], grade=3), PolyQ([-1, -1])]])
+        b = PolyMatrix.from_rows([[PolyQ([1], grade=2), PolyQ.zero(4)],
+                                  [PolyQ([1], grade=1), PolyQ([0, 1])]])
+        c = PolyMatrix.from_rows([[PolyQ([1], grade=4)], [PolyQ([0, 1], grade=1)]])
+        ab, abc = polymatrix_mul(a, b), polymatrix_mul(a, b, c)
+        same(ab, loop_mul(a, b))
+        same(abc, loop_mul(loop_mul(a, b), c))
+        assert ab.get(0, 0) == PolyQ([3]) and ab.get(1, 0).is_zero
+        assert [e.grade for e in ab.entries] == [5, 3, 5, 2]
+        assert abc == PolyMatrix.from_rows([[PolyQ([3, 0, 2, -1])], [PolyQ([0, 0, -1, -1])]])
+        assert [e.grade for e in abc.entries] == [9, 3]
         a = PolyMatrix.from_rows([[PolyQ.zero(3), PolyQ([F(1, 2)], grade=2)],
                                   [PolyQ([1, F(1, 3)]), PolyQ.zero(1)]])
         b = PolyMatrix.from_rows([[PolyQ([5], grade=4), PolyQ.zero(2)],
@@ -737,15 +787,23 @@ class TestUnitByInverse:
                 assert unit_by_inverse(x, m) == is_unimodular(x)[1]
 
     def test_wrong_witnesses_give_none(self):
-        """One entry changed, a zero row, c * m^-1 with c != 1 and a wrong
-        shape: each makes x @ m differ from I, or the shapes not fit."""
+        """One entry changed, a zero row, c * m^-1 with c != 1, a wrong
+        shape, and (1 + z^k e_i e_j^T) m^-1, whose product with m equals I
+        in its constant terms and in every coefficient but that of z^k:
+        each makes x @ m differ from I, or the shapes not fit."""
         rng = random.Random(32)
         for m, x in unimodular_draws(rng):
             n = m.rows
             i, j = rng.randrange(n), rng.randrange(n)
             zero_row = x.to_rows()
             zero_row[i] = [PolyQ.zero()] * n
+            unit = PolyMatrix.zeros(n, n).to_rows()
+            unit[i][j] = PolyQ.monomial(rng.randint(1, 3))
+            unit = PolyMatrix.from_rows(unit)
+            one_term = x + loop_mul(unit, x)
+            assert loop_mul(one_term, m) == PolyMatrix.identity(n) + unit
             bad = [
+                one_term,
                 with_entry(x, i, j, x.get(i, j) + PolyQ([rand_fraction(rng, nonzero=True)])),
                 with_entry(x, i, j, x.get(i, j) + PolyQ.monomial(3)),
                 PolyMatrix.from_rows(zero_row),

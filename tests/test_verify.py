@@ -735,7 +735,7 @@ class TestRemainingNegativeControls:
         from polylin import Recurrence
         from polylin.equivalence import HermiteAnalogue, recurrence_hermite_analogue
         from polylin.pencils import build_recurrence_pencil
-        from polylin.verify import verify_hermite_analogue
+        from conftest import verify_hermite_analogue
 
         p = MatrixPolynomial.scalar(Recurrence.chebyshev(3), [1, 2, 3, 4])
         pen = build_recurrence_pencil(p)
@@ -788,8 +788,7 @@ def test_verify_imports_only_certificate_types_from_equivalence():
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             assert not any("equivalence" in alias.name for alias in node.names)
-    assert imported == {"CofactorPair", "HermiteAnalogue", "ReversalEquivalence",
-                        "StrictEquivalence"}
+    assert imported == {"CofactorPair", "ReversalEquivalence", "StrictEquivalence"}
 
 
 class TestTracerHooks:
