@@ -523,62 +523,104 @@ def _integer_coeffs(polys) -> tuple[list, int]:
             for p in polys], den
 
 
-def _int_rows(m: PolyMatrix) -> list[tuple[int, list]]:
-    """Each row of m over one denominator d, as (d, [(j, ints, grade)])
-    over its nonzero entries, entry j's ints being its coefficients times d."""
-    rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        ints, den = _integer_coeffs(row)
-        rows.append((den, [(j, xs, e.grade) for j, (xs, e) in enumerate(zip(ints, row)) if xs]))
-    return rows
+def _read_rows(m: PolyMatrix) -> tuple[int, list, int]:
+    """m over one denominator d, the lcm of its entries' denominators, as
+    (d, rows, l1): each row lists (j, ints, s, grade) over its nonzero
+    entries, entry j being ints * s / d, and l1 is the largest sum of
+    |x * s| over the ints x of a row."""
+    den = math.lcm(*(p.den for p in m.entries))
+    rows = [[(j, p.ints, den // p.den, p.grade) for j, p in enumerate(m.row(i)) if p.ints]
+            for i in range(m.rows)]
+    return den, rows, max((sum(s * sum(map(abs, xs)) for _, xs, s, _ in row) for row in rows),
+                          default=0)
 
 
-def _row_products(arows, brows, cols: int):
-    """The integer rows of a @ b, one at a time, from those of a and of b
-    (b of cols columns): each row of a times the rows of b that its nonzero
-    entries pick, over the lcm of their denominators, on ints in one flat
-    list, a slot of fixed width per entry.  An entry's grade is the largest
-    x.grade + y.grade over its nonzero terms.  One whose terms cancel keeps
-    that grade and, its trailing zeros dropped, has no ints, so it adds no
-    term to a further product; one with no nonzero term is left out."""
-    ywidth = max((len(ys) for _, row in brows for _, ys, _ in row), default=1)
-    for da, xrow in arows:
-        terms = [(brows[k], xs, gx) for k, xs, gx in xrow if xs]
-        ell = math.lcm(*(db for (db, _), _, _ in terms))
-        width = max((len(xs) for _, xs, _ in terms), default=1) + ywidth - 1
-        acc = [0] * (cols * width)
-        grade = [-1] * cols
-        for (db, yrow), xs, gx in terms:
-            if db != ell:
-                xs = [x * (ell // db) for x in xs]
-            for j, ys, gy in yrow:
+def _packed_bits(factors, floor: int = 0) -> int:
+    """bits with every coefficient of every product of the factors (from
+    `_read_rows`), and floor, below 2**(bits-1) in size.
+
+    Over the common denominators a row of a @ b has l1 norm at most the
+    row's l1 in a times the largest row l1 of b, so the l1 norms of the
+    factors, each at least 1, multiply to a bound on every coefficient of
+    the chain's products and of the factors themselves."""
+    return max(math.prod(max(l1, 1) for _, _, l1 in factors), floor).bit_length() + 1
+
+
+def _pack_rows(rows, bits: int) -> list[list]:
+    """Each (j, ints, s, grade) of rows as (j, v, grade), v being s times
+    the integer polynomial's value at 2**bits (Kronecker substitution),
+    by Horner on shifts."""
+    out = []
+    for row in rows:
+        packed = []
+        for j, xs, s, grade in row:
+            v = 0
+            for x in reversed(xs):
+                v = (v << bits) + x
+            packed.append((j, v * s, grade))
+        out.append(packed)
+    return out
+
+
+def _row_times(row, frows, cols: int) -> list:
+    """A packed row times the packed rows frows of a factor with cols
+    columns, as (j, v, grade) over every column j with a nonzero term: one
+    integer product per pair of entries.  An entry's grade is the largest
+    x.grade + y.grade over its nonzero terms; one whose terms cancel has
+    v = 0 and keeps that grade, and adds no term to a further product."""
+    acc = [0] * cols
+    grade = [-1] * cols
+    for k, vx, gx in row:
+        if vx:
+            for j, vy, gy in frows[k]:
+                acc[j] += vx * vy
                 if grade[j] < gx + gy:
                     grade[j] = gx + gy
-                for s, cx in enumerate(xs, j * width):
-                    if cx:
-                        for t, cy in enumerate(ys, s):
-                            acc[t] += cx * cy
-        row = [(j, acc[j * width:(j + 1) * width], g) for j, g in enumerate(grade) if g >= 0]
-        for _, cs, _ in row:
-            while cs and not cs[-1]:
-                cs.pop()
-        yield da * ell, row
+    return [(j, acc[j], g) for j, g in enumerate(grade) if g >= 0]
+
+
+def _unpack(v: int, bits: int) -> list[int]:
+    """The balanced base-2**bits digits of v, lowest first: the ints of the
+    one polynomial whose value at 2**bits is v and whose ints are all below
+    2**(bits-1) in size."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while v:
+        c = v & mask
+        v >>= bits
+        if c >= half:
+            c -= mask + 1
+            v += 1
+        digits.append(c)
+    return digits
 
 
 def polymatrix_mul(a: PolyMatrix, b: PolyMatrix, *rest: PolyMatrix) -> PolyMatrix:
-    """Exact product a @ b @ ... of polynomial matrices, each product on
-    integer rows (`_row_products`).  Only the result's entries are made,
-    by one gcd each; one with no nonzero term is a zero of grade 0."""
-    rows, cols = _int_rows(a), a.cols
-    for f in (b, *rest):
-        if f.rows != cols:
-            raise DimensionMismatch(f"{a.rows}x{cols} @ {f.rows}x{f.cols}")
-        rows, cols = _row_products(rows, _int_rows(f), f.cols), f.cols
+    """Exact product a @ b @ ... of polynomial matrices by Kronecker
+    substitution (Kronecker 1882; Harvey, J. Symbolic Comput. 44, 2009).
+
+    Each factor is put over one denominator (`_read_rows`) and each entry
+    packed into one integer, its value at z = 2**bits (`_pack_rows`), with
+    bits chosen once from a bound on every coefficient of the chain
+    (`_packed_bits`); so each product of two entries is one integer
+    product (`_row_times`), and intermediate products stay packed.  Only
+    the result is unpacked, by balanced digits, and its entries made, by
+    one gcd each; one with no nonzero term is a zero of grade 0."""
+    chain = (a, b, *rest)
+    for f, g in zip(chain, chain[1:]):
+        if g.rows != f.cols:
+            raise DimensionMismatch(f"{a.rows}x{f.cols} @ {g.rows}x{g.cols}")
+    factors = [_read_rows(f) for f in chain]
+    bits = _packed_bits(factors)
+    rows = _pack_rows(factors[0][1], bits)
+    for f, (_, frows, _) in zip(chain[1:], factors[1:]):
+        frows = _pack_rows(frows, bits)
+        rows = [_row_times(row, frows, f.cols) for row in rows]
+    den, cols = math.prod(d for d, _, _ in factors), chain[-1].cols
     out = [PolyMatrix._zero] * (a.rows * cols)
-    for i, (den, row) in enumerate(rows):
-        for j, cs, grade in row:
-            out[i * cols + j] = _poly_from_ints(cs, den, grade)
+    for i, row in enumerate(rows):
+        for j, v, grade in row:
+            out[i * cols + j] = _poly_from_ints(_unpack(v, bits), den, grade)
     return PolyMatrix(a.rows, cols, out)
 
 
@@ -725,23 +767,30 @@ def unit_by_inverse(m: PolyMatrix, x: PolyMatrix) -> Fraction | None:
     """det(m) when x @ m = I, which proves m unimodular; None otherwise.
 
     det(x) det(m) = 1 in Q[z] forces det(m) to be a constant, so it is
-    det(m(0)): one integer Bareiss determinant of the constant terms of
-    m's integer rows over the product of their denominators.  The rows of
-    x @ m come from the same integer rows by `_row_products`, with no
-    PolyQ, and the check stops at the first row that is not the identity's.
+    det(m(0)): one integer Bareiss determinant of the constant terms of m
+    over its denominator d, divided by d**n.  The rows of x @ m are the
+    packed products of `polymatrix_mul`, over the product D of the two
+    denominators, and are never unpacked: bits also bounds D, so a packed
+    value is 0 exactly when its polynomial is and D exactly when it is the
+    constant D.  No PolyQ is made, and the check stops at the first row
+    that is not the identity's.
     """
     n = m.rows
     if not (m.is_square and x.is_square and x.rows == n):
         return None
-    mrows = _int_rows(m)
-    for i, (den, row) in enumerate(_row_products(_int_rows(x), mrows, n)):
-        if [(j, cs) for j, cs, _ in row if cs] != [(i, [den])]:
+    factors = _read_rows(x), _read_rows(m)
+    (dx, xrows, _), (dm, mrows, _) = factors
+    den = dx * dm
+    bits = _packed_bits(factors, den)
+    mpacked = _pack_rows(mrows, bits)
+    for i, row in enumerate(_pack_rows(xrows, bits)):
+        if [(j, v) for j, v, _ in _row_times(row, mpacked, n) if v] != [(i, den)]:
             return None
     consts = [[0] * n for _ in range(n)]
-    for const, (_, row) in zip(consts, mrows):
-        for j, ys, _ in row:
-            const[j] = ys[0]
-    return Fraction(_bareiss_int(consts), math.prod(den for den, _ in mrows))
+    for const, row in zip(consts, mrows):
+        for j, ys, s, _ in row:
+            const[j] = ys[0] * s
+    return Fraction(_bareiss_int(consts), dm ** n)
 
 
 def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
@@ -762,16 +811,17 @@ def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
     n = m.rows
     d = max(m.max_degree(), 0)
     # row i of [M_0 | M_1 | ... | M_d] over one denominator, from the integer forms
-    wide = [(den, [(j * n + c, xs[j]) for j in range(d + 1) for c, xs, _ in row
-                   if j < len(xs) and xs[j]]) for den, row in _int_rows(m)]
+    den, rows, _ = _read_rows(m)
+    wide = [[(j * n + c, xs[j] * s) for j in range(d + 1) for c, xs, s, _ in row
+             if j < len(xs) and xs[j]] for row in rows]
     x0 = ConstMatrix._from_form(n, n, [_lowest(den, [(c, x) for c, x in pairs if c < n])
-                                       for den, pairs in wide]).try_inverse()
+                                       for pairs in wide]).try_inverse()
     if x0 is None:
         raise NotUnimodular("matrix is not unimodular: m(0) is singular")
     if d == 0:
         return PolyMatrix.from_const(x0)
     step = x0 @ ConstMatrix._from_form(
-        n, n * d, [_lowest(-den, [(c - n, x) for c, x in pairs if c >= n]) for den, pairs in wide])
+        n, n * d, [_lowest(-den, [(c - n, x) for c, x in pairs if c >= n]) for pairs in wide])
     lifted, zero_run = [x0], 0
     window = x0._form + [(1, [])] * (n * (d - 1))  # row forms of X_{k-1}, ..., X_{k-d}
     for _ in range(_det_degree_bound(m) + d):

@@ -7,7 +7,9 @@ manipulation, and basis polynomials through PolyQ products rather than
 the closed-form matrices Phi and Phi^-1 of `polylin.bases`, and the
 JSON readers through one Fraction per entry.  `reference_reduce_rows`
 keeps the dense row reduction the sparse one in `polylin.exact`
-replaced, with the determinant and solve built on it.
+replaced, with the determinant and solve built on it, and
+`reference_polymatrix_mul` the coefficient-loop product on integer rows
+that Kronecker substitution replaced.
 
 `parse_pencil` and `verify_hermite_analogue` are helpers only tests call:
 the first reads `polylin pencil` output back, the second checks a
@@ -21,9 +23,10 @@ from fractions import Fraction
 
 from polylin import ConstMatrix, PolyMatrix, PolyQ
 from polylin.equivalence import HermiteAnalogue
-from polylin.errors import InputError
-from polylin.exact import is_unimodular, polymatrix_mul
+from polylin.errors import DimensionMismatch, InputError
+from polylin.exact import _integer_coeffs, is_unimodular, polymatrix_mul
 from polylin.pencils import Pencil
+from polylin.poly import _poly_from_ints
 from polylin.serialize import _shown, parse_const_matrix
 from polylin.verify import Verdict, _falsified
 from polylin.bases import Bernstein, Lagrange, Monomial, Recurrence, barycentric_weights, transform_blocks
@@ -131,6 +134,66 @@ def reference_reduce_rows(rows: list[list[int]], ncols: int, jordan: bool):
         if r == m:
             break
     return pivots, num, den
+
+
+def _int_rows(m: PolyMatrix) -> list[tuple[int, list]]:
+    """Each row of m over one denominator d, as (d, [(j, ints, grade)])
+    over its nonzero entries, entry j's ints being its coefficients times d."""
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
+        ints, den = _integer_coeffs(row)
+        rows.append((den, [(j, xs, e.grade) for j, (xs, e) in enumerate(zip(ints, row)) if xs]))
+    return rows
+
+
+def _row_products(arows, brows, cols: int):
+    """The integer rows of a @ b, one at a time, from those of a and of b
+    (b of cols columns): each row of a times the rows of b that its nonzero
+    entries pick, over the lcm of their denominators, on ints in one flat
+    list, a slot of fixed width per entry.  An entry's grade is the largest
+    x.grade + y.grade over its nonzero terms.  One whose terms cancel keeps
+    that grade and, its trailing zeros dropped, has no ints, so it adds no
+    term to a further product; one with no nonzero term is left out."""
+    ywidth = max((len(ys) for _, row in brows for _, ys, _ in row), default=1)
+    for da, xrow in arows:
+        terms = [(brows[k], xs, gx) for k, xs, gx in xrow if xs]
+        ell = math.lcm(*(db for (db, _), _, _ in terms))
+        width = max((len(xs) for _, xs, _ in terms), default=1) + ywidth - 1
+        acc = [0] * (cols * width)
+        grade = [-1] * cols
+        for (db, yrow), xs, gx in terms:
+            if db != ell:
+                xs = [x * (ell // db) for x in xs]
+            for j, ys, gy in yrow:
+                if grade[j] < gx + gy:
+                    grade[j] = gx + gy
+                for s, cx in enumerate(xs, j * width):
+                    if cx:
+                        for t, cy in enumerate(ys, s):
+                            acc[t] += cx * cy
+        row = [(j, acc[j * width:(j + 1) * width], g) for j, g in enumerate(grade) if g >= 0]
+        for _, cs, _ in row:
+            while cs and not cs[-1]:
+                cs.pop()
+        yield da * ell, row
+
+
+def reference_polymatrix_mul(a: PolyMatrix, b: PolyMatrix, *rest: PolyMatrix) -> PolyMatrix:
+    """The product a @ b @ ... that `polymatrix_mul` was before Kronecker
+    substitution: each product on integer rows, one multiply-add per pair
+    of coefficients, with every intermediate kept as integer rows.  The
+    reference for values and for every entry's grade."""
+    rows, cols = _int_rows(a), a.cols
+    for f in (b, *rest):
+        if f.rows != cols:
+            raise DimensionMismatch(f"{a.rows}x{cols} @ {f.rows}x{f.cols}")
+        rows, cols = _row_products(rows, _int_rows(f), f.cols), f.cols
+    out = [PolyMatrix._zero] * (a.rows * cols)
+    for i, (den, row) in enumerate(rows):
+        for j, cs, grade in row:
+            out[i * cols + j] = _poly_from_ints(cs, den, grade)
+    return PolyMatrix(a.rows, cols, out)
 
 
 def integer_rows(m: ConstMatrix) -> tuple[list[list[int]], int]:

@@ -1,5 +1,6 @@
 """Exact scalar, polynomial, and polynomial-matrix arithmetic."""
 
+import functools
 import itertools
 import math
 import random
@@ -57,6 +58,7 @@ from conftest import (
     cofactor_det,
     integer_rows,
     reference_det,
+    reference_polymatrix_mul,
     reference_reduce_rows,
     reference_solve,
 )
@@ -510,6 +512,100 @@ class TestPolyMatrixMul:
         grades = [e.grade for e in got.entries]
         assert grades == [e.grade for e in want.entries] == [0, 3, 5, 0]
 
+    def test_packed_product_matches_the_reference(self):
+        """Kronecker-packed chains against the coefficient loop
+        (`reference_polymatrix_mul`) and the PolyQ loop, in value and in
+        every entry's grade: coefficients of 1-400 bits; rows over large
+        coprime denominators, so that scaling to a factor's lcm matters;
+        same-sign rows whose result comes within 3 bits of 2**(bits-1);
+        cancelling and all-zero rows and entries; 0 x k, k x 0 and 1 x 1
+        shapes; and chains of 2, 3 and 4 factors."""
+        rng = random.Random(41)
+        # 2**p - 1 for distinct primes p: pairwise coprime
+        coprime = [2**p - 1 for p in (31, 61, 89, 107, 127)]
+
+        def wide_int():
+            b = rng.randint(1, 400)
+            return rng.choice((-1, 1)) * (1 << (b - 1) | rng.getrandbits(b - 1))
+
+        def draw(rows, cols, dens=None):
+            entries = []
+            for i in range(rows):
+                for _ in range(cols):
+                    deg = rng.randint(-1, 3)
+                    den = dens[i] if dens else rng.choice((1, 1, 3, 10, wide_int()))
+                    entries.append(PolyQ([F(wide_int(), abs(den)) for _ in range(deg + 1)],
+                                         grade=max(deg, 0) + rng.randint(0, 2)))
+            return PolyMatrix(rows, cols, entries)
+
+        def with_zeros(m):
+            """m with one row and about a quarter of its entries made zero
+            of some grade."""
+            rows = m.to_rows()
+            if rows:
+                rows[rng.randrange(len(rows))] = [PolyQ.zero(rng.randint(0, 3)) for _ in rows[0]]
+            rows = [[PolyQ.zero(rng.randint(0, 3)) if rng.random() < 0.25 else e for e in r]
+                    for r in rows]
+            return PolyMatrix(m.rows, m.cols, [e for r in rows for e in r])
+
+        def cancelling(rows, cols):
+            """a (rows x 2), b (2 x cols) with column 1 of a -r times column
+            0 and row 1 of b 1/r times row 0: every entry of a @ b is zero."""
+            r = F(wide_int(), rng.choice(coprime))
+            a, b = draw(rows, 2).to_rows(), draw(2, cols).to_rows()
+            for row in a:
+                row[1] = row[0].scale(-r).with_grade(row[0].grade + rng.randint(0, 2))
+            b[1] = [e.scale(1 / r) for e in b[0]]
+            return PolyMatrix.from_rows(a), PolyMatrix.from_rows(b)
+
+        def tight(inner, cols, length):
+            """A chain of integer factors, the first 1 x inner, whose one
+            nonzero result entry reaches the l1 bound: a's entries are
+            x_k z^(d_k) of one sign, and each later factor's rows hold one
+            entry y z^(e - d_k) each, all in one column."""
+            sign = rng.choice((-1, 1))
+            degs = [rng.randint(0, 3) for _ in range(inner)]
+            a = PolyMatrix(1, inner, [PolyQ.monomial(d, sign * (1 << rng.randint(0, 300)) + sign)
+                                      for d in degs])
+            chain, width = [a], inner
+            for _ in range(length - 1):
+                y, col, top = rng.getrandbits(rng.randint(1, 120)) + 1, rng.randrange(cols), max(degs)
+                entries = [PolyQ.zero(rng.randint(0, 2))] * (width * cols)
+                for k in range(width):
+                    entries[k * cols + col] = PolyQ.monomial(top - degs[k], y)
+                chain.append(PolyMatrix(width, cols, entries))
+                width, degs = cols, [top] * cols
+            return chain
+
+        def same(chain):
+            got, want = polymatrix_mul(*chain), reference_polymatrix_mul(*chain)
+            loop = functools.reduce(loop_mul, chain)
+            assert got == want == loop
+            grades = [e.grade for e in got.entries]
+            assert grades == [e.grade for e in want.entries] == [e.grade for e in loop.entries]
+            return got
+
+        shapes = ((1, 1, 1), (0, 3, 2), (3, 0, 2), (2, 3, 0), (2, 3, 1), (1, 4, 3), (3, 2, 4))
+        for (rows, inner, cols), length, _ in itertools.product(shapes, (2, 3, 4), range(2)):
+            dims = [rows, inner, cols] + [rng.randint(1, 3) for _ in range(length - 2)]
+            same([draw(p, q) for p, q in zip(dims, dims[1:])])
+            same([with_zeros(draw(p, q)) for p, q in zip(dims, dims[1:])])
+            same([draw(dims[0], dims[1])] + [draw(p, q, [rng.choice(coprime) for _ in range(p)])
+                                             for p, q in zip(dims[1:], dims[2:])])
+        cancelled = 0
+        for (rows, cols), length in itertools.product(((1, 1), (2, 3), (3, 2)), (2, 3, 4)):
+            a, b = cancelling(rows, cols)
+            got = same([a, b] + [draw(cols, 2), draw(2, 3)][:length - 2])
+            cancelled += sum(e.is_zero and e.grade > 0 for e in got.entries)
+        assert cancelled >= 3
+        near = 0
+        for (inner, cols), length in itertools.product(((1, 1), (3, 1), (4, 2), (2, 3)), (2, 3, 4)):
+            chain = tight(inner, cols, length)
+            got = same(chain)
+            bits = exact._packed_bits([exact._read_rows(f) for f in chain])
+            near += max(abs(x) for e in got.entries for x in e.ints) >= 1 << (bits - 4)
+        assert near == 12
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             polymatrix_mul(PolyMatrix.zeros(2, 3), PolyMatrix.zeros(2, 3))
@@ -815,6 +911,32 @@ class TestUnitByInverse:
             for w in bad:
                 assert unit_by_inverse(m, w) is None
             assert unit_by_inverse(PolyMatrix.zeros(n, n + 1), PolyMatrix.identity(n)) is None
+
+    def test_packed_check_is_sound(self):
+        """x = (I + (2**t - z**k) e_i e_j^T) m^-1, with t up to twice the
+        bits of the check x = m^-1 and k = 1, 2: x @ m differs from I only
+        by 2**t - z**k at (i, j), which packs to 0 at t / k bits.  And
+        [[2**-s]] against [[z**k]]: z**k / 2**s packs to its denominator at
+        s / k bits.  Each gives None."""
+        rng = random.Random(34)
+        for m, x in unimodular_draws(rng):
+            n = m.rows
+            i, j = rng.randrange(n), rng.randrange(n)
+            bits = exact._packed_bits((exact._read_rows(x), exact._read_rows(m)))
+            for k in (1, 2):
+                for t in range(1, 2 * bits + 1):
+                    g = PolyQ([2**t] + [0] * (k - 1) + [-1])
+                    rows = x.to_rows()
+                    rows[i] = [e + g * f for e, f in zip(rows[i], x.row(j))]
+                    w = PolyMatrix.from_rows(rows)
+                    if t == bits * k:
+                        assert loop_mul(w, m) == with_entry(PolyMatrix.identity(n), i, j,
+                                                            PolyQ([int(i == j)]) + g)
+                    assert unit_by_inverse(m, w) is None
+        for k in (1, 2, 3):
+            m = PolyMatrix.from_rows([[PolyQ.monomial(k)]])
+            for s in range(1, 9):
+                assert unit_by_inverse(m, PolyMatrix.from_rows([[PolyQ([F(1, 2**s)])]])) is None
 
     def test_polynomial_determinant_is_never_proved(self):
         m = PolyMatrix.from_rows([[PolyQ([-2, 1])]])  # det z - 2
