@@ -85,25 +85,20 @@ class ReversalEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# small block helpers
-
-
-def _poly_identity_block(n: int, poly: PolyQ) -> PolyMatrix:
-    return PolyMatrix(n, n, [poly if i == j else PolyQ.zero()
-                             for i in range(n) for j in range(n)])
+# the triangular factorization
 
 
 def _triangular(pencil: Pencil, last: list[PolyMatrix | None], h_col: list[PolyMatrix],
                 corner_factor: ConstMatrix) -> HermiteAnalogue:
     """L = Uinv @ H with Uinv equal to L outside its last block column,
     which is `last` (None = zero), and H equal to the identity outside its
-    last block column, which is `h_col`."""
+    last block column, which is `h_col`.  Uinv's rows are those of L(z)'s
+    row form cut after its first m-1 block columns, beside `last`."""
     n = pencil.n
     m = pencil.block_count
-    lz = pencil.as_polymatrix()
     eye = PolyMatrix.identity(n)
-    uinv = PolyMatrix.from_blocks(
-        [[lz.block(i, j, n) for j in range(m - 1)] + [last[i]] for i in range(m)], n)
+    uinv = PolyMatrix.hstack([(pencil.as_polymatrix(), 0, (m - 1) * n),
+                              (PolyMatrix.from_blocks([[blk] for blk in last], n), 0, n)])
     h = PolyMatrix.from_blocks(
         [[eye if i == j else None for j in range(m - 1)] + [h_col[i]] for i in range(m)], n)
     return HermiteAnalogue(uinv, h, corner_factor)
@@ -137,12 +132,12 @@ def monomial_cofactors(p: MatrixPolynomial) -> CofactorPair:
         if i == 0:
             return eye if j == 0 else horner[L - j]  # [I, H_{L-1}, ..., H_1]
         if i + j >= L:  # the -z^(i+j-L) I staircase
-            return _poly_identity_block(n, PolyQ.monomial(i + j - L, -1))
+            return PolyMatrix.scalar(n, PolyQ.monomial(i + j - L, -1))
         return None
 
     def f_block(i: int, j: int) -> PolyMatrix | None:
         if j == 0:
-            return _poly_identity_block(n, PolyQ.monomial(L - 1 - i))
+            return PolyMatrix.scalar(n, PolyQ.monomial(L - 1 - i))
         return eye if i + j == L - 1 else None
 
     e = PolyMatrix.from_blocks([[e_block(i, j) for j in range(L)] for i in range(L)], n)
@@ -177,11 +172,10 @@ def recurrence_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteA
     lc = phi.get(L, L)
     u0 = p.coeffs[L].scale(lc)
     pz = PolyMatrix.from_coeffs(transform_blocks(phi, p.coeffs), L)
-    corner = polymatrix_mul(PolyMatrix.from_const(a_lead_inv.scale(1 / lc)), pz)
     # a constant multiple of P(z), so of P's grade in every entry, zeros too
-    corner = PolyMatrix(n, n, [e.with_grade(L) for e in corner.entries])
+    corner = polymatrix_mul(PolyMatrix.from_const(a_lead_inv.scale(1 / lc)), pz).with_grade(L)
 
-    h_col = [_poly_identity_block(n, PolyQ([-phi.get(i, k) for i in range(k + 1)]))
+    h_col = [PolyMatrix.scalar(n, PolyQ([-phi.get(i, k) for i in range(k + 1)]))
              for k in range(m - 1, 0, -1)] + [corner]
     last = [PolyMatrix.from_const(u0)] + [None] * (m - 1)
     return _triangular(pencil, last, h_col, u0)
@@ -209,16 +203,12 @@ def bernstein_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteAn
 
     pz = matrix_poly_as_polymatrix(p)
     z_minus_1 = PolyQ((-1, 1))
-
-    def div_z_minus_1(mat: PolyMatrix) -> PolyMatrix:
-        return PolyMatrix(n, n, [e.exact_div(z_minus_1) for e in mat.entries])
-
     vs: dict[int, ConstMatrix] = {}
     hs: dict[int, PolyMatrix] = {}
     vs[m] = p1_inv.scale(L)
-    num = _poly_identity_block(n, PolyQ((0, L))) - \
+    num = PolyMatrix.scalar(n, PolyQ((0, L))) - \
         polymatrix_mul(PolyMatrix.from_const(vs[m]), pz)
-    hs[1] = div_z_minus_1(num)
+    hs[1] = num.exact_div(z_minus_1)
     for i in range(m - 1, 1, -1):
         k = m - i
         coef = Fraction(i, L + 1 - i)
@@ -226,7 +216,7 @@ def bernstein_hermite_analogue(p: MatrixPolynomial, pencil: Pencil) -> HermiteAn
         vs[i] = -(hk_at_1 @ p1_inv).scale(coef)
         num = hs[k].scale_poly(PolyQ((0, coef))) + \
             polymatrix_mul(PolyMatrix.from_const(vs[i]), pz)
-        hs[k + 1] = div_z_minus_1(-num)
+        hs[k + 1] = (-num).exact_div(z_minus_1)
     vs[1] = -(p.coeffs[L] @ hs[m - 1].evaluate(1) @ p1_inv).scale(Fraction(1, L))
 
     h_col = [hs[m - j] for j in range(1, m)] + [pz]
@@ -275,13 +265,12 @@ def lagrange_hermite_factors(p: MatrixPolynomial, pencil: Pencil) -> HermiteAnal
     h_blocks: dict[int, PolyMatrix] = {}
     for k in range(1, L + 1):
         u_blocks[k] = inverses[k].scale(-(beta[k] / beta[0]) * (tau[k] - tau[0]))
-        num = _poly_identity_block(n, g_poly.scale(beta[k])) + \
+        num = PolyMatrix.scalar(n, g_poly.scale(beta[k])) + \
             polymatrix_mul(PolyMatrix.from_const(u_blocks[k]), pz)
-        div = PolyQ((-tau[k], 1))
-        h_blocks[k] = PolyMatrix(n, n, [e.exact_div(div) for e in (-num).entries])
+        h_blocks[k] = (-num).exact_div(PolyQ((-tau[k], 1)))
 
     # H column: [G I, H_L, ..., H_1, P(z)]
-    h_col = [_poly_identity_block(n, g_poly)] + \
+    h_col = [PolyMatrix.scalar(n, g_poly)] + \
         [h_blocks[L + 1 - r] for r in range(1, L + 1)] + [pz]
     last = [None] + \
         [PolyMatrix.from_const(u_blocks[L + 1 - r]) for r in range(1, L + 1)] + [None]
@@ -308,26 +297,26 @@ def assemble_cofactors(ha: HermiteAnalogue, pencil: Pencil) -> CofactorPair:
         u = polymatrix_inverse_unimodular(ha.uinv)
     except NotUnimodular:  # a wrong closed form for Uinv's last block column
         raise ConjectureFailure("triangular factor U^(-1) is not unimodular") from None
-    u_rows = u.to_rows()  # SIP @ U is U with its block rows in reverse order
-    e_rows = [row for i in reversed(range(m)) for row in u_rows[i * n:(i + 1) * n]]
-    x_rows = [[x for j in reversed(range(m)) for x in row[j * n:(j + 1) * n]]
-              for row in ha.uinv.to_rows()]  # Uinv @ SIP
+    # SIP @ U is U with its block rows in reverse order, Uinv @ SIP is Uinv
+    # with its block columns in reverse order
+    e_rows = [row for i in reversed(range(m)) for row in u._form[i * n:(i + 1) * n]]
+    x_cols = [(ha.uinv, j * n, (j + 1) * n) for j in reversed(range(m))]
     c_inv = ConstMatrix.identity(n)
     if ha.corner_factor != c_inv:
         top = polymatrix_mul(PolyMatrix.from_const(ha.corner_factor),
-                             PolyMatrix.from_rows(e_rows[:n]))
-        e_rows[:n] = top.to_rows()
+                             PolyMatrix._from_form(n, u.cols, e_rows[:n]))
+        e_rows[:n] = top._form
         c_inv = ha.corner_factor.try_inverse()
         if c_inv is not None:
-            first = polymatrix_mul(PolyMatrix.from_rows([row[:n] for row in x_rows]),
-                                   PolyMatrix.from_const(c_inv))
-            x_rows = [head + row[n:] for head, row in zip(first.to_rows(), x_rows)]
+            x_cols[0] = (polymatrix_mul(PolyMatrix.hstack(x_cols[:1]), PolyMatrix.from_const(c_inv)),
+                         0, n)
     eye = PolyMatrix.identity(n)
     f_col = [-ha.h.block(i, m - 1, n) for i in range(m - 1)] + [eye]
     f_grid = [[f_col[i]] + [eye if i + j == m - 1 else None for j in range(1, m)]
               for i in range(m)]
-    return CofactorPair(PolyMatrix.from_rows(e_rows), PolyMatrix.from_blocks(f_grid, n),
-                        None if c_inv is None else PolyMatrix.from_rows(x_rows))
+    return CofactorPair(PolyMatrix._from_form(u.rows, u.cols, e_rows),
+                        PolyMatrix.from_blocks(f_grid, n),
+                        None if c_inv is None else PolyMatrix.hstack(x_cols))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@
 The scalars and polynomials underneath live in `poly`; its public names
 are re-exported here.  Every value is immutable after construction and
 every operation is a pure function, so all of this is safe to call
-concurrently.  (A ConstMatrix may fill in its entries or its row form on
-first read; either is a function of the other, so a second thread that
-makes it too makes the same value.)
+concurrently.  (A ConstMatrix or PolyMatrix may fill in its entries or
+its row form on first read; either is a function of the other, so a
+second thread that makes it too makes the same value.)
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DimensionMismatch, NotUnimodular
 from .poly import (  # noqa: F401  (POLY_Z, poly_gcd and sub_mul are re-exported)
@@ -19,44 +20,17 @@ from .poly import (  # noqa: F401  (POLY_Z, poly_gcd and sub_mul are re-exported
     POLY_Z,
     ZERO,
     PolyQ,
+    _bareiss_int,
+    _convolve,
+    _interp_at_integers,
     _poly_from_ints,
+    _pseudo_divide,
     as_fraction,
     poly_gcd,
     sub_mul,
 )
 
 ONE = Fraction(1)
-
-
-def _bareiss_int(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination (Math. Comp. 22, 1968); m is overwritten.
-
-    Every division is exact, so the inner loop runs on plain Python ints
-    with no per-operation gcd.
-    """
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pk = m[k][k]
-        mk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mik = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pk - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
 
 
 def _row_form(xs) -> tuple[int, list[tuple[int, int]]]:
@@ -151,11 +125,14 @@ def _reduce_rows(rows: list[dict[int, int]], ncols: int, jordan: bool) -> tuple[
 class _Matrix:
     """Immutable rectangular grid of entries stored row by row.
 
-    The subclasses fix the entry type (`_coerce`, `_zero`, `_one`) and add
-    the algebra of that type; the grid code is shared.
+    The subclasses fix the entry type (`_coerce`, `_zero`, `_one`), the
+    integer row form of a row of entries and the entries of a row form
+    (`_form_row`, `_row_entries`), and add the algebra of that type on
+    row forms; the grid code is shared.  Entries and row form are each
+    made from the other on first use, by `__getattr__`, and then kept.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_form")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = self._coerce(tuple(entries))
@@ -168,7 +145,27 @@ class _Matrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __getattr__(self, name):
+        # reached only while the slot `name` is unset
+        c = self.cols
+        if name == "_form":
+            value = [self._form_row(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+        elif name == "entries":
+            value = tuple(x for row in self._form for x in self._row_entries(row, c))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _from_form(cls, rows: int, cols: int, form: list):
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_form", form)
+        return m
+
     @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
@@ -188,18 +185,12 @@ class _Matrix:
     @classmethod
     def from_blocks(cls, grid, n: int):
         """Assemble from a grid of n-by-n blocks (None = zero), all grid
-        rows equally long."""
+        rows equally long, on the blocks' row forms (`_assemble`)."""
         if any(len(row) != len(grid[0]) for row in grid):
             raise DimensionMismatch("ragged block grid")
         if any(blk is not None and (blk.rows, blk.cols) != (n, n) for row in grid for blk in row):
             raise DimensionMismatch("inconsistent block size")
         return cls._assemble(grid, n)
-
-    @classmethod
-    def _assemble(cls, grid, n: int):
-        zero = cls.zeros(n, n)
-        return cls.from_rows([x for blk in row for x in (blk or zero).row(r)]
-                             for row in grid for r in range(n))
 
     # -- inspection ---------------------------------------------------
     def get(self, i: int, j: int):
@@ -224,28 +215,9 @@ class _Matrix:
         return type(self)(self.cols, self.rows,
                           [x for j in range(self.cols) for x in self.entries[j::self.cols]])
 
-    # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
-        self._same_shape(other)
-        return type(self)(self.rows, self.cols,
-                          [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return type(self)(self.rows, self.cols,
-                          [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return type(self)(self.rows, self.cols, [-a for a in self.entries])
-
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
@@ -263,9 +235,10 @@ class ConstMatrix(_Matrix):
     other on first use, by `__getattr__`, and then kept.
     """
 
-    __slots__ = ("_form",)
+    __slots__ = ()
     _zero = ZERO
     _one = ONE
+    _form_row = staticmethod(_row_form)
 
     @staticmethod
     def _coerce(entries: tuple) -> tuple:
@@ -273,29 +246,13 @@ class ConstMatrix(_Matrix):
             return tuple(as_fraction(x) for x in entries)
         return entries
 
-    @classmethod
-    def _from_form(cls, rows: int, cols: int, form: list) -> "ConstMatrix":
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_form", form)
-        return m
-
-    def __getattr__(self, name):
-        # reached only while the slot `name` is unset
-        if name == "_form":
-            c = self.cols
-            value = [_row_form(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-        elif name == "entries":
-            value = [ZERO] * (self.rows * self.cols)
-            for i, (den, pairs) in enumerate(self._form):
-                for j, x in pairs:
-                    value[i * self.cols + j] = Fraction(x, den)
-            value = tuple(value)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+    @staticmethod
+    def _row_entries(row, cols: int) -> list:
+        den, pairs = row
+        out = [ZERO] * cols
+        for j, x in pairs:
+            out[j] = Fraction(x, den)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstMatrix):
@@ -440,8 +397,38 @@ def solve_exact(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix | None:
     return ConstMatrix._from_form(n, b.cols, form)
 
 
+def _trimmed(xs: list) -> tuple:
+    """xs without its trailing zeros, as a tuple."""
+    n = len(xs)
+    while n and not xs[n - 1]:
+        n -= 1
+    return tuple(xs[:n])
+
+
+def _poly_row(den: int, pairs: list, grades) -> tuple:
+    """The row form (d, pairs, grades) of the (column, ints) pairs over den
+    (den nonzero, each ints a tuple ending in a nonzero int), by one gcd."""
+    g = math.gcd(den, *(x for _, xs in pairs for x in xs))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, pairs, grades
+    return den // g, [(j, tuple([x // g for x in xs])) for j, xs in pairs], grades
+
+
 class PolyMatrix(_Matrix):
-    """Immutable rectangular matrix with PolyQ entries."""
+    """Immutable rectangular matrix with PolyQ entries.
+
+    Its integer representation is its row form, as a ConstMatrix's is: row
+    i is (d, pairs, grades), d > 0 with gcd(d, all the row's ints) = 1,
+    pairs the row's nonzero entries as (column, ints) with ints the
+    coefficients times d, lowest first and ending in a nonzero int, and
+    grades the grade of every entry, zeros too.  The form is canonical but
+    for the grades, which equality does not compare (as PolyQ's does not).
+    The constructors and kernels build and read row forms; the PolyQ
+    entries are made from the form on first read (`entries`, `get`, `row`,
+    hashing) and then kept.
+    """
 
     __slots__ = ()
     _zero = PolyQ.zero()
@@ -453,12 +440,52 @@ class PolyMatrix(_Matrix):
             return tuple(e if isinstance(e, PolyQ) else PolyQ((e,)) for e in entries)
         return entries
 
+    @staticmethod
+    def _form_row(entries) -> tuple:
+        """Each entry's ints over the lcm d of their denominators; a prime
+        that divides d divides some entry's denominator to the full power,
+        and not all of that entry's ints, so the row is canonical as made."""
+        den = math.lcm(*(p.den for p in entries))
+        return den, [(j, p.ints if p.den == den else tuple([x * (den // p.den) for x in p.ints]))
+                     for j, p in enumerate(entries) if p.ints], tuple(p.grade for p in entries)
+
+    @staticmethod
+    def _row_entries(row, cols: int) -> list:
+        den, pairs, grades = row
+        ints = dict(pairs)
+        return [_poly_from_ints(ints[j], den, g) if j in ints else PolyQ.zero(g)
+                for j, g in enumerate(grades)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and all(
+            a[:2] == b[:2] for a, b in zip(self._form, other._form))
+
+    __hash__ = _Matrix.__hash__  # entry-based: equal matrices have equal entries
+
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return not any(pairs for _, pairs, _ in self._form)
 
     def __repr__(self):
         return f"PolyMatrix({[[str(e) for e in r] for r in self.to_rows()]})"
+
+    # -- constructors -------------------------------------------------
+    @classmethod
+    def scalar(cls, n: int, p: PolyQ) -> "PolyMatrix":
+        """p times the n-by-n identity; the zeros are of grade 0."""
+        zeros = (0,) * n
+        return cls._from_form(n, n, [(p.den, [(i, p.ints)] if p.ints else [],
+                                      zeros[:i] + (p.grade,) + zeros[i + 1:]) for i in range(n)])
+
+    @classmethod
+    def identity(cls, n: int) -> "PolyMatrix":
+        return cls.scalar(n, POLY_ONE)
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
+        return cls._from_form(rows, cols, [(1, [], (0,) * cols)] * rows)
 
     @classmethod
     def from_coeffs(cls, blocks, grade: int | None = None) -> "PolyMatrix":
@@ -467,71 +494,176 @@ class PolyMatrix(_Matrix):
 
         Read from the blocks' row forms: row i of every block over the lcm
         d of their row-i denominators gives each entry of row i its ints
-        over d, brought to canonical form by one gcd.  Entries no block
-        row touches share one zero."""
-        rows, cols = blocks[0].rows, blocks[0].cols
-        zero = PolyQ.zero(grade or 0)
-        entries = []
-        for i in range(rows):
-            forms = [b._form[i] for b in blocks]
+        over d, canonical as made (see `ConstMatrix._assemble`)."""
+        rows, cols, k = blocks[0].rows, blocks[0].cols, len(blocks)
+        form = []
+        for forms in zip(*(b._form for b in blocks)):
             den = math.lcm(*(d for d, _ in forms))
             row = [None] * cols
-            for k, (d, pairs) in enumerate(forms):
+            for e, (d, pairs) in enumerate(forms):
                 for j, x in pairs:
                     if row[j] is None:
-                        row[j] = [0] * len(blocks)
-                    row[j][k] = x * (den // d)
-            entries += [zero if xs is None else _poly_from_ints(xs, den, grade) for xs in row]
-        return cls(rows, cols, entries)
+                        row[j] = [0] * k
+                    row[j][e] = x * (den // d)
+            pairs = [(j, _trimmed(xs)) for j, xs in enumerate(row) if xs is not None]
+            if grade is None:
+                grades = [0] * cols
+                for j, xs in pairs:
+                    grades[j] = len(xs) - 1
+            elif any(len(xs) > grade + 1 for _, xs in pairs):
+                raise ValueError(f"grade {grade} smaller than the degree of an entry")
+            else:
+                grades = (grade,) * cols
+            form.append((den, pairs, grades))
+        return cls._from_form(rows, cols, form)
 
     @classmethod
     def from_const(cls, m: ConstMatrix) -> "PolyMatrix":
         return cls.from_coeffs([m])
 
+    @classmethod
+    def _assemble(cls, grid, n: int) -> "PolyMatrix":
+        """Row r of block row bi: row r of each block moved to its block's
+        columns, over the lcm d of those rows' denominators, canonical as
+        made (see `ConstMatrix._assemble`); a zero block adds grade-0 zeros."""
+        zeros = (0,) * n
+        form = []
+        for row in grid:
+            for r in range(n):
+                parts = [(bj * n, blk._form[r]) for bj, blk in enumerate(row) if blk is not None]
+                den = math.lcm(*(f[0] for _, f in parts))
+                form.append((den, [(off + j, xs if d == den else tuple([x * (den // d) for x in xs]))
+                                   for off, (d, pairs, _) in parts for j, xs in pairs],
+                             tuple(chain.from_iterable(zeros if blk is None else blk._form[r][2]
+                                                       for blk in row))))
+        return cls._from_form(len(grid) * n, len(grid[0]) * n, form)
+
+    @classmethod
+    def hstack(cls, parts) -> "PolyMatrix":
+        """Columns lo..hi-1 of each (matrix, lo, hi) of parts, side by side
+        (the matrices have equal row counts): each row over the lcm of the
+        rows' denominators, by one gcd."""
+        form = []
+        for rows in zip(*(m._form for m, _, _ in parts)):
+            den = math.lcm(*(d for d, _, _ in rows))
+            pairs, grades, off = [], [], 0
+            for (d, ps, gs), (_, lo, hi) in zip(rows, parts):
+                s = den // d
+                pairs += [(off + j - lo, xs if s == 1 else tuple([s * x for x in xs]))
+                          for j, xs in ps if lo <= j < hi]
+                grades += gs[lo:hi]
+                off += hi - lo
+            form.append(_poly_row(den, pairs, grades))
+        return cls._from_form(parts[0][0].rows, sum(hi - lo for _, lo, hi in parts), form)
+
+    def block(self, i: int, j: int, n: int) -> "PolyMatrix":
+        rows = PolyMatrix._from_form(n, self.cols, self._form[i * n:(i + 1) * n])
+        return PolyMatrix.hstack([(rows, j * n, (j + 1) * n)])
+
+    def with_grade(self, grade: int) -> "PolyMatrix":
+        """The same matrix with every entry of the stated grade."""
+        if self.max_degree() > grade:
+            raise ValueError(f"grade {grade} smaller than the degree of an entry")
+        return PolyMatrix._from_form(self.rows, self.cols,
+                                     [(d, pairs, (grade,) * self.cols) for d, pairs, _ in self._form])
+
     def evaluate(self, x) -> ConstMatrix:
-        """m(x), built as a row form: each entry's value by integer Horner
-        on its integer form, each row over the lcm of those values'
-        denominators and brought to its row form by one gcd."""
+        """m(x), built as a row form: entry j of a row of largest degree D,
+        of degree D_j, is sum_k ints[k] u^k w^(D_j-k) w^(D-D_j) over
+        d w^D by integer Horner, x = u/w, and the row is brought to its
+        row form by one gcd."""
         u, w = as_fraction(x).as_integer_ratio()
         form = []
-        for i in range(self.rows):
-            vals = [(j, *e._value(u, w)) for j, e in enumerate(self.row(i)) if e.ints]
-            den = math.lcm(*(d for _, _, d in vals))
-            form.append(_lowest(den, [(j, v * (den // d)) for j, v, d in vals if v]))
+        for den, pairs, _ in self._form:
+            top = max((len(xs) for _, xs in pairs), default=1)
+            vals = []
+            for j, xs in pairs:
+                acc, pw = 0, 1
+                for c in reversed(xs):
+                    acc = acc * u + c * pw
+                    pw *= w
+                if acc:
+                    vals.append((j, acc * w ** (top - len(xs))))
+            form.append(_lowest(den * w ** (top - 1), vals))
         return ConstMatrix._from_form(self.rows, self.cols, form)
 
     def max_degree(self) -> int:
-        return max((e.degree for e in self.entries), default=-1)
+        return max((len(xs) for _, pairs, _ in self._form for _, xs in pairs), default=0) - 1
 
     # -- arithmetic ---------------------------------------------------
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return polymatrix_mul(self, other)
 
-    def scale_poly(self, p: PolyQ) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [p * e for e in self.entries])
+    def __add__(self, other: "PolyMatrix", sign: int = 1) -> "PolyMatrix":
+        """self + sign * other, each row over the lcm of the two
+        denominators, by one gcd; each grade the larger of the two."""
+        self._same_shape(other)
+        form = []
+        for (da, xs, ga), (db, ys, gb) in zip(self._form, other._form):
+            den = math.lcm(da, db)
+            ma, mb = den // da, sign * (den // db)
+            acc = {j: [ma * x for x in cs] for j, cs in xs}
+            for j, cs in ys:
+                out = acc.setdefault(j, [])
+                out.extend([0] * (len(cs) - len(out)))
+                for k, c in enumerate(cs):
+                    out[k] += mb * c
+            pairs = [(j, _trimmed(acc[j])) for j in sorted(acc)]
+            form.append(_poly_row(den, [(j, cs) for j, cs in pairs if cs], tuple(map(max, ga, gb))))
+        return PolyMatrix._from_form(self.rows, self.cols, form)
+
+    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self.__add__(other, -1)
+
+    def __neg__(self) -> "PolyMatrix":
+        return PolyMatrix._from_form(self.rows, self.cols, [
+            (d, [(j, tuple([-x for x in xs])) for j, xs in pairs], g) for d, pairs, g in self._form])
 
     def scale(self, c) -> "PolyMatrix":
-        c = as_fraction(c)
-        return PolyMatrix(self.rows, self.cols, [e.scale(c) for e in self.entries])
+        p, q = as_fraction(c).as_integer_ratio()
+        return PolyMatrix._from_form(self.rows, self.cols, [
+            _poly_row(d * q, [(j, tuple([p * x for x in xs])) for j, xs in pairs if p], g)
+            for d, pairs, g in self._form])
 
+    def scale_poly(self, p: PolyQ) -> "PolyMatrix":
+        """p times each entry, of grade p.grade plus the entry's."""
+        return PolyMatrix._from_form(self.rows, self.cols, [
+            _poly_row(d * p.den, [(j, tuple(_convolve(xs, p.ints))) for j, xs in pairs if p.ints],
+                      tuple([g + p.grade for g in gs])) for d, pairs, gs in self._form])
 
-def _integer_coeffs(polys) -> tuple[list, int]:
-    """The integer forms of polys over their common denominator d (each
-    p.ints times d // p.den), and d."""
-    den = math.lcm(*(p.den for p in polys))
-    return [p.ints if p.den == den else [x * (den // p.den) for x in p.ints]
-            for p in polys], den
+    def exact_div(self, p: PolyQ) -> "PolyMatrix":
+        """Each entry divided by p, which must divide it (ValueError
+        otherwise); each quotient of grade its degree, as PolyQ.exact_div
+        gives it.  Entry j of a row over d is ints_j / d, and integer
+        pseudo-division gives s_j ints_j = Q_j p.ints; over the lcm S of
+        the row's s_j, its quotient is Q_j (S / s_j) p.den / (S d)."""
+        if not p.ints:
+            raise ZeroDivisionError("polynomial division by zero")
+        form = []
+        for den, pairs, _ in self._form:
+            quots = []
+            for j, xs in pairs:
+                q, rem, s = _pseudo_divide(list(xs), p.ints)
+                if any(rem):
+                    raise ValueError("inexact polynomial division")
+                quots.append((j, q, s))
+            scale = math.lcm(*(s for _, _, s in quots))
+            grades = [0] * self.cols
+            for j, q, _ in quots:
+                grades[j] = len(q) - 1
+            form.append(_poly_row(den * scale, [(j, tuple([scale // s * p.den * x for x in q]))
+                                                for j, q, s in quots], grades))
+        return PolyMatrix._from_form(self.rows, self.cols, form)
 
 
 def _read_rows(m: PolyMatrix) -> tuple[int, list, int]:
-    """m over one denominator d, the lcm of its entries' denominators, as
-    (d, rows, l1): each row lists (j, ints, s, grade) over its nonzero
-    entries, entry j being ints * s / d, and l1 is the largest sum of
-    |x * s| over the ints x of a row."""
-    den = math.lcm(*(p.den for p in m.entries))
-    rows = [[(j, p.ints, den // p.den, p.grade) for j, p in enumerate(m.row(i)) if p.ints]
-            for i in range(m.rows)]
-    return den, rows, max((sum(s * sum(map(abs, xs)) for _, xs, s, _ in row) for row in rows),
+    """m over one denominator d, the lcm of its n row denominators, as
+    (d, rows, l1): row i is (s, pairs, grades) from its row form (d_i,
+    pairs, grades), s = d / d_i, entry j being ints * s / d, and l1 is the
+    largest sum of |x * s| over the ints x of a row."""
+    den = math.lcm(*(d for d, _, _ in m._form))
+    rows = [(den // d, pairs, grades) for d, pairs, grades in m._form]
+    return den, rows, max((s * sum(sum(map(abs, xs)) for _, xs in pairs) for s, pairs, _ in rows),
                           default=0)
 
 
@@ -547,17 +679,17 @@ def _packed_bits(factors, floor: int = 0) -> int:
 
 
 def _pack_rows(rows, bits: int) -> list[list]:
-    """Each (j, ints, s, grade) of rows as (j, v, grade), v being s times
-    the integer polynomial's value at 2**bits (Kronecker substitution),
-    by Horner on shifts."""
+    """Each entry (j, ints) of the rows (s, pairs, grades) as (j, v, grade),
+    v being s times the integer polynomial's value at 2**bits (Kronecker
+    substitution), by Horner on shifts."""
     out = []
-    for row in rows:
+    for s, pairs, grades in rows:
         packed = []
-        for j, xs, s, grade in row:
+        for j, xs in pairs:
             v = 0
             for x in reversed(xs):
                 v = (v << bits) + x
-            packed.append((j, v * s, grade))
+            packed.append((j, v * s, grades[j]))
         out.append(packed)
     return out
 
@@ -579,10 +711,10 @@ def _row_times(row, frows, cols: int) -> list:
     return [(j, acc[j], g) for j, g in enumerate(grade) if g >= 0]
 
 
-def _unpack(v: int, bits: int) -> list[int]:
+def _unpack(v: int, bits: int) -> tuple:
     """The balanced base-2**bits digits of v, lowest first: the ints of the
     one polynomial whose value at 2**bits is v and whose ints are all below
-    2**(bits-1) in size."""
+    2**(bits-1) in size.  The last digit is nonzero."""
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     digits = []
     while v:
@@ -592,20 +724,21 @@ def _unpack(v: int, bits: int) -> list[int]:
             c -= mask + 1
             v += 1
         digits.append(c)
-    return digits
+    return tuple(digits)
 
 
 def polymatrix_mul(a: PolyMatrix, b: PolyMatrix, *rest: PolyMatrix) -> PolyMatrix:
     """Exact product a @ b @ ... of polynomial matrices by Kronecker
     substitution (Kronecker 1882; Harvey, J. Symbolic Comput. 44, 2009).
 
-    Each factor is put over one denominator (`_read_rows`) and each entry
-    packed into one integer, its value at z = 2**bits (`_pack_rows`), with
-    bits chosen once from a bound on every coefficient of the chain
-    (`_packed_bits`); so each product of two entries is one integer
-    product (`_row_times`), and intermediate products stay packed.  Only
-    the result is unpacked, by balanced digits, and its entries made, by
-    one gcd each; one with no nonzero term is a zero of grade 0."""
+    Each factor's row forms are put over one denominator (`_read_rows`)
+    and each entry packed into one integer, its value at z = 2**bits
+    (`_pack_rows`), with bits chosen once from a bound on every
+    coefficient of the chain (`_packed_bits`); so each product of two
+    entries is one integer product (`_row_times`), and intermediate
+    products stay packed.  Only the result is unpacked, by balanced
+    digits, into row forms, by one gcd a row; an entry with no nonzero
+    term is a zero of grade 0."""
     chain = (a, b, *rest)
     for f, g in zip(chain, chain[1:]):
         if g.rows != f.cols:
@@ -617,55 +750,26 @@ def polymatrix_mul(a: PolyMatrix, b: PolyMatrix, *rest: PolyMatrix) -> PolyMatri
         frows = _pack_rows(frows, bits)
         rows = [_row_times(row, frows, f.cols) for row in rows]
     den, cols = math.prod(d for d, _, _ in factors), chain[-1].cols
-    out = [PolyMatrix._zero] * (a.rows * cols)
-    for i, row in enumerate(rows):
-        for j, v, grade in row:
-            out[i * cols + j] = _poly_from_ints(_unpack(v, bits), den, grade)
-    return PolyMatrix(a.rows, cols, out)
-
-
-def _interp_at_integers(values: list[int], den: int) -> PolyQ:
-    """The polynomial p of degree < len(values) with p(z) = values[z] / den
-    at z = 0, 1, ..., len(values)-1.
-
-    With D = len(values)-1, the Newton forward differences d_k of the values
-    give D! p(z) = sum_k d_k (D!/k!) z(z-1)...(z-k+1), which is expanded on
-    ints by nested multiplication and put over D! den by one gcd.
-    """
-    d = len(values) - 1
-    diffs = list(values)
-    newton = [diffs[0]]
-    for k in range(1, d + 1):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        newton.append(diffs[0])
-    # acc = newton[d], then acc = acc * (z - k) + newton[k] * D!/k! for k < d
-    acc = [newton[d]]
-    weight = 1
-    for k in range(d - 1, -1, -1):
-        weight *= k + 1
-        acc = [0] + acc
-        for i in range(len(acc) - 1):
-            acc[i] -= k * acc[i + 1]
-        acc[0] += newton[k] * weight
-    den *= weight
-    return _poly_from_ints(acc, den)
+    form = []
+    for row in rows:
+        grades = [0] * cols
+        for j, _, g in row:
+            grades[j] = g
+        form.append(_poly_row(den, [(j, _unpack(v, bits)) for j, v, _ in row if v], grades))
+    return PolyMatrix._from_form(a.rows, cols, form)
 
 
 def _det_degree_bound(m: PolyMatrix) -> int:
     """Row/column-wise degree bound for det(m); -1 when det is forced zero."""
     row_bound = 0
-    for i in range(m.rows):
-        d = max((e.degree for e in m.row(i)), default=-1)
-        if d < 0:
+    col = [-1] * m.cols
+    for _, pairs, _ in m._form:
+        if not pairs:
             return -1
-        row_bound += d
-    col_bound = 0
-    for j in range(m.cols):
-        d = max((m.get(i, j).degree for i in range(m.rows)), default=-1)
-        if d < 0:
-            return -1
-        col_bound += d
-    return min(row_bound, col_bound)
+        row_bound += max(len(xs) for _, xs in pairs) - 1
+        for j, xs in pairs:
+            col[j] = max(col[j], len(xs) - 1)
+    return -1 if -1 in col else min(row_bound, sum(col))
 
 
 def _assignment_bound(m: PolyMatrix) -> int:
@@ -679,10 +783,13 @@ def _assignment_bound(m: PolyMatrix) -> int:
     reach.  It does not bound the degree of the adjugate.
     """
     n = m.rows
-    top = max(m.max_degree(), 0)
-    forbidden = n * top + 1
-    cost = [[0] * (n + 1)] + [
-        [0] + [-e.degree if e.ints else forbidden for e in m.row(i)] for i in range(n)]
+    forbidden = n * max(m.max_degree(), 0) + 1
+    cost = [[0] * (n + 1)]
+    for _, pairs, _ in m._form:
+        row = [0] + [forbidden] * n
+        for j, xs in pairs:
+            row[j + 1] = 1 - len(xs)
+        cost.append(row)
     # 1-indexed potentials u (rows), v (columns); p[j] is the row given column j
     u = [0] * (n + 1)
     v = [0] * (n + 1)
@@ -726,10 +833,11 @@ def _assignment_bound(m: PolyMatrix) -> int:
 def polymatrix_det(m: PolyMatrix) -> PolyQ:
     """Exact determinant via evaluation at integer points and interpolation.
 
-    Each row is scaled to integer polynomials once; they are evaluated by
-    integer Horner at z = 0..D, with D = `_assignment_bound(m)`, each value
-    is an integer Bareiss determinant, and the values are interpolated and
-    divided by the product of the row scales once.
+    The rows of the row form are integer polynomials over their
+    denominators; they are evaluated by integer Horner at z = 0..D, with
+    D = `_assignment_bound(m)`, each value is an integer Bareiss
+    determinant, and the values are interpolated and divided by the
+    product of the row denominators once.
     """
     if not m.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
@@ -738,21 +846,20 @@ def polymatrix_det(m: PolyMatrix) -> PolyQ:
     bound = _assignment_bound(m)
     if bound < 0:
         return PolyQ.zero()
-    rows = [_integer_coeffs(m.row(i)) for i in range(m.rows)]
-    scale = math.prod(den for _, den in rows)
+    n = m.rows
     values = []
     for x in range(bound + 1):
         at_x = []
-        for polys, _ in rows:
-            vals = []
-            for cs in polys:
+        for _, pairs, _ in m._form:
+            vals = [0] * n
+            for j, cs in pairs:
                 acc = 0
                 for c in reversed(cs):
                     acc = acc * x + c
-                vals.append(acc)
+                vals[j] = acc
             at_x.append(vals)
         values.append(_bareiss_int(at_x))
-    return _interp_at_integers(values, scale).with_grade(bound)
+    return _interp_at_integers(values, math.prod(d for d, _, _ in m._form), bound)
 
 
 def is_unimodular(m: PolyMatrix) -> tuple[bool, Fraction | None]:
@@ -787,8 +894,8 @@ def unit_by_inverse(m: PolyMatrix, x: PolyMatrix) -> Fraction | None:
         if [(j, v) for j, v, _ in _row_times(row, mpacked, n) if v] != [(i, den)]:
             return None
     consts = [[0] * n for _ in range(n)]
-    for const, row in zip(consts, mrows):
-        for j, ys, s, _ in row:
+    for const, (s, pairs, _) in zip(consts, mrows):
+        for j, ys in pairs:
             const[j] = ys[0] * s
     return Fraction(_bareiss_int(consts), dm ** n)
 
@@ -810,18 +917,16 @@ def polymatrix_inverse_unimodular(m: PolyMatrix) -> PolyMatrix:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
     d = max(m.max_degree(), 0)
-    # row i of [M_0 | M_1 | ... | M_d] over one denominator, from the integer forms
-    den, rows, _ = _read_rows(m)
-    wide = [[(j * n + c, xs[j] * s) for j in range(d + 1) for c, xs, s, _ in row
-             if j < len(xs) and xs[j]] for row in rows]
-    x0 = ConstMatrix._from_form(n, n, [_lowest(den, [(c, x) for c, x in pairs if c < n])
-                                       for pairs in wide]).try_inverse()
+    # row i of M_0 and of [M_1 | ... | M_d], from the row forms
+    x0 = ConstMatrix._from_form(n, n, [_lowest(den, [(c, xs[0]) for c, xs in pairs if xs[0]])
+                                       for den, pairs, _ in m._form]).try_inverse()
     if x0 is None:
         raise NotUnimodular("matrix is not unimodular: m(0) is singular")
     if d == 0:
         return PolyMatrix.from_const(x0)
-    step = x0 @ ConstMatrix._from_form(
-        n, n * d, [_lowest(-den, [(c - n, x) for c, x in pairs if c >= n]) for pairs in wide])
+    step = x0 @ ConstMatrix._from_form(n, n * d, [
+        _lowest(-den, [(j * n + c - n, xs[j]) for j in range(1, d + 1) for c, xs in pairs
+                       if j < len(xs) and xs[j]]) for den, pairs, _ in m._form])
     lifted, zero_run = [x0], 0
     window = x0._form + [(1, [])] * (n * (d - 1))  # row forms of X_{k-1}, ..., X_{k-d}
     for _ in range(_det_degree_bound(m) + d):

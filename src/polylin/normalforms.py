@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DimensionMismatch
-from .exact import PolyMatrix, _integer_coeffs
-from .poly import PolyQ, _convolve, _poly_from_ints, _pseudo_divide, sub_mul
+from .exact import PolyMatrix, _poly_row
+from .poly import PolyQ, _convolve, _pseudo_divide, sub_mul
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,20 @@ def hermite_form(m: PolyMatrix) -> HermiteResult:
     row_i -= q * row_r with q = h[i][c] // h[r][c], one integer
     pseudo-division of the two pivot-column ints gives s * a = Q * b + R,
     and the new row is s * row_i - Q * row_r over s * d_i: the pivot
-    row's denominator cancels.  Grades follow a - q * b, and each entry
-    becomes a PolyQ once, at the end.
+    row's denominator cancels.  Grades follow a - q * b.  The rows are
+    read from m's row form, and H and U are built as row forms, each half
+    of a row brought to its row form by one gcd; no PolyQ is made.
     """
     if not m.is_square:
         raise DimensionMismatch("hermite_form expects a square matrix")
     n = m.rows
     rows = []
-    for i, entries in enumerate(m.to_rows()):
-        ints, den = _integer_coeffs(entries)
-        ints += [[den] if j == i else [] for j in range(n)]
-        rows.append((ints, den, [e.grade for e in entries] + [0] * n))
+    for i, (den, pairs, grades) in enumerate(m._form):
+        ints = [()] * (2 * n)
+        for j, xs in pairs:
+            ints[j] = xs
+        ints[n + i] = (den,)
+        rows.append((ints, den, list(grades) + [0] * n))
 
     def row_sub(i: int, r: int, c: int):
         a, den, ga = rows[i]
@@ -109,11 +112,11 @@ def hermite_form(m: PolyMatrix) -> HermiteResult:
                 row_sub(i, r, c)
             pivots.append(c)
             r += 1
-    polys = [[_poly_from_ints(xs, den, g) for xs, g in zip(ints, grades)]
-             for ints, den, grades in rows]
+    halves = [[_poly_row(den, [(j, tuple(xs)) for j, xs in enumerate(ints[lo:lo + n]) if xs],
+                         grades[lo:lo + n]) for ints, den, grades in rows] for lo in (0, n)]
     return HermiteResult(
-        PolyMatrix.from_rows(p[:n] for p in polys),
-        PolyMatrix.from_rows(p[n:] for p in polys),
+        PolyMatrix._from_form(n, n, halves[0]),
+        PolyMatrix._from_form(n, n, halves[1]),
         tuple(pivots),
         rank_deficient=(r < n),
     )
@@ -139,8 +142,8 @@ def smith_form(m: PolyMatrix) -> SmithResult:
         raise DimensionMismatch("smith_form expects a square matrix")
     n = m.rows
     s = m.to_rows()
-    e = PolyMatrix.identity(n).to_rows()
-    ft = PolyMatrix.identity(n).to_rows()
+    e = [[PolyMatrix._one if i == j else PolyMatrix._zero for j in range(n)] for i in range(n)]
+    ft = [row[:] for row in e]
 
     # invariant: original = E @ S @ F throughout, with F kept as ft = F^T
     def swap(a, comp, i, k):
@@ -226,6 +229,12 @@ def smith_form(m: PolyMatrix) -> SmithResult:
 
 
 def mask(m: PolyMatrix) -> list[str]:
-    """Zero/nonzero structural fingerprint as a grid of '0'/'x' strings."""
-    return ["".join("0" if m.get(i, j).is_zero else "x" for j in range(m.cols))
-            for i in range(m.rows)]
+    """Zero/nonzero structural fingerprint as a grid of '0'/'x' strings,
+    read from the row form."""
+    out = []
+    for _, pairs, _ in m._form:
+        line = ["0"] * m.cols
+        for j, _ in pairs:
+            line[j] = "x"
+        out.append("".join(line))
+    return out

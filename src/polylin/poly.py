@@ -1,8 +1,9 @@
 """Exact rationals and univariate polynomials over Q.
 
 `PolyQ` keeps one canonical integer form and its arithmetic runs on ints;
-the integer kernels here (convolution, pseudo-division, a - q*b) are
-shared with the polynomial-matrix code in `exact` and `normalforms`.
+the integer kernels here (convolution, pseudo-division, a - q*b, the
+Bareiss determinant and interpolation at 0, 1, ...) are shared with the
+polynomial-matrix code in `exact` and `normalforms`.
 Every value is immutable after construction and every operation is a pure
 function.  (A PolyQ may fill in its Fraction coefficients on first read;
 they are a function of its integer form, so a second thread that makes
@@ -358,3 +359,61 @@ def sub_mul(a: PolyQ, q: PolyQ, b: PolyQ) -> PolyQ:
     for k, c in enumerate(prod):
         out[k] -= mp * c
     return _poly_from_ints(out, den, grade)
+
+
+def _bareiss_int(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination (Math. Comp. 22, 1968); m is overwritten.
+
+    Every division is exact, so the inner loop runs on plain Python ints
+    with no per-operation gcd.
+    """
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk = m[k][k]
+        mk = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            mik = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pk - mik * mk[j]) // prev
+            mi[k] = 0
+        prev = pk
+    return sign * m[n - 1][n - 1]
+
+
+def _interp_at_integers(values: list[int], den: int, grade: int) -> PolyQ:
+    """The polynomial p of degree < len(values) with p(z) = values[z] / den
+    at z = 0, 1, ..., len(values)-1, of the stated grade.
+
+    With D = len(values)-1, the Newton forward differences d_k of the values
+    give D! p(z) = sum_k d_k (D!/k!) z(z-1)...(z-k+1), which is expanded on
+    ints by nested multiplication and put over D! den by one gcd.
+    """
+    d = len(values) - 1
+    diffs = list(values)
+    newton = [diffs[0]]
+    for k in range(1, d + 1):
+        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
+        newton.append(diffs[0])
+    # acc = newton[d], then acc = acc * (z - k) + newton[k] * D!/k! for k < d
+    acc = [newton[d]]
+    weight = 1
+    for k in range(d - 1, -1, -1):
+        weight *= k + 1
+        acc = [0] + acc
+        for i in range(len(acc) - 1):
+            acc[i] -= k * acc[i + 1]
+        acc[0] += newton[k] * weight
+    den *= weight
+    return _poly_from_ints(acc, den, grade)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
-from .exact import ConstMatrix, PolyMatrix, _lowest
-from .poly import PolyQ, _poly_from_ints
+from .exact import ConstMatrix, PolyMatrix, _lowest, _poly_row, _trimmed
+from .poly import PolyQ
 from .bases import (
     BasisSpec,
     Bernstein,
@@ -116,17 +116,34 @@ def polyq_obj(p: PolyQ) -> list[str]:
     return strs + ["0"] * (p.grade - p.degree)
 
 
-def parse_polyq(obj) -> PolyQ:
-    """The integer form, built from the (p, q) of the coefficients."""
-    if not isinstance(obj, list) or not obj:
-        raise InputError("polynomial must be a non-empty coefficient list")
-    ratios = [_ratio(c) for c in obj]
-    den = math.lcm(*[q for _, q in ratios])
-    return _poly_from_ints([p * (den // q) for p, q in ratios], den, len(obj) - 1)
+def _poly_rows(m: PolyMatrix):
+    """The rows as lists of coefficient lists of strings, each coefficient
+    x/d of a row form written by `_ratio_str` (by str when d is 1) and
+    each list padded with "0" to its entry's grade."""
+    for den, pairs, grades in m._form:
+        row = [["0"] * (g + 1) for g in grades]
+        for j, xs in pairs:
+            strs = list(map(str, xs)) if den == 1 else [_ratio_str(x, den) for x in xs]
+            row[j] = strs + ["0"] * (grades[j] + 1 - len(xs))
+        yield row
 
 
 def polymatrix_obj(m: PolyMatrix) -> dict:
     return _obj(m)
+
+
+def _parse_poly_row(row) -> tuple:
+    """The row form of a row of coefficient lists, built from the (p, q)
+    of its coefficients over their lcm, each entry of grade its length
+    less one."""
+    entries = []
+    for e in row:
+        if not isinstance(e, list) or not e:
+            raise InputError("polynomial must be a non-empty coefficient list")
+        entries.append([_ratio(c) for c in e])
+    den = math.lcm(*[q for ratios in entries for _, q in ratios])
+    pairs = [(j, _trimmed([p * (den // q) for p, q in ratios])) for j, ratios in enumerate(entries)]
+    return _poly_row(den, [(j, xs) for j, xs in pairs if xs], [len(e) - 1 for e in row])
 
 
 def parse_polymatrix(obj) -> PolyMatrix:
@@ -135,12 +152,12 @@ def parse_polymatrix(obj) -> PolyMatrix:
     entries = obj["entries"]
     if not isinstance(entries, list) or not entries:
         raise InputError("'entries' must be a non-empty list of rows")
-    rows = []
+    form = []
     for row in entries:
         if not isinstance(row, list) or not row or len(row) != len(entries[0]):
             raise InputError("entry rows must be non-empty lists of equal length")
-        rows.append([parse_polyq(e) for e in row])
-    m = PolyMatrix.from_rows(rows)
+        form.append(_parse_poly_row(row))
+    m = PolyMatrix._from_form(len(entries), len(entries[0]), form)
     for key in ("rows", "cols"):
         if key in obj and (not isinstance(obj[key], int) or isinstance(obj[key], bool)):
             raise InputError(f"{key!r} must be an integer")
@@ -227,7 +244,7 @@ def pencil_obj(p: Pencil) -> dict:
 _FIELDS = {
     ConstMatrix: const_matrix_obj,
     PolyQ: polyq_obj,
-    PolyMatrix: lambda m: {"rows": m.rows, "cols": m.cols, "entries": m.to_rows()},
+    PolyMatrix: lambda m: {"rows": m.rows, "cols": m.cols, "entries": list(_poly_rows(m))},
     MatrixPolynomial: lambda p: {"n": p.n, "basis": basis_obj(p.basis),
                                  "coeffs": list(p.coeffs)},
     Pencil: lambda p: {"n": p.n, "blocks": p.block_count, "C1": p.c1, "C0": p.c0,
@@ -269,6 +286,13 @@ def _strings_text(strs: list[str], nl: str) -> str:
     return "[" + inner + '"' + ('",' + inner + '"').join(strs) + '"' + nl + "]"
 
 
+def _bracketed(items: list[str], nl: str, brackets: str = "[]") -> str:
+    """The written items between brackets, each on its own line, the
+    closing bracket on the line nl starts."""
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
+
+
 def _text(x, nl: str) -> str:
     """x as `dumps` writes it, its closing bracket on the line nl starts."""
     kind = type(x)
@@ -278,17 +302,20 @@ def _text(x, nl: str) -> str:
         return _strings_text(polyq_obj(x), nl)
     inner = nl + "  "
     if kind is ConstMatrix and x.rows and x.cols:
-        rows = [_strings_text(row, inner) for row in _const_rows(x)]
-        return "[" + inner + ("," + inner).join(rows) + nl + "]"
+        return _bracketed([_strings_text(row, inner) for row in _const_rows(x)], nl)
+    if kind is PolyMatrix:  # the object {"cols", "entries", "rows"}, in key order
+        deeper = inner + "  "
+        rows = [_bracketed([_strings_text(e, deeper + "  ") for e in row], deeper)
+                for row in _poly_rows(x)]
+        return _bracketed([f'"cols": {x.cols}', '"entries": ' + _bracketed(rows, inner),
+                           f'"rows": {x.rows}'], nl, "{}")
     if kind in _FIELDS:
         return _text(_FIELDS[kind](x), nl)
     if kind is dict:
-        items = [encode_basestring_ascii(k) + ": " + _text(v, inner)
-                 for k, v in sorted(x.items())]
-        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+        return _bracketed([encode_basestring_ascii(k) + ": " + _text(v, inner)
+                           for k, v in sorted(x.items())], nl, "{}")
     if kind is list or kind is tuple:
-        items = [_text(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+        return _bracketed([_text(v, inner) for v in x], nl)
     if kind is bool:
         return "true" if x else "false"
     if kind is int:

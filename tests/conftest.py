@@ -7,9 +7,10 @@ manipulation, and basis polynomials through PolyQ products rather than
 the closed-form matrices Phi and Phi^-1 of `polylin.bases`, and the
 JSON readers through one Fraction per entry.  `reference_reduce_rows`
 keeps the dense row reduction the sparse one in `polylin.exact`
-replaced, with the determinant and solve built on it, and
+replaced, with the determinant and solve built on it,
 `reference_polymatrix_mul` the coefficient-loop product on integer rows
-that Kronecker substitution replaced.
+that Kronecker substitution replaced, and the `entry_*` functions the
+PolyQ-entry path of PolyMatrix that its row form replaced.
 
 `parse_pencil` and `verify_hermite_analogue` are helpers only tests call:
 the first reads `polylin pencil` output back, the second checks a
@@ -17,16 +18,18 @@ triangular factorization L = Uinv @ H on its own.  They use the library's
 kernels, so they are tools, not oracles.
 """
 
+import itertools
 import math
 import re
 from fractions import Fraction
 
 from polylin import ConstMatrix, PolyMatrix, PolyQ
 from polylin.equivalence import HermiteAnalogue
-from polylin.errors import DimensionMismatch, InputError
-from polylin.exact import _integer_coeffs, is_unimodular, polymatrix_mul
+from polylin import exact, serialize
+from polylin.errors import DimensionMismatch, InputError, NotUnimodular
+from polylin.exact import is_unimodular, polymatrix_mul
 from polylin.pencils import Pencil
-from polylin.poly import _poly_from_ints
+from polylin.poly import _convolve, _poly_from_ints, _pseudo_divide
 from polylin.serialize import _shown, parse_const_matrix
 from polylin.verify import Verdict, _falsified
 from polylin.bases import Bernstein, Lagrange, Monomial, Recurrence, barycentric_weights, transform_blocks
@@ -136,6 +139,14 @@ def reference_reduce_rows(rows: list[list[int]], ncols: int, jordan: bool):
     return pivots, num, den
 
 
+def _integer_coeffs(polys) -> tuple[list, int]:
+    """The integer forms of polys over their common denominator d (each
+    p.ints times d // p.den), and d."""
+    den = math.lcm(*(p.den for p in polys))
+    return [p.ints if p.den == den else [x * (den // p.den) for x in p.ints]
+            for p in polys], den
+
+
 def _int_rows(m: PolyMatrix) -> list[tuple[int, list]]:
     """Each row of m over one denominator d, as (d, [(j, ints, grade)])
     over its nonzero entries, entry j's ints being its coefficients times d."""
@@ -194,6 +205,272 @@ def reference_polymatrix_mul(a: PolyMatrix, b: PolyMatrix, *rest: PolyMatrix) ->
         for j, cs, grade in row:
             out[i * cols + j] = _poly_from_ints(cs, den, grade)
     return PolyMatrix(a.rows, cols, out)
+
+
+# ---------------------------------------------------------------------------
+# The PolyQ-entry path: PolyMatrix as it was before its row form, a grid of
+# canonical PolyQ entries with every kernel reading and writing entries.
+# Each function here reads and builds entries only (PolyMatrix(rows, cols,
+# entries) keeps the entries it is given and none of these reads `_form`),
+# so it is the oracle for the values and grades of the row-form path.
+
+
+def entry_from_coeffs(blocks, grade=None) -> PolyMatrix:
+    """sum_k blocks[k] z^k, each entry one PolyQ over its row's lcm."""
+    rows, cols = blocks[0].rows, blocks[0].cols
+    zero = PolyQ.zero(grade or 0)
+    entries = []
+    for i in range(rows):
+        forms = [b._form[i] for b in blocks]
+        den = math.lcm(*(d for d, _ in forms))
+        row = [None] * cols
+        for k, (d, pairs) in enumerate(forms):
+            for j, x in pairs:
+                if row[j] is None:
+                    row[j] = [0] * len(blocks)
+                row[j][k] = x * (den // d)
+        entries += [zero if xs is None else _poly_from_ints(xs, den, grade) for xs in row]
+    return PolyMatrix(rows, cols, entries)
+
+
+def entry_from_blocks(grid, n: int) -> PolyMatrix:
+    """The grid of n-by-n blocks (None = zero) assembled entry by entry."""
+    zero = PolyMatrix(n, n, [PolyQ.zero()] * (n * n))
+    return PolyMatrix.from_rows([x for blk in row for x in (blk or zero).row(r)]
+                                for row in grid for r in range(n))
+
+
+def entry_scalar(n: int, p: PolyQ) -> PolyMatrix:
+    return PolyMatrix(n, n, [p if i == j else PolyQ.zero() for i in range(n) for j in range(n)])
+
+
+def entry_hstack(parts) -> PolyMatrix:
+    rows = parts[0][0].rows
+    return PolyMatrix.from_rows([x for m, lo, hi in parts for x in m.row(i)[lo:hi]]
+                                for i in range(rows)) if rows else \
+        PolyMatrix(0, sum(hi - lo for _, lo, hi in parts), [])
+
+
+def entry_block(m: PolyMatrix, i: int, j: int, n: int) -> PolyMatrix:
+    return PolyMatrix(n, n, [m.get(i * n + r, j * n + c) for r in range(n) for c in range(n)])
+
+
+def entry_map(m: PolyMatrix, f) -> PolyMatrix:
+    return PolyMatrix(m.rows, m.cols, [f(e) for e in m.entries])
+
+
+def entry_add(a: PolyMatrix, b: PolyMatrix, sign: int = 1) -> PolyMatrix:
+    return PolyMatrix(a.rows, a.cols, [x + y if sign > 0 else x - y
+                                       for x, y in zip(a.entries, b.entries)])
+
+
+def entry_evaluate(m: PolyMatrix, x) -> ConstMatrix:
+    return ConstMatrix(m.rows, m.cols, [e(x) for e in m.entries])
+
+
+def entry_read_rows(m: PolyMatrix):
+    """m over one denominator d, the lcm of its entries' denominators, as
+    (d, rows, l1): each row lists (j, ints, s, grade) over its nonzero
+    entries, entry j being ints * s / d."""
+    den = math.lcm(*(p.den for p in m.entries))
+    rows = [[(j, p.ints, den // p.den, p.grade) for j, p in enumerate(m.row(i)) if p.ints]
+            for i in range(m.rows)]
+    return den, rows, max((sum(s * sum(map(abs, xs)) for _, xs, s, _ in row) for row in rows),
+                          default=0)
+
+
+def entry_pack_rows(rows, bits: int):
+    out = []
+    for row in rows:
+        packed = []
+        for j, xs, s, grade in row:
+            v = 0
+            for x in reversed(xs):
+                v = (v << bits) + x
+            packed.append((j, v * s, grade))
+        out.append(packed)
+    return out
+
+
+def entry_mul(a: PolyMatrix, b: PolyMatrix, *rest: PolyMatrix) -> PolyMatrix:
+    """The packed product on entries: each factor over the lcm of all its
+    entries' denominators, and one PolyQ per entry of the result."""
+    chain = (a, b, *rest)
+    factors = [entry_read_rows(f) for f in chain]
+    bits = exact._packed_bits(factors)
+    rows = entry_pack_rows(factors[0][1], bits)
+    for f, (_, frows, _) in zip(chain[1:], factors[1:]):
+        frows = entry_pack_rows(frows, bits)
+        rows = [exact._row_times(row, frows, f.cols) for row in rows]
+    den, cols = math.prod(d for d, _, _ in factors), chain[-1].cols
+    out = [PolyQ.zero()] * (a.rows * cols)
+    for i, row in enumerate(rows):
+        for j, v, grade in row:
+            out[i * cols + j] = _poly_from_ints(exact._unpack(v, bits), den, grade)
+    return PolyMatrix(a.rows, cols, out)
+
+
+def entry_det_degree_bound(m: PolyMatrix) -> int:
+    row_bound = 0
+    for i in range(m.rows):
+        d = max((e.degree for e in m.row(i)), default=-1)
+        if d < 0:
+            return -1
+        row_bound += d
+    col_bound = 0
+    for j in range(m.cols):
+        d = max((m.get(i, j).degree for i in range(m.rows)), default=-1)
+        if d < 0:
+            return -1
+        col_bound += d
+    return min(row_bound, col_bound)
+
+
+def entry_assignment_bound(m: PolyMatrix) -> int:
+    """max over permutations of the sum of the picked entries' degrees, -1
+    when every permutation picks a zero, by trying them all."""
+    best = -1
+    for perm in itertools.permutations(range(m.rows)):
+        picked = [m.get(i, j) for i, j in enumerate(perm)]
+        if all(e.ints for e in picked):
+            best = max(best, sum(e.degree for e in picked))
+    return best
+
+
+def entry_det(m: PolyMatrix) -> PolyQ:
+    """det(m) by Laplace expansion, of the grade `polymatrix_det` gave
+    (the assignment bound; 0 for a 0-by-0 or a structurally zero m)."""
+    if m.rows == 0:
+        return PolyQ((1,))
+    bound = entry_assignment_bound(m)
+    return cofactor_det(m).with_grade(bound) if bound >= 0 else PolyQ.zero()
+
+
+def entry_inverse(m: PolyMatrix) -> PolyMatrix:
+    """The z-adic lifting on entries: M_0 and [M_1 | ... | M_d] read from
+    m over the lcm of all its entries' denominators."""
+    n = m.rows
+    d = max(max((e.degree for e in m.entries), default=-1), 0)
+    den, rows, _ = entry_read_rows(m)
+    wide = [[(j * n + c, xs[j] * s) for j in range(d + 1) for c, xs, s, _ in row
+             if j < len(xs) and xs[j]] for row in rows]
+    x0 = ConstMatrix._from_form(n, n, [exact._lowest(den, [(c, x) for c, x in pairs if c < n])
+                                       for pairs in wide]).try_inverse()
+    if x0 is None:
+        raise NotUnimodular("m(0) is singular")
+    if d == 0:
+        return entry_from_coeffs([x0])
+    step = x0 @ ConstMatrix._from_form(
+        n, n * d, [exact._lowest(-den, [(c - n, x) for c, x in pairs if c >= n]) for pairs in wide])
+    lifted, zero_run = [x0], 0
+    window = x0._form + [(1, [])] * (n * (d - 1))
+    for _ in range(entry_det_degree_bound(m) + d):
+        x = step @ ConstMatrix._from_form(n * d, n, window)
+        lifted.append(x)
+        zero_run = zero_run + 1 if x.is_zero else 0
+        if zero_run == d:
+            return entry_from_coeffs(lifted[:-d])
+        window = x._form + window[:-n]
+    raise NotUnimodular("no deg m zero terms in a row by the bound")
+
+
+def entry_unit_by_inverse(m: PolyMatrix, x: PolyMatrix):
+    """det(m) when x @ m = I by the entry product, else None."""
+    n = m.rows
+    if not (m.is_square and x.is_square and x.rows == n):
+        return None
+    if entry_mul(x, m) != PolyMatrix(n, n, [PolyQ((int(i == j),)) for i in range(n)
+                                            for j in range(n)]):
+        return None
+    return ConstMatrix(n, n, [e.coeff(0) for e in m.entries]).det()
+
+
+def _entry_primitive(row, den):
+    g = math.gcd(den, *itertools.chain.from_iterable(row))
+    if g == 1:
+        return row, den
+    return [[x // g for x in xs] for xs in row], den // g
+
+
+def entry_hermite(m: PolyMatrix):
+    """hermite_form on entries: each row of [H | U] read over its lcm,
+    and each entry of H and U one PolyQ at the end.  Returns (H, U,
+    pivots, rank_deficient)."""
+    n = m.rows
+    rows = []
+    for i, entries in enumerate(m.to_rows()):
+        ints, den = _integer_coeffs(entries)
+        ints = list(ints) + [[den] if j == i else [] for j in range(n)]
+        rows.append((ints, den, [e.grade for e in entries] + [0] * n))
+
+    def row_sub(i, r, c):
+        a, den, ga = rows[i]
+        b, _, gb = rows[r]
+        if len(a[c]) < len(b[c]):
+            return
+        q, _, s = _pseudo_divide(list(a[c]), b[c])
+        out = []
+        for xs, ys in zip(a, b):
+            xs = [s * x for x in xs]
+            if ys:
+                prod = _convolve(q, ys)
+                xs.extend([0] * (len(prod) - len(xs)))
+                for k, y in enumerate(prod):
+                    xs[k] -= y
+                while xs and not xs[-1]:
+                    xs.pop()
+            out.append(xs)
+        dq = len(q) - 1
+        rows[i] = (*_entry_primitive(out, s * den), [max(x, dq + y) for x, y in zip(ga, gb)])
+
+    r = 0
+    pivots = []
+    for c in range(n):
+        while True:
+            nz = [i for i in range(r, n) if rows[i][0][c]]
+            if not nz:
+                break
+            imin = min(nz, key=lambda i: len(rows[i][0][c]))
+            if imin != r:
+                rows[r], rows[imin] = rows[imin], rows[r]
+            others = [i for i in range(r + 1, n) if rows[i][0][c]]
+            if not others:
+                break
+            for i in others:
+                row_sub(i, r, c)
+        if r < n and rows[r][0][c]:
+            ints, _, grades = rows[r]
+            rows[r] = (*_entry_primitive(ints, ints[c][-1]), grades)
+            for i in range(r):
+                row_sub(i, r, c)
+            pivots.append(c)
+            r += 1
+    polys = [[_poly_from_ints(xs, den, g) for xs, g in zip(ints, grades)]
+             for ints, den, grades in rows]
+    return (PolyMatrix(n, n, [e for p in polys for e in p[:n]]),
+            PolyMatrix(n, n, [e for p in polys for e in p[n:]]), tuple(pivots), r < n)
+
+
+def entry_mask(m: PolyMatrix) -> list[str]:
+    return ["".join("0" if m.get(i, j).is_zero else "x" for j in range(m.cols))
+            for i in range(m.rows)]
+
+
+def entry_parse_polymatrix(obj) -> PolyMatrix:
+    """A polymatrix object read one Fraction per coefficient."""
+    rows = [[fraction_parse_polyq(e) for e in row] for row in obj["entries"]]
+    return PolyMatrix(len(rows), len(rows[0]), [e for row in rows for e in row])
+
+
+def entry_dumps(m: PolyMatrix) -> str:
+    """The writer's text of m from its PolyQ entries, written one entry at
+    a time as `serialize.polyq_obj` pads it."""
+    return serialize.dumps({"rows": m.rows, "cols": m.cols, "entries": m.to_rows()})
+
+
+def entry_key(m: PolyMatrix) -> list:
+    """Every entry's integer form and grade, row by row."""
+    return [(e.ints, e.den, e.grade) for e in m.entries]
 
 
 def integer_rows(m: ConstMatrix) -> tuple[list[list[int]], int]:

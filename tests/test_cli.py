@@ -226,7 +226,7 @@ class TestNfCommand:
         assert main(["nf", "--in", str(infile), "--kind", "smith",
                      "--out", str(outfile)]) == 0
         res = json.loads(outfile.read_text())
-        factors = [serialize.parse_polyq(f) for f in res["invariantFactors"]]
+        factors = [fraction_parse_polyq(f) for f in res["invariantFactors"]]
         assert all(str(f) == "1" for f in factors[:-1])
         assert factors[-1].degree == 2  # the monic interpolant
 
@@ -499,6 +499,11 @@ def test_help_exits_0(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: polylin")
 
 
+def parse_entry(coeffs):
+    """A coefficient list read as the one entry of a 1x1 polynomial matrix."""
+    return serialize.parse_polymatrix({"entries": [[coeffs]]}).get(0, 0)
+
+
 class TestJsonRoundTrips:
     def test_fraction_strings(self):
         from fractions import Fraction
@@ -522,7 +527,7 @@ class TestJsonRoundTrips:
         for row in rows:
             new, old = serialize.parse_const_matrix([row]), fraction_parse_const_matrix([row])
             assert new._form == old._form and new == old
-            new, old = serialize.parse_polyq(row), fraction_parse_polyq(row)
+            new, old = parse_entry(row), fraction_parse_polyq(row)
             assert (new.ints, new.den, new.grade) == (old.ints, old.den, old.grade)
         new = serialize.parse_const_matrix([self.GOOD[:4], self.GOOD[4:8]])
         assert new._form == fraction_parse_const_matrix([self.GOOD[:4], self.GOOD[4:8]])._form
@@ -530,7 +535,7 @@ class TestJsonRoundTrips:
     def test_integer_parsers_refuse_as_the_fraction_parse(self):
         for bad in self.BAD:
             for parse, oracle in [(serialize.parse_const_matrix, fraction_parse_const_matrix),
-                                  (serialize.parse_polyq, fraction_parse_polyq)]:
+                                  (parse_entry, fraction_parse_polyq)]:
                 arg = [["1", bad]] if oracle is fraction_parse_const_matrix else ["1", bad]
                 with pytest.raises(InputError) as new:
                     parse(arg)
